@@ -92,7 +92,6 @@ from .model import (
     shared_fare,
     to_dollars,
     trip_marginal_profit,
-    trip_profit,
 )
 from .network import (
     RoadNetwork,

@@ -104,6 +104,7 @@ class Scenario:
         if self.objective not in OBJECTIVES:
             raise ValidationError(f"unknown objective {self.objective!r}")
         known = set(ids)
+        nodes = self.net.node_set()
         rids = set()
         latest = 0.0
         for r in self.requests:
@@ -115,7 +116,7 @@ class Scenario:
                     f"request {r.id}: unknown platform {r.platform!r}"
                 )
             for node in (r.origin, r.destination):
-                if node not in self.net.node_set():
+                if node not in nodes:
                     raise ValidationError(f"request {r.id}: unknown node {node!r}")
             latest = max(latest, r.request_time)
         if self.horizon_s <= 0:
@@ -128,7 +129,7 @@ class Scenario:
                 raise ValidationError(f"alliance names unknown platforms {sorted(stray)}")
         for spec in self.platforms:
             for node in spec.positions or ():
-                if node not in self.net.node_set():
+                if node not in nodes:
                     raise ValidationError(
                         f"platform {spec.id}: unknown position {node!r}"
                     )

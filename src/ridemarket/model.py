@@ -225,28 +225,8 @@ class Trip:
             self.group_size = len(self.requests)
 
     @property
-    def key(self) -> tuple[str, ...]:
-        return self.requests
-
-    @property
     def edge_key(self) -> tuple[tuple[str, ...], str]:
         return (self.requests, self.vehicle)
-
-
-def trip_profit(scheme: PricingScheme, trip: Trip, net: RoadNetwork) -> int:
-    """Platform profit of running the trip with an otherwise idle vehicle.
-
-    Riders pay the dedicated tariff when travelling alone and the shared
-    tariff otherwise, always billed on their own direct distance and
-    duration.  The driver is paid for the full route including the pickup
-    leg.
-    """
-    shared = len(trip.requests) >= 2
-    fares = sum(
-        rider_fare(scheme, shared, *trip.per_request_direct[r]) for r in trip.requests
-    )
-    duration = trip.total_distance / net.speed
-    return fares - driver_pay(scheme, trip.total_distance, duration)
 
 
 def trip_marginal_profit(scheme: PricingScheme, trip: Trip, net: RoadNetwork) -> int:

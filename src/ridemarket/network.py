@@ -174,11 +174,6 @@ def load_network(path: str, speed: float = 10.0) -> RoadNetwork:
             edges.append((parts[0], parts[1], length))
         else:
             raise MalformedRowError(lineno, "data before a section header")
-    if len(set(nodes)) != len(nodes):
-        raise MalformedRowError(0, "duplicate node id")
-    for u, v, _ in edges:
-        if u not in set(nodes) or v not in set(nodes):
-            raise DanglingEdgeError(f"edge ({u}, {v}) references undeclared node")
     return RoadNetwork(nodes=nodes, edges=edges, speed=float(speed))
 
 

@@ -95,29 +95,8 @@ class RtvGraph:
     trips: list[tuple[str, ...]]
     tv_edges: dict[tuple[tuple[str, ...], str], Trip]
 
-    def rt_edges(self) -> list[tuple[str, tuple[str, ...]]]:
-        return sorted({(r, t) for t in self.trips for r in t})
-
     def edges_sorted(self) -> list[Trip]:
         return [self.tv_edges[k] for k in sorted(self.tv_edges)]
-
-    def restrict(self, requests: Iterable[str] | None = None,
-                 vehicles: Iterable[str] | None = None) -> "RtvGraph":
-        """Subgraph over the given request and vehicle subsets."""
-        req = set(self.requests) if requests is None else set(requests)
-        veh = set(self.vehicles) if vehicles is None else set(vehicles)
-        tv = {
-            k: trip
-            for k, trip in self.tv_edges.items()
-            if k[1] in veh and set(k[0]) <= req
-        }
-        trips = sorted({k[0] for k in tv})
-        return RtvGraph(
-            requests=sorted(r for r in self.requests if r in req),
-            vehicles=sorted(v for v in self.vehicles if v in veh),
-            trips=trips,
-            tv_edges=tv,
-        )
 
 
 @dataclass

@@ -330,14 +330,12 @@ class _NodeLp:
     lp: LinearProgram
     const: int            # exact cost of the fixed-in edges
     free: list[int]       # edge id per structural column
-    n_open: int           # trailing y columns, one per uncovered request
 
 
 def _build_node_lp(
     comp: _Compiled,
     fixed_in: frozenset[int],
     fixed_out: frozenset[int],
-    exclude: frozenset[int] | None,
 ) -> _NodeLp | None:
     """Relaxation with the fixed variables eliminated structurally.
 
@@ -389,21 +387,7 @@ def _build_node_lp(
                 a[col_of[e]] = 1.0
         a[y_of[r]] = 1.0
         rows.append((a, "=", 1.0))
-    if exclude is not None:
-        # no-good cut: forbids exactly the excluded 0/1 point
-        a = np.zeros(width)
-        for i, e in enumerate(free):
-            a[i] = 1.0 if e in exclude else -1.0
-        rhs = (
-            len(exclude) - 1
-            - len(exclude & fixed_in)
-            + len(fixed_in - exclude)
-        )
-        rows.append((a, "<=", float(rhs)))
-    return _NodeLp(
-        lp=LinearProgram(c=c, rows=rows), const=const,
-        free=free, n_open=len(open_reqs),
-    )
+    return _NodeLp(lp=LinearProgram(c=c, rows=rows), const=const, free=free)
 
 
 @dataclass
@@ -418,15 +402,10 @@ def _solve_node(
     comp: _Compiled,
     fixed_in: frozenset[int],
     fixed_out: frozenset[int],
-    exclude: frozenset[int] | None,
 ) -> _Relaxation | None:
-    node = _build_node_lp(comp, fixed_in, fixed_out, exclude)
+    node = _build_node_lp(comp, fixed_in, fixed_out)
     if node is None:
         return None
-    if not node.free and not node.n_open and not node.lp.rows:
-        return _Relaxation(
-            bound=float(node.const), x=np.zeros(0), free=[], reduced=np.zeros(0)
-        )
     res = solve_lp(node.lp)
     if res.status != OPTIMAL:
         return None
@@ -442,7 +421,6 @@ def _branch_and_bound(
     comp: _Compiled,
     fixed_in: frozenset[int] = frozenset(),
     fixed_out: frozenset[int] = frozenset(),
-    exclude: frozenset[int] | None = None,
     target: int | None = None,
 ) -> tuple[int | None, frozenset[int] | None]:
     """Exact minimum of the integer micro-cost under the fixings.
@@ -456,7 +434,7 @@ def _branch_and_bound(
     best_set: frozenset[int] | None = None
     cap = float("inf") if target is None else target + 1
 
-    root = _solve_node(comp, fixed_in, fixed_out, exclude)
+    root = _solve_node(comp, fixed_in, fixed_out)
     if root is None:
         return None, None
     counter = itertools.count()
@@ -486,7 +464,7 @@ def _branch_and_bound(
             (fin | {branch_e}, fout),
             (fin, fout | {branch_e}),
         ):
-            child = _solve_node(comp, child_fin, child_fout, exclude)
+            child = _solve_node(comp, child_fin, child_fout)
             if child is None:
                 continue
             limit = min(best_val if best_val is not None else float("inf"), cap)
@@ -507,7 +485,9 @@ def _lex_min_optimum(
     with all decisions.  A committed prefix that already attains the
     optimum beats every extension, so the scan stops there.  Reduced
     costs of the current relaxation prove most forced-in candidates
-    suboptimal without a full branch and bound.
+    suboptimal without a full branch and bound.  Runs on every solve:
+    when the optimum is unique no edge outside the witness can be
+    forced in, so the witness comes back unchanged.
     """
     fin: set[int] = set()
     fout: set[int] = set()
@@ -522,7 +502,7 @@ def _lex_min_optimum(
             stale = True
             continue
         if stale:
-            relax = _solve_node(comp, frozenset(fin), frozenset(fout), None)
+            relax = _solve_node(comp, frozenset(fin), frozenset(fout))
             stale = False
         if relax is not None and e in relax.free:
             i = relax.free.index(e)
@@ -569,11 +549,7 @@ def solve_assignment(problem: AssignmentProblem) -> Assignment:
     value, witness = _branch_and_bound(comp)
     if value is None:
         raise RuntimeError("assignment relaxation reported infeasible")
-    # fast path: prove the optimum unique before the lexicographic pass
-    tie_val, _ = _branch_and_bound(comp, exclude=witness, target=value)
-    if tie_val is not None and tie_val <= value:
-        witness = _lex_min_optimum(comp, value, witness)
-    return _finish(comp, witness)
+    return _finish(comp, _lex_min_optimum(comp, value, witness))
 
 
 def brute_force_assignment(problem: AssignmentProblem) -> Assignment:

@@ -5,6 +5,7 @@ import pytest
 from ridemarket.errors import (
     DanglingEdgeError,
     InvalidDimensionError,
+    MalformedRowError,
     UnknownNodeError,
     UnreachableError,
 )
@@ -68,11 +69,20 @@ def test_unreachable_node_raises():
     assert net.distance_or_inf("a", "c") == float("inf")
 
 
-def test_dangling_edge_and_bad_speed_raise():
+def test_dangling_edge_and_bad_speed_raise(tmp_path):
     with pytest.raises(DanglingEdgeError):
         RoadNetwork(nodes=["a"], edges=[("a", "b", 10.0)], speed=5.0)
     with pytest.raises(InvalidDimensionError):
         make_grid(2, 2, edge_len=100.0, speed=0.0)
+    # the same checks reached through the file reader
+    dangling = tmp_path / "dangling.csv"
+    dangling.write_text("#nodes\na\n#edges\na,b,10\n", encoding="utf-8")
+    with pytest.raises(DanglingEdgeError):
+        load_network(str(dangling))
+    duplicate = tmp_path / "duplicate.csv"
+    duplicate.write_text("#nodes\na\nb\na\n#edges\na,b,10\n", encoding="utf-8")
+    with pytest.raises(MalformedRowError, match="duplicate node id"):
+        load_network(str(duplicate))
 
 
 def test_directed_edges_respected():

@@ -132,15 +132,18 @@ def test_lp_degenerate_cycling_guard():
 # assignment solver
 # ---------------------------------------------------------------------------
 
-def _random_graph(rng, net, nodes, n_req, n_veh, now=60.0):
+def _random_graph(rng, net, nodes, n_req, n_veh, now=60.0, colocated=False):
     reqs = []
     for i in range(n_req):
         o, d = rng.choice(len(nodes), size=2, replace=False)
         reqs.append(Request(id=f"r{i}", origin=nodes[o], destination=nodes[d],
                             request_time=float(rng.integers(0, int(now))), platform="A"))
     reqs = fill_direct(net, reqs)
+    # a co-located fleet starts on one node, so trip costs tie across vehicles
+    depot = nodes[int(rng.integers(0, len(nodes)))] if colocated else None
     vehs = [Vehicle(id=f"v{k}", platform="A",
-                    position=nodes[int(rng.integers(0, len(nodes)))], capacity=4)
+                    position=depot or nodes[int(rng.integers(0, len(nodes)))],
+                    capacity=4)
             for k in range(n_veh)]
     return build_rtv_graph(reqs, vehs, net, now, Constraints())
 
@@ -150,9 +153,10 @@ def test_assignment_matches_brute_force():
     nodes = sorted(net.node_set())
     scheme = PricingScheme()
     rng = np.random.default_rng(11)
-    for trial in range(60):
+    for trial in range(120):
         graph = _random_graph(rng, net, nodes,
-                              int(rng.integers(3, 9)), int(rng.integers(2, 6)))
+                              int(rng.integers(3, 9)), int(rng.integers(2, 6)),
+                              colocated=trial >= 60)
         problem = AssignmentProblem(
             graph=graph, objective=OBJECTIVES[trial % 3], penalty=10.0,
             scheme=scheme, net=net,
@@ -166,20 +170,25 @@ def test_assignment_matches_brute_force():
 
 
 def test_assignment_zero_penalty_profit():
-    # with no unserved penalty the solver only serves profitable requests
+    # with no unserved penalty the solver only serves requests that pay; a
+    # zero-cost trip ties with leaving its riders unserved, and the empty
+    # set wins the tie
     net = make_grid(5, 5, edge_len=300.0, speed=8.0)
     nodes = sorted(net.node_set())
     rng = np.random.default_rng(19)
     for _ in range(15):
         graph = _random_graph(rng, net, nodes, int(rng.integers(3, 7)), 3)
-        problem = AssignmentProblem(
-            graph=graph, objective="max_profit", penalty=0.0,
-            scheme=PricingScheme(), net=net,
-        )
-        got = solve_assignment(problem)
-        want = brute_force_assignment(problem)
-        assert got.objective_micro == want.objective_micro
-        assert got.objective_micro <= 0  # never worse than serving nobody
+        for objective in OBJECTIVES:
+            problem = AssignmentProblem(
+                graph=graph, objective=objective, penalty=0.0,
+                scheme=PricingScheme(), net=net,
+            )
+            got = solve_assignment(problem)
+            want = brute_force_assignment(problem)
+            assert got.objective_micro == want.objective_micro
+            assert [(t.requests, t.vehicle) for t in got.chosen] == \
+                [(t.requests, t.vehicle) for t in want.chosen]
+            assert got.objective_micro <= 0  # never worse than serving nobody
 
 
 def test_assignment_tie_breaks_to_smallest_edge_set():

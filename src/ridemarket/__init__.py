@@ -20,6 +20,7 @@ from .engine import (
 from .errors import (
     DanglingEdgeError,
     DimensionMismatchError,
+    DrainError,
     EmptyCoalitionError,
     InvalidDimensionError,
     InvalidGammaError,
@@ -29,6 +30,7 @@ from .errors import (
     NegativeInputError,
     NonpositiveStandaloneError,
     OutputError,
+    PivotLimitError,
     ScenarioParseError,
     TooLargeError,
     UnknownKeyError,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, replace
 
-from .errors import ValidationError
+from .errors import DrainError, ValidationError
 from .mechanisms import (
     Allocation,
     AuctionAward,
@@ -500,7 +500,14 @@ class _Simulation:
             self._advance(now, dt)
             now += dt
         else:
-            raise RuntimeError("simulation failed to drain; check the scenario")
+            still_open = sum(
+                1 for r in self.requests if r.state not in (SERVED, EXPIRED)
+            )
+            raise DrainError(
+                f"simulation failed to drain after {max_epochs} epochs (now {now:g} s): "
+                f"{still_open} of {len(self.requests)} requests still open; "
+                "check the scenario"
+            )
         return self._metrics()
 
     def _metrics(self) -> EpisodeMetrics:

@@ -63,6 +63,10 @@ class DimensionMismatchError(MarketError):
     """Linear program rows or bounds disagree with the variable count."""
 
 
+class PivotLimitError(MarketError):
+    """The simplex method hit its pivot limit; names the tableau size."""
+
+
 # --- mechanisms --------------------------------------------------------------
 
 class EmptyCoalitionError(MarketError):
@@ -83,6 +87,12 @@ class ZeroWeightError(MarketError):
 
 class InvalidGammaError(MarketError):
     """The information price rate must lie in [0, 1]."""
+
+
+# --- engine ------------------------------------------------------------------
+
+class DrainError(MarketError):
+    """A simulation ran out of epochs with requests or vehicles still busy."""
 
 
 # --- io / cli ----------------------------------------------------------------

@@ -7,7 +7,10 @@ on every input.  The assignment solver wraps it in a best-bound branch
 and bound over integer micro-unit costs, which makes optimal values
 exactly comparable and lets ties be broken deterministically: lowest
 cost, then the lexicographically smallest chosen edge set, with edges
-ordered by their (trip, vehicle) key.
+ordered by their (trip, vehicle) key.  Each assignment solves its root
+relaxation once: it is the root node of the branch and bound, and its
+reduced costs fix out every edge that lies in no optimum before the
+tie-break scan, which also skips edges that clash with its committed set.
 """
 from __future__ import annotations
 
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, TooLargeError
+from .errors import DimensionMismatchError, PivotLimitError, TooLargeError
 from .model import METERS_PER_MILE, PricingScheme, Trip, trip_marginal_profit
 from .network import RoadNetwork
 from .rtv import RtvGraph
@@ -131,7 +134,10 @@ def _simplex_iterate(
                 if stall >= _STALL_LIMIT:
                     bland = True
             last = z[-1]
-    raise RuntimeError("simplex pivot limit exceeded")
+    raise PivotLimitError(
+        f"simplex pivot limit of {_MAX_PIVOTS} exceeded on an LP of "
+        f"{T.shape[0]} rows x {T.shape[1] - 1} columns, slacks included"
+    )
 
 
 def solve_lp(lp: LinearProgram, tol: float = _SIMPLEX_TOL) -> LpResult:
@@ -336,24 +342,17 @@ def _build_node_lp(
     comp: _Compiled,
     fixed_in: frozenset[int],
     fixed_out: frozenset[int],
-) -> _NodeLp | None:
+) -> _NodeLp:
     """Relaxation with the fixed variables eliminated structurally.
 
-    Fixed-in edges contribute a constant and knock out their vehicle and
-    requests; fixed-out edges simply drop.  This keeps the tableau small
-    and avoids artificial columns for the fixings.  Returns None when the
-    fixed-in edges clash with each other.
+    Fixed-in edges, which never clash with each other, contribute a
+    constant and knock out their vehicle and requests; fixed-out edges
+    simply drop.  This keeps the tableau small and avoids artificial
+    columns for the fixings.
     """
     m = len(comp.edges)
-    blocked: set[int] = set()
-    covered: set[int] = set()
-    for e in fixed_in:
-        v = comp.edge_vehicle[e]
-        reqs = comp.edge_requests[e]
-        if v in blocked or reqs & covered:
-            return None
-        blocked.add(v)
-        covered |= reqs
+    blocked = {comp.edge_vehicle[e] for e in fixed_in}
+    covered = set().union(*(comp.edge_requests[e] for e in fixed_in))
     free = [
         e for e in range(m)
         if e not in fixed_in and e not in fixed_out
@@ -396,6 +395,8 @@ class _Relaxation:
     x: np.ndarray
     free: list[int]
     reduced: np.ndarray   # micro-units per free column
+    fixed_in: frozenset[int]
+    fixed_out: frozenset[int]
 
 
 def _solve_node(
@@ -404,8 +405,6 @@ def _solve_node(
     fixed_out: frozenset[int],
 ) -> _Relaxation | None:
     node = _build_node_lp(comp, fixed_in, fixed_out)
-    if node is None:
-        return None
     res = solve_lp(node.lp)
     if res.status != OPTIMAL:
         return None
@@ -414,16 +413,17 @@ def _solve_node(
         x=res.x,
         free=node.free,
         reduced=res.reduced[: len(node.free)] * comp.scale,
+        fixed_in=fixed_in,
+        fixed_out=fixed_out,
     )
 
 
 def _branch_and_bound(
     comp: _Compiled,
-    fixed_in: frozenset[int] = frozenset(),
-    fixed_out: frozenset[int] = frozenset(),
+    root: _Relaxation | None,
     target: int | None = None,
 ) -> tuple[int | None, frozenset[int] | None]:
-    """Exact minimum of the integer micro-cost under the fixings.
+    """Exact minimum of the integer micro-cost under the root's fixings.
 
     With ``target`` given, stops as soon as a solution at or below the
     target is found, certifying whether the target is attainable.  The
@@ -434,13 +434,12 @@ def _branch_and_bound(
     best_set: frozenset[int] | None = None
     cap = float("inf") if target is None else target + 1
 
-    root = _solve_node(comp, fixed_in, fixed_out)
     if root is None:
         return None, None
     counter = itertools.count()
-    heap = [(root.bound, next(counter), fixed_in, fixed_out, root)]
+    heap = [(root.bound, next(counter), root)]
     while heap:
-        bound, _, fin, fout, relax = heapq.heappop(heap)
+        bound, _, relax = heapq.heappop(heap)
         limit = min(best_val if best_val is not None else float("inf"), cap)
         if bound >= limit - 0.5:
             break
@@ -451,7 +450,7 @@ def _branch_and_bound(
             if f > frac_val:
                 frac_val, branch_e = f, e
         if frac_val <= 1e-6:
-            chosen = frozenset(fin) | {
+            chosen = relax.fixed_in | {
                 e for i, e in enumerate(relax.free) if relax.x[i] > 0.5
             }
             val = _exact_cost(comp, chosen)
@@ -460,6 +459,7 @@ def _branch_and_bound(
                 if target is not None and best_val <= target:
                     return best_val, best_set
             continue
+        fin, fout = relax.fixed_in, relax.fixed_out
         for child_fin, child_fout in (
             (fin | {branch_e}, fout),
             (fin, fout | {branch_e}),
@@ -470,62 +470,53 @@ def _branch_and_bound(
             limit = min(best_val if best_val is not None else float("inf"), cap)
             if child.bound >= limit - 0.5:
                 continue
-            heapq.heappush(
-                heap, (child.bound, next(counter), child_fin, child_fout, child)
-            )
+            heapq.heappush(heap, (child.bound, next(counter), child))
     return best_val, best_set
 
 
 def _lex_min_optimum(
-    comp: _Compiled, value: int, witness: frozenset[int]
+    comp: _Compiled, value: int, witness: frozenset[int], root: _Relaxation
 ) -> frozenset[int]:
     """Smallest optimal edge set in sorted-tuple order.
 
     Scans edges in index order, keeping an optimal witness consistent
     with all decisions.  A committed prefix that already attains the
-    optimum beats every extension, so the scan stops there.  Reduced
-    costs of the current relaxation prove most forced-in candidates
-    suboptimal without a full branch and bound.  Runs on every solve:
-    when the optimum is unique no edge outside the witness can be
-    forced in, so the witness comes back unchanged.
+    optimum beats every extension, so the scan stops there.  Before the
+    scan, the root relaxation's reduced costs fix out every edge they
+    prove to lie in no optimum; during it, an edge that shares a vehicle
+    or a request with the committed set is skipped without an LP.  Each
+    remaining candidate outside the witness gets a branch and bound with
+    it forced in.  Runs on every solve: when the optimum is unique no
+    edge outside the witness can be forced in, so the witness comes back
+    unchanged.
     """
+    fout = {
+        e for i, e in enumerate(root.free)
+        if root.x[i] < 1e-9 and root.bound + root.reduced[i] >= value + 0.5
+    }
     fin: set[int] = set()
-    fout: set[int] = set()
+    blocked: set[int] = set()
+    covered: set[int] = set()
     current = witness
-    relax: _Relaxation | None = None
-    stale = True
     for e in range(len(comp.edges)):
-        if e in current:
-            if _exact_cost(comp, frozenset(fin)) == value:
-                return frozenset(fin)
-            fin.add(e)
-            stale = True
+        if e not in current and (
+            e in fout
+            or comp.edge_vehicle[e] in blocked
+            or comp.edge_requests[e] & covered
+        ):
             continue
-        if stale:
-            relax = _solve_node(comp, frozenset(fin), frozenset(fout))
-            stale = False
-        if relax is not None and e in relax.free:
-            i = relax.free.index(e)
-            if (
-                relax.x[i] < 1e-9
-                and relax.bound + relax.reduced[i] >= value + 0.5
-            ):
-                fout.add(e)
-                continue
         if _exact_cost(comp, frozenset(fin)) == value:
             return frozenset(fin)
-        val, found = _branch_and_bound(
-            comp,
-            fixed_in=frozenset(fin | {e}),
-            fixed_out=frozenset(fout),
-            target=value,
-        )
-        if val is not None and val <= value:
+        if e not in current:
+            trial = _solve_node(comp, frozenset(fin | {e}), frozenset(fout))
+            val, found = _branch_and_bound(comp, trial, target=value)
+            if val is None or val > value:
+                fout.add(e)
+                continue
             current = found
-            fin.add(e)
-            stale = True
-        else:
-            fout.add(e)
+        fin.add(e)
+        blocked.add(comp.edge_vehicle[e])
+        covered |= comp.edge_requests[e]
     if _exact_cost(comp, frozenset(fin)) == value:
         return frozenset(fin)
     return current
@@ -546,10 +537,11 @@ def solve_assignment(problem: AssignmentProblem) -> Assignment:
     comp = _compile(problem)
     if not comp.edges:
         return _finish(comp, frozenset())
-    value, witness = _branch_and_bound(comp)
+    root = _solve_node(comp, frozenset(), frozenset())
+    value, witness = _branch_and_bound(comp, root)
     if value is None:
         raise RuntimeError("assignment relaxation reported infeasible")
-    return _finish(comp, _lex_min_optimum(comp, value, witness))
+    return _finish(comp, _lex_min_optimum(comp, value, witness, root))
 
 
 def brute_force_assignment(problem: AssignmentProblem) -> Assignment:

@@ -55,6 +55,14 @@ def test_bad_env_seed_is_a_clean_error(bundle, monkeypatch, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_solver_failure_is_exit_one(bundle, monkeypatch, capsys):
+    monkeypatch.setattr("ridemarket.solve._MAX_PIVOTS", 1)
+    assert main(["simulate", "--scenario", str(bundle)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: simplex pivot limit of 1 exceeded on an LP of ")
+    assert err.count("\n") == 1
+
+
 def test_compare_runs_all_structures(bundle, tmp_path):
     out = tmp_path / "cmp.csv"
     rc = main(["compare", "--scenario", str(bundle), "--out", str(out)])

@@ -12,7 +12,7 @@ from ridemarket.engine import (
     resolve_scenario,
     run,
 )
-from ridemarket.errors import ValidationError
+from ridemarket.errors import DrainError, ValidationError
 from ridemarket.io import metrics_to_dict
 from ridemarket.model import (
     METERS_PER_MILE,
@@ -325,3 +325,14 @@ def test_trade_log_requests_are_unique_and_resolved(net):
         traded = [t.request for t in m.trade_log]
         assert len(traded) == len(set(traded))
         assert m.served + m.expired == m.n_requests
+
+
+def test_stalled_fleet_is_a_drain_error(net, monkeypatch):
+    # vehicles that never move keep their riders assigned past every epoch
+    monkeypatch.setattr("ridemarket.engine._Simulation._advance",
+                        lambda self, now, dt: None)
+    reqs = _requests(np.random.default_rng(1), sorted(net.node_set()), 3, ["A"])
+    sc = _scenario(net, reqs, [PlatformSpec("A", 6)], "single")
+    with pytest.raises(DrainError, match=r"after \d+ epochs \(now \d+ s\): "
+                                         r"3 of 3 requests still open"):
+        run(sc)

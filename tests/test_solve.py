@@ -1,12 +1,14 @@
 """LP simplex and assignment branch-and-bound against independent oracles."""
 import numpy as np
 import pytest
-from scipy.optimize import linprog
+from hypothesis import given, settings, strategies as st
+from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
-from ridemarket.errors import DimensionMismatchError, TooLargeError
+from ridemarket import solve
+from ridemarket.errors import DimensionMismatchError, PivotLimitError, TooLargeError
 from ridemarket.model import Request, Vehicle, PricingScheme, fill_direct
 from ridemarket.network import make_grid
-from ridemarket.rtv import Constraints, build_rtv_graph
+from ridemarket.rtv import Constraints, RtvGraph, build_rtv_graph
 from ridemarket.solve import (
     INFEASIBLE,
     OBJECTIVES,
@@ -113,9 +115,9 @@ def test_lp_cross_check_against_scipy():
             assert np.all(res.reduced > -1e-6)
 
 
-def test_lp_degenerate_cycling_guard():
-    # classic Beale-style degenerate instance; must terminate at the optimum
-    lp = LinearProgram(
+def _beale_lp():
+    # classic Beale-style degenerate instance
+    return LinearProgram(
         c=[-0.75, 150.0, -0.02, 6.0],
         rows=[
             (np.array([0.25, -60.0, -0.04, 9.0]), "<=", 0.0),
@@ -123,9 +125,19 @@ def test_lp_degenerate_cycling_guard():
             (np.array([0.0, 0.0, 1.0, 0.0]), "<=", 1.0),
         ],
     )
-    res = solve_lp(lp)
+
+
+def test_lp_degenerate_cycling_guard():
+    # must terminate at the optimum
+    res = solve_lp(_beale_lp())
     assert res.status == OPTIMAL
     assert res.value == pytest.approx(-0.05, abs=1e-9)
+
+
+def test_lp_pivot_limit_is_a_market_error(monkeypatch):
+    monkeypatch.setattr(solve, "_MAX_PIVOTS", 1)
+    with pytest.raises(PivotLimitError, match="3 rows x 7 columns"):
+        solve_lp(_beale_lp())
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +179,97 @@ def test_assignment_matches_brute_force():
         assert [(t.requests, t.vehicle) for t in got.chosen] == \
             [(t.requests, t.vehicle) for t in want.chosen]
         assert got.unserved == want.unserved
+
+
+def _milp_objective_micro(problem):
+    """Exact micro-cost of an optimum found by HiGHS branch and bound.
+
+    Columns are one binary x per trip-vehicle edge and one unserved
+    indicator y per request; vehicle rows are <= 1 and request rows = 1.
+    The rounded solution is re-costed in integers, so only the choice of
+    edges comes from floating point.
+    """
+    graph = problem.graph
+    edges = graph.edges_sorted()
+    req_index = {r: i for i, r in enumerate(graph.requests)}
+    veh_index = {v: i for i, v in enumerate(graph.vehicles)}
+    costs = [solve._edge_cost_micro(problem, t) for t in edges]
+    penalty = round(problem.penalty * solve.MICRO)
+    E, R, V = len(edges), len(graph.requests), len(graph.vehicles)
+    A = np.zeros((V + R, E + R))
+    for e, t in enumerate(edges):
+        A[veh_index[t.vehicle], e] = 1.0
+        for r in t.requests:
+            A[V + req_index[r], e] = 1.0
+    A[V:, E:] = np.eye(R)
+    res = milp(
+        np.array(costs + [penalty] * R, dtype=float),
+        constraints=LinearConstraint(A, np.r_[np.full(V, -np.inf), np.ones(R)],
+                                     np.ones(V + R)),
+        integrality=np.r_[np.ones(E), np.zeros(R)],
+        bounds=Bounds(0.0, 1.0),
+        options={"mip_rel_gap": 0.0},
+    )
+    assert res.success
+    chosen = [e for e in range(E) if res.x[e] > 0.5]
+    assert len({edges[e].vehicle for e in chosen}) == len(chosen)
+    served = [r for e in chosen for r in edges[e].requests]
+    assert len(set(served)) == len(served)
+    return sum(costs[e] for e in chosen) + penalty * (R - len(served))
+
+
+def test_assignment_optimum_matches_milp_beyond_oracle_guard():
+    # 12-20 requests and 6-10 vehicles, above brute_force_assignment's
+    # guard; the co-located fleets make ties across vehicles common
+    net = make_grid(5, 5, edge_len=300.0, speed=8.0)
+    nodes = sorted(net.node_set())
+    rng = np.random.default_rng(3)
+    for trial in range(4):
+        graph = _random_graph(rng, net, nodes,
+                              int(rng.integers(12, 21)), int(rng.integers(6, 11)),
+                              colocated=trial % 2 == 1)
+        assert len(graph.requests) > 8 and len(graph.vehicles) > 5
+        for objective in OBJECTIVES:
+            problem = AssignmentProblem(
+                graph=graph, objective=objective, penalty=10.0,
+                scheme=PricingScheme(), net=net,
+            )
+            assert solve_assignment(problem).objective_micro == \
+                _milp_objective_micro(problem)
+
+
+_PERMUTE_NET = make_grid(5, 5, edge_len=300.0, speed=8.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    objective=st.sampled_from(OBJECTIVES),
+    colocated=st.booleans(),
+    shuffle=st.randoms(use_true_random=False),
+)
+def test_assignment_ignores_input_order(seed, objective, colocated, shuffle):
+    # permuting requests, vehicles and edge insertion order reorders the LP
+    # rows, and so can change the pivot path, but not the lex-min optimum
+    net = _PERMUTE_NET
+    nodes = sorted(net.node_set())
+    rng = np.random.default_rng(seed)
+    graph = _random_graph(rng, net, nodes, int(rng.integers(3, 9)),
+                          int(rng.integers(2, 6)), colocated=colocated)
+    items = list(graph.tv_edges.items())
+    requests, vehicles = list(graph.requests), list(graph.vehicles)
+    for seq in (items, requests, vehicles):
+        shuffle.shuffle(seq)
+    permuted = RtvGraph(requests=requests, vehicles=vehicles,
+                        trips=list(graph.trips), tv_edges=dict(items))
+
+    def solved(g):
+        return solve_assignment(AssignmentProblem(
+            graph=g, objective=objective, penalty=10.0,
+            scheme=PricingScheme(), net=net,
+        ))
+
+    assert solved(permuted) == solved(graph)
 
 
 def test_assignment_zero_penalty_profit():

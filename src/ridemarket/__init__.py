@@ -32,6 +32,7 @@ from .errors import (
     OutputError,
     PivotLimitError,
     ScenarioParseError,
+    SolverError,
     TooLargeError,
     UnknownKeyError,
     UnknownNodeError,

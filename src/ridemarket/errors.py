@@ -56,7 +56,7 @@ class UnmappedEntityError(MarketError):
 # --- solve -------------------------------------------------------------------
 
 class TooLargeError(MarketError):
-    """Instance exceeds the brute-force oracle guard."""
+    """Input exceeds a size guard: the network's node bound or the oracle's."""
 
 
 class DimensionMismatchError(MarketError):
@@ -65,6 +65,10 @@ class DimensionMismatchError(MarketError):
 
 class PivotLimitError(MarketError):
     """The simplex method hit its pivot limit; names the tableau size."""
+
+
+class SolverError(MarketError):
+    """A solver invariant failed: a relaxation reported an impossible status."""
 
 
 # --- mechanisms --------------------------------------------------------------

@@ -2,6 +2,9 @@
 
 Distances are meters, durations seconds.  All-pairs shortest paths are
 precomputed once at construction so later queries are table lookups.
+The two dense tables cost 12 bytes per ordered node pair (a float64
+distance and an int32 predecessor), so networks above MAX_NODES nodes
+are rejected before anything is allocated.
 """
 from __future__ import annotations
 
@@ -16,11 +19,15 @@ from .errors import (
     InvalidDimensionError,
     MalformedRowError,
     MissingFileError,
+    TooLargeError,
     UnknownNodeError,
     UnreachableError,
 )
 
 Edge = tuple[str, str, float]
+
+# 5,000 nodes make 25 million node pairs: 300 MB of all-pairs tables.
+MAX_NODES = 5_000
 
 
 @dataclass
@@ -38,6 +45,11 @@ class RoadNetwork:
     def __post_init__(self) -> None:
         if self.speed <= 0:
             raise InvalidDimensionError("speed must be positive")
+        if len(self.nodes) > MAX_NODES:
+            raise TooLargeError(
+                f"network has {len(self.nodes)} nodes; the all-pairs tables "
+                f"allow at most {MAX_NODES}"
+            )
         if len(set(self.nodes)) != len(self.nodes):
             raise MalformedRowError(0, "duplicate node id")
         self._index = {n: i for i, n in enumerate(self.nodes)}
@@ -86,6 +98,24 @@ class RoadNetwork:
     def distance_or_inf(self, src: str, dst: str) -> float:
         """Like distance() but returns inf instead of raising when disconnected."""
         return float(self._dist[self.node_index(src), self.node_index(dst)])
+
+    def distance_block(self, srcs: list[str], dsts: list[str]) -> np.ndarray:
+        """Shortest distances from each of srcs (rows) to each of dsts (columns).
+
+        A fresh len(srcs) x len(dsts) array; disconnected pairs hold inf.
+        """
+        rows = np.array([self.node_index(n) for n in srcs], dtype=np.intp)
+        cols = np.array([self.node_index(n) for n in dsts], dtype=np.intp)
+        return self._dist[np.ix_(rows, cols)]
+
+    def flat_distances(self) -> memoryview:
+        """Zero-copy flat view of the all-pairs distance table.
+
+        Entry ``i * len(nodes) + j`` is the distance from the node with
+        index i to the node with index j (see node_index), read as a Python
+        float; disconnected pairs hold inf.
+        """
+        return memoryview(self._dist.reshape(-1))
 
     def reachable(self, src: str, dst: str) -> bool:
         return not np.isinf(self._dist[self.node_index(src), self.node_index(dst)])

@@ -8,8 +8,11 @@ finished graph purely as a subgraph filter.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
+
+import numpy as np
 
 from .errors import UnmappedEntityError
 from .model import (
@@ -24,6 +27,12 @@ from .network import RoadNetwork
 
 EPS = 1e-9
 
+# Seconds of float rounding allowed for when the reach bound of
+# build_rv_graph compares one shortest path with a route's per-leg time
+# sum: the two differ by ulps (about 1e-12 s at 1e4 s), so the bound
+# skips no pair the route search would accept.
+REACH_SLACK = 1e-6
+
 STRUCTURE_KINDS = (
     "single",
     "segmented",
@@ -34,6 +43,9 @@ STRUCTURE_KINDS = (
 )
 
 MAX_ROUTE_STOPS = 8
+
+_STOP_ORDER = operator.itemgetter(0, 1)  # (request, kind) of a stop record
+_BITS = tuple(1 << i for i in range(MAX_ROUTE_STOPS + 1))
 
 
 @dataclass(frozen=True)
@@ -137,100 +149,115 @@ def best_route(
     Returns None when no order satisfies capacity, pickup deadlines and the
     per-rider detour bound.  The search is an exhaustive depth-first walk
     over stop permutations with distance and deadline pruning, capped at
-    MAX_ROUTE_STOPS stops.
+    MAX_ROUTE_STOPS stops.  Stops are tried in ``(request, kind)`` order and
+    only a strictly shorter route replaces the best, so among equally short
+    routes the first in that order wins.
     """
-    new_list = sorted(new_requests, key=lambda r: r.id)
-    stops: list[Stop] = []
-    deadlines: dict[str, float] = {}
-    ride_start: dict[str, float] = {}  # onboard riders: actual pickup instant
-    for rid in sorted(vehicle.onboard):
+    chi = constraints.detour_factor
+    # One record per stop: (request, kind, node, limit, aux).  A pickup
+    # must arrive by ``limit``, its deadline plus EPS, and not before
+    # ``aux``, the release time.  A dropoff must arrive within ``limit`` of
+    # the ride start: ``aux`` for a rider already onboard, else the
+    # arrival at the pickup.
+    recs: list[tuple] = []
+    for rid in vehicle.onboard:
         req = registry[rid]
-        stops.append(Stop(req.destination, rid, DROPOFF))
-        ride_start[rid] = req.pickup_time if req.pickup_time is not None else now
-    for rid in sorted(vehicle.assigned):
+        ride_start = req.pickup_time if req.pickup_time is not None else now
+        recs.append((rid, DROPOFF, req.destination,
+                     chi * req.direct_duration + EPS, ride_start))
+    for rid in vehicle.assigned:
         req = registry[rid]
-        stops.append(Stop(req.origin, rid, PICKUP))
-        stops.append(Stop(req.destination, rid, DROPOFF))
-        deadlines[rid] = (
+        deadline = (
             req.pickup_deadline
             if req.pickup_deadline is not None
             else _pickup_deadline(req, now, constraints)
         )
-    for req in new_list:
-        stops.append(Stop(req.origin, req.id, PICKUP))
-        stops.append(Stop(req.destination, req.id, DROPOFF))
-        deadlines[req.id] = _pickup_deadline(req, now, constraints)
-    if len(stops) > MAX_ROUTE_STOPS:
+        recs.append((rid, PICKUP, req.origin, deadline + EPS, req.request_time))
+        recs.append((rid, DROPOFF, req.destination,
+                     chi * req.direct_duration + EPS, None))
+    for req in new_requests:
+        deadline = _pickup_deadline(req, now, constraints)
+        recs.append((req.id, PICKUP, req.origin, deadline + EPS, req.request_time))
+        recs.append((req.id, DROPOFF, req.destination,
+                     chi * req.direct_duration + EPS, None))
+    if len(recs) > MAX_ROUTE_STOPS:
         return None
-    stops.sort(key=lambda s: (s.request, s.kind))
+    if not recs:
+        return RouteResult(route=(), total_distance=0.0, pickup_times={},
+                           dropoff_times={})
+    recs.sort(key=_STOP_ORDER)
 
-    chi = constraints.detour_factor
-    best: list[RouteResult | None] = [None]
-    best_dist = [float("inf")]
+    # Per-stop columns, plus col, the node index of each stop.  Sorting
+    # puts a rider's dropoff right before its pickup, so a dropoff with no
+    # aux waits for stop i + 1 and reads the ride start from start[i + 1],
+    # where the search writes the arrival at that pickup.
+    n = len(recs)
+    _, kinds, nodes, limit, aux = zip(*recs)
+    start = list(aux)
+    bits = _BITS
+    n_nodes = len(net.nodes)
+    col = list(map(net.node_index, nodes))
+    flat = net.flat_distances()  # flat[base + col[i]]: leg to stop i
+    speed = net.speed
+    capacity = vehicle.capacity
 
-    def recurse(
-        pos: str,
-        time: float,
-        dist: float,
-        load: int,
-        remaining: list[Stop],
-        picked: dict[str, float],
-        dropped: dict[str, float],
-        order: list[Stop],
-    ) -> None:
-        if dist >= best_dist[0]:
-            return
-        if not remaining:
-            best_dist[0] = dist
-            best[0] = RouteResult(
-                route=tuple(order),
-                total_distance=dist,
-                pickup_times=dict(picked),
-                dropoff_times=dict(dropped),
-            )
-            return
-        for idx, stop in enumerate(remaining):
-            rid = stop.request
-            if stop.kind == DROPOFF and rid not in picked and rid not in ride_start:
+    best_dist = float("inf")
+    best_order: list[int] | None = None
+    best_times: list[float] = []
+    order = [0] * n  # order[d]: stop visited at depth d
+    times = [0.0] * n  # times[d]: arrival there
+    last = n - 1
+
+    def recurse(base: int, time: float, dist: float, load: int,
+                visited: int, depth: int) -> None:
+        nonlocal best_dist, best_order, best_times
+        for i in range(n):
+            if visited & bits[i]:
                 continue
-            if stop.kind == PICKUP and load + 1 > vehicle.capacity:
-                continue
-            leg = net.distance_or_inf(pos, stop.node)
-            if leg == float("inf") or dist + leg >= best_dist[0]:
-                continue
-            arrive = time + leg / net.speed
-            if stop.kind == PICKUP:
-                req = registry[rid]
-                arrive = max(arrive, req.request_time)
-                if arrive > deadlines[rid] + EPS:
+            pickup = kinds[i] == PICKUP
+            if pickup:
+                if load >= capacity:
                     continue
-                picked[rid] = arrive
-                recurse(pos=stop.node, time=arrive, dist=dist + leg, load=load + 1,
-                        remaining=remaining[:idx] + remaining[idx + 1:],
-                        picked=picked, dropped=dropped, order=order + [stop])
-                del picked[rid]
+            elif aux[i] is None and not visited & bits[i + 1]:
+                continue
+            leg = flat[base + col[i]]
+            total = dist + leg  # inf for an unreachable stop
+            if total >= best_dist:
+                continue
+            arrive = time + leg / speed
+            if pickup:
+                arrive = max(arrive, aux[i])
+                if arrive > limit[i]:
+                    continue
+                start[i] = arrive
+            elif arrive - start[i if aux[i] is not None else i + 1] > limit[i]:
+                continue
+            order[depth] = i
+            times[depth] = arrive
+            if depth == last:
+                best_dist, best_order, best_times = total, order[:], times[:]
             else:
-                req = registry[rid]
-                start = picked.get(rid, ride_start.get(rid))
-                if arrive - start > chi * req.direct_duration + EPS:
-                    continue
-                dropped[rid] = arrive
-                recurse(pos=stop.node, time=arrive, dist=dist + leg, load=load - 1,
-                        remaining=remaining[:idx] + remaining[idx + 1:],
-                        picked=picked, dropped=dropped, order=order + [stop])
-                del dropped[rid]
+                recurse(col[i] * n_nodes, arrive, total,
+                        load + 1 if pickup else load - 1, visited | bits[i],
+                        depth + 1)
 
-    recurse(
-        pos=vehicle.position,
-        time=now,
-        dist=0.0,
-        load=len(vehicle.onboard),
-        remaining=stops,
-        picked={},
-        dropped={},
-        order=[],
+    recurse(net.node_index(vehicle.position) * n_nodes, now, 0.0,
+            len(vehicle.onboard), 0, 0)
+    if best_order is None:
+        return None
+    route = []
+    pickup_times = {}
+    dropoff_times = {}
+    for i, t in zip(best_order, best_times):
+        rid, kind, node = recs[i][:3]
+        route.append(Stop(node, rid, kind))
+        (pickup_times if kind == PICKUP else dropoff_times)[rid] = t
+    return RouteResult(
+        route=tuple(route),
+        total_distance=best_dist,
+        pickup_times=pickup_times,
+        dropoff_times=dropoff_times,
     )
-    return best[0]
 
 
 RouteCache = dict
@@ -304,9 +331,19 @@ def build_rv_graph(
                 "call fill_direct() before building graphs"
             )
     rv: list[tuple[str, str]] = []
-    for req in reqs:
-        for veh in vehs:
-            if _cached_route(veh, [req], registry, net, constraints, now, cache):
+    # Earliest pickup of each (vehicle, request) pair: straight from the
+    # vehicle's position, as no stop order can beat the shortest path.  A
+    # pair that misses the deadline even so has no feasible route.
+    reach = now + net.distance_block(
+        [v.position for v in vehs], [r.origin for r in reqs]
+    ) / net.speed
+    latest = np.array([_pickup_deadline(r, now, constraints) for r in reqs])
+    can_reach = (reach <= latest + (EPS + REACH_SLACK)).tolist()
+    for j, req in enumerate(reqs):
+        for k, veh in enumerate(vehs):
+            if can_reach[k][j] and _cached_route(
+                veh, [req], registry, net, constraints, now, cache
+            ):
                 rv.append((req.id, veh.id))
     rr: list[tuple[str, str]] = []
     for a, b in itertools.combinations(reqs, 2):

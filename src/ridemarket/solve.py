@@ -20,7 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, PivotLimitError, TooLargeError
+from .errors import (
+    DimensionMismatchError,
+    PivotLimitError,
+    SolverError,
+    TooLargeError,
+)
 from .model import METERS_PER_MILE, PricingScheme, Trip, trip_marginal_profit
 from .network import RoadNetwork
 from .rtv import RtvGraph
@@ -200,7 +205,7 @@ def solve_lp(lp: LinearProgram, tol: float = _SIMPLEX_TOL) -> LpResult:
                 z1 -= T[i]
         status = _simplex_iterate(T, z1, basis, np.ones(width, dtype=bool), tol)
         if status != OPTIMAL:  # phase 1 is always bounded below by 0
-            raise RuntimeError("phase 1 reported unbounded")
+            raise SolverError("phase 1 reported unbounded")
         if -z1[-1] > 1e-7 * (1.0 + abs(b).max()):
             return LpResult(INFEASIBLE)
         # drive leftover artificials out of the basis
@@ -540,7 +545,7 @@ def solve_assignment(problem: AssignmentProblem) -> Assignment:
     root = _solve_node(comp, frozenset(), frozenset())
     value, witness = _branch_and_bound(comp, root)
     if value is None:
-        raise RuntimeError("assignment relaxation reported infeasible")
+        raise SolverError("assignment relaxation reported infeasible")
     return _finish(comp, _lex_min_optimum(comp, value, witness, root))
 
 

@@ -63,6 +63,20 @@ def test_solver_failure_is_exit_one(bundle, monkeypatch, capsys):
     assert err.count("\n") == 1
 
 
+def test_unbounded_phase_one_is_exit_one(bundle, monkeypatch, capsys):
+    monkeypatch.setattr("ridemarket.solve._simplex_iterate",
+                        lambda *args: "unbounded")
+    assert main(["simulate", "--scenario", str(bundle)]) == 1
+    assert capsys.readouterr().err == "error: phase 1 reported unbounded\n"
+
+
+def test_infeasible_assignment_relaxation_is_exit_one(bundle, monkeypatch, capsys):
+    monkeypatch.setattr("ridemarket.solve._solve_node", lambda *args: None)
+    assert main(["simulate", "--scenario", str(bundle)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: assignment relaxation reported infeasible\n"
+
+
 def test_compare_runs_all_structures(bundle, tmp_path):
     out = tmp_path / "cmp.csv"
     rc = main(["compare", "--scenario", str(bundle), "--out", str(out)])

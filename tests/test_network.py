@@ -1,4 +1,6 @@
 """Road network construction, shortest paths and file round trips."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,10 +8,18 @@ from ridemarket.errors import (
     DanglingEdgeError,
     InvalidDimensionError,
     MalformedRowError,
+    TooLargeError,
     UnknownNodeError,
     UnreachableError,
 )
-from ridemarket.network import RoadNetwork, load_network, make_grid, shortest_path, write_network
+from ridemarket.network import (
+    MAX_NODES,
+    RoadNetwork,
+    load_network,
+    make_grid,
+    shortest_path,
+    write_network,
+)
 
 
 def test_grid_shape_and_manhattan_distances():
@@ -67,6 +77,26 @@ def test_unreachable_node_raises():
     with pytest.raises(UnreachableError):
         net.path("a", "c")
     assert net.distance_or_inf("a", "c") == float("inf")
+    inf = float("inf")
+    assert net.distance_block(["a", "c"], ["b", "c"]).tolist() == [[50.0, inf], [inf, 0.0]]
+    flat = net.flat_distances()
+    n = len(net.nodes)
+    assert flat[net.node_index("a") * n + net.node_index("b")] == 50.0
+    assert flat[net.node_index("b") * n + net.node_index("c")] == inf
+
+
+def test_network_above_node_bound_fails_before_allocating():
+    nodes = [str(i) for i in range(MAX_NODES + 1)]
+    edges = [(nodes[i], nodes[i + 1], 1.0) for i in range(MAX_NODES)]
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLargeError, match=f"at most {MAX_NODES}"):
+            RoadNetwork(nodes=nodes, edges=edges, speed=10.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the all-pairs tables would take 12 bytes for each of 25 million pairs
+    assert peak < 100_000
 
 
 def test_dangling_edge_and_bad_speed_raise(tmp_path):

@@ -3,13 +3,16 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ridemarket.model import Request, Vehicle, fill_direct
+from ridemarket.model import DROPOFF, PICKUP, Request, Stop, Vehicle, fill_direct
 from ridemarket.network import make_grid
 from ridemarket.rtv import (
     EPS,
+    MAX_ROUTE_STOPS,
     Constraints,
     MarketStructure,
+    RouteResult,
     apply_market_structure,
     best_route,
     build_rtv_graph,
@@ -18,54 +21,69 @@ from ridemarket.rtv import (
 )
 
 
-def _route_oracle(vehicle, requests, net, constraints, now):
-    """Exhaustive stop-permutation search mirroring the feasibility rules."""
-    stops = []
+def _route_oracle(vehicle, requests, registry, net, constraints, now):
+    """Exhaustive stop-permutation search mirroring the feasibility rules.
+
+    Onboard riders need only their dropoff, timed from their pickup_time;
+    assigned riders keep their pickup_deadline.  Returns the first
+    minimum-distance feasible order in itertools.permutations order over
+    the stops sorted by (request, kind), as a RouteResult.
+    """
+    riders = {}  # rid -> (request, pickup deadline or None when onboard)
+    for rid in vehicle.onboard:
+        riders[rid] = (registry[rid], None)
+    for rid in vehicle.assigned:
+        riders[rid] = (registry[rid], registry[rid].pickup_deadline)
     for r in requests:
-        stops.append(("p", r))
-        stops.append(("d", r))
+        riders[r.id] = (r, min(r.request_time + constraints.max_wait_s,
+                               now + constraints.max_pickup_s))
+    stops = []
+    for rid, (r, deadline) in riders.items():
+        if deadline is not None:
+            stops.append(Stop(r.origin, rid, PICKUP))
+        stops.append(Stop(r.destination, rid, DROPOFF))
+    if len(stops) > MAX_ROUTE_STOPS:
+        return None
+    stops.sort(key=lambda s: (s.request, s.kind))
     best = None
     for order in itertools.permutations(stops):
-        seen = set()
-        ok = True
-        for kind, r in order:
-            if kind == "d" and ("p", r.id) not in seen:
-                ok = False
-                break
-            seen.add((kind, r.id))
-        if not ok:
-            continue
-        pos, time, dist, load = vehicle.position, now, 0.0, 0
-        picked = {}
+        pos, time, dist = vehicle.position, now, 0.0
+        load = len(vehicle.onboard)
+        picked = {rid: registry[rid].pickup_time for rid in vehicle.onboard}
+        pickups, dropoffs = {}, {}
         feasible = True
-        for kind, r in order:
-            node = r.origin if kind == "p" else r.destination
-            leg = net.distance_or_inf(pos, node)
+        for stop in order:
+            r, deadline = riders[stop.request]
+            leg = net.distance_or_inf(pos, stop.node)
+            arrive = time + leg / net.speed
             if leg == float("inf"):
                 feasible = False
-                break
-            arrive = time + leg / net.speed
-            if kind == "p":
-                if load + 1 > vehicle.capacity:
-                    feasible = False
-                    break
+            elif stop.kind == PICKUP:
                 arrive = max(arrive, r.request_time)
-                deadline = min(r.request_time + constraints.max_wait_s,
-                               now + constraints.max_pickup_s)
-                if arrive > deadline + EPS:
+                if load + 1 > vehicle.capacity or arrive > deadline + EPS:
                     feasible = False
-                    break
-                picked[r.id] = arrive
+                picked[r.id] = pickups[r.id] = arrive
                 load += 1
+            elif r.id not in picked or (
+                arrive - picked[r.id]
+                > constraints.detour_factor * r.direct_duration + EPS
+            ):
+                feasible = False
             else:
-                if arrive - picked[r.id] > constraints.detour_factor * r.direct_duration + EPS:
-                    feasible = False
-                    break
+                dropoffs[r.id] = arrive
                 load -= 1
-            pos, time, dist = node, arrive, dist + leg
-        if feasible and (best is None or dist < best):
-            best = dist
+            if not feasible:
+                break
+            pos, time, dist = stop.node, arrive, dist + leg
+        if feasible and (best is None or dist < best.total_distance):
+            best = RouteResult(route=order, total_distance=dist,
+                               pickup_times=pickups, dropoff_times=dropoffs)
     return best
+
+
+def _rider(rng, nodes, rid, **fields):
+    o, d = rng.choice(nodes, size=2, replace=False)
+    return Request(id=rid, origin=o, destination=d, platform="A", **fields)
 
 
 def test_best_route_matches_permutation_oracle():
@@ -73,29 +91,42 @@ def test_best_route_matches_permutation_oracle():
     nodes = sorted(net.node_set())
     cons = Constraints()
     rng = np.random.default_rng(21)
-    checked_feasible = 0
-    for trial in range(80):
-        n_req = int(rng.integers(1, 4))
-        reqs = []
-        for i in range(n_req):
-            o, d = rng.choice(nodes, size=2, replace=False)
-            reqs.append(Request(id=f"r{i}", origin=o, destination=d,
-                                request_time=float(rng.integers(0, 90)), platform="A"))
-        reqs = fill_direct(net, reqs)
+    feasible = {"idle": 0, "onboard": 0, "assigned": 0}
+    for trial in range(200):
+        now = float(rng.integers(60, 180))
+        capacity = int(rng.integers(1, 5))
         veh = Vehicle(id="v0", platform="A",
                       position=nodes[int(rng.integers(0, len(nodes)))],
-                      capacity=int(rng.integers(1, 5)))
-        now = float(rng.integers(0, 120))
-        registry = {r.id: r for r in reqs}
+                      capacity=capacity)
+        committed = []
+        for i in range(int(rng.integers(0, min(capacity, 2) + 1))):
+            committed.append(_rider(rng, nodes, f"o{i}", request_time=0.0,
+                                    pickup_time=now - float(rng.integers(0, 60))))
+            veh.onboard.add(f"o{i}")
+        if rng.random() < 0.5:
+            committed.append(_rider(rng, nodes, "a0", request_time=now - 30.0,
+                                    pickup_deadline=now + float(rng.integers(60, 400))))
+            veh.assigned.add("a0")
+        n_new = int(rng.integers(1, 4 if not committed else 3))
+        # some riders are released after now, so the vehicle may wait
+        reqs = [_rider(rng, nodes, f"r{i}", request_time=float(rng.integers(0, now + 60)))
+                for i in range(n_new)]
+        reqs = fill_direct(net, reqs)
+        registry = {r.id: r for r in fill_direct(net, committed) + reqs}
         got = best_route(veh, reqs, registry, net, cons, now)
-        want = _route_oracle(veh, reqs, net, cons, now)
+        want = _route_oracle(veh, reqs, registry, net, cons, now)
         if want is None:
             assert got is None
-        else:
-            assert got is not None
-            assert got.total_distance == pytest.approx(want)
-            checked_feasible += 1
-    assert checked_feasible >= 20  # the sample exercises the feasible branch
+            continue
+        assert got is not None
+        assert got.route == want.route
+        assert got.total_distance == want.total_distance
+        assert list(got.pickup_times.items()) == list(want.pickup_times.items())
+        assert list(got.dropoff_times.items()) == list(want.dropoff_times.items())
+        kind = "assigned" if veh.assigned else "onboard" if veh.onboard else "idle"
+        feasible[kind] += 1
+    # the sample exercises the feasible branch of every kind of vehicle
+    assert min(feasible.values()) >= 10, feasible
 
 
 def test_best_route_times_are_consistent():
@@ -131,6 +162,73 @@ def test_pair_shareable_is_symmetric_and_sane():
         Request(id="b", origin="35", destination="0", request_time=2000.0, platform="B"),
     ])
     assert not pair_shareable(apart[0], apart[1], net, cons)
+
+
+# 200 m edges at 10 m/s: every leg takes a whole number of seconds, so a
+# release time can put a pickup exactly on its deadline.
+_REACH_NET = make_grid(4, 4, edge_len=200.0, speed=10.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_reach_bound_keeps_exactly_the_routable_pairs(data):
+    net = _REACH_NET
+    node = st.sampled_from(sorted(net.node_set(), key=int))
+    cons = Constraints(max_wait_s=120.0,
+                       max_pickup_s=data.draw(st.sampled_from([40.0, 120.0, 300.0])))
+    now = float(data.draw(st.integers(120, 400)))
+
+    def trip(rid, **fields):
+        o = data.draw(node)
+        d = data.draw(node.filter(lambda x: x != o))
+        return Request(id=rid, origin=o, destination=d, platform="A", **fields)
+
+    vehicles, committed = [], []
+    for k in range(data.draw(st.integers(1, 4))):
+        veh = Vehicle(id=f"v{k}", platform="A", position=data.draw(node),
+                      capacity=data.draw(st.integers(1, 4)))
+        if data.draw(st.booleans()):
+            start = now - data.draw(st.integers(0, 60))
+            committed.append(trip(f"o{k}", request_time=0.0, pickup_time=start))
+            veh.onboard.add(f"o{k}")
+        if data.draw(st.booleans()):
+            deadline = now + data.draw(st.integers(0, 300))
+            committed.append(trip(f"a{k}", request_time=now - 60.0,
+                                  pickup_deadline=deadline))
+            veh.assigned.add(f"a{k}")
+        vehicles.append(veh)
+    reqs = []
+    for i in range(data.draw(st.integers(1, 5))):
+        req = trip(f"r{i}", request_time=0.0)
+        by = data.draw(st.sampled_from([None] + vehicles))
+        if by is None:
+            earliest = max(0, int(now) - 200)
+            req.request_time = float(data.draw(st.integers(earliest, int(now))))
+        else:  # released so that a direct pickup by ``by`` meets max_wait_s exactly
+            arrival = now + net.travel_time(by.position, req.origin)
+            req.request_time = arrival - cons.max_wait_s
+        reqs.append(req)
+    reqs = fill_direct(net, reqs)
+    registry = {r.id: r for r in fill_direct(net, committed)}
+
+    rv = build_rv_graph(reqs, vehicles, net, now, cons, registry=registry)
+    everyone = {**registry, **{r.id: r for r in reqs}}
+    routable = sorted(
+        (r.id, v.id) for r in reqs for v in vehicles
+        if best_route(v, [r], everyone, net, cons, now) is not None
+    )
+    assert rv.rv_edges == routable
+
+
+def test_reach_bound_keeps_pickup_on_its_deadline():
+    net = _REACH_NET
+    cons = Constraints(max_wait_s=120.0, max_pickup_s=300.0)
+    veh = Vehicle(id="v0", platform="A", position="0")  # 40 s from node 2
+    for release, kept in ((220.0, True), (219.0, False)):
+        req = fill_direct(net, [Request(id="r0", origin="2", destination="15",
+                                        request_time=release, platform="A")])
+        rv = build_rv_graph(req, [veh], net, 300.0, cons)
+        assert rv.rv_edges == ([("r0", "v0")] if kept else [])
 
 
 def test_rv_graph_requires_direct_values():

@@ -64,7 +64,6 @@ from .mechanisms import (
     MatchingContext,
     PlatformState,
     TradeRecord,
-    TradingState,
     bilateral_trading_round,
     central_trading_epoch,
     contribution_allocate,

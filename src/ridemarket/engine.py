@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, replace
 
-from .errors import DrainError, ValidationError
+from .errors import DrainError, MarketError, ValidationError
 from .mechanisms import (
     Allocation,
     AuctionAward,
@@ -19,7 +19,6 @@ from .mechanisms import (
     MatchingContext,
     PlatformState,
     TradeRecord,
-    TradingState,
     bilateral_trading_round,
     central_trading_epoch,
     contribution_allocate,
@@ -352,28 +351,19 @@ class _Simulation:
         segmented = MarketStructure("segmented")
         if self.kind == "marketplace":
             pool = [r for r in waiting if r.id in self.broker_pool]
-            states = [
-                PlatformState(
-                    id=pid,
-                    vehicles=[v for v in self.vehicles if v.platform == pid],
-                    pool=[
-                        r for r in waiting
-                        if r.id not in self.broker_pool and r.platform == pid
-                    ],
-                    ctx=ctx,
-                )
-                for pid in self.pids
-            ]
-            result = marketplace_epoch(
-                pool, states, self.constraints.gamma, self.auction_rng, epoch
+            states = self._platform_states(
+                [r for r in waiting if r.id not in self.broker_pool]
             )
-            for award in result.awards:
+            awards = marketplace_epoch(
+                pool, states, self.constraints.gamma, self.auction_rng, ctx, epoch
+            )
+            for award in awards:
                 req = self.registry[award.request]
                 req.platform = award.platform
                 self.broker_pool.discard(req.id)
                 self.ledgers[award.platform].info_paid += award.payment
                 self.broker_balance += award.payment
-            self.auction_log.extend(result.awards)
+            self.auction_log.extend(awards)
             owned = [r for r in self._waiting() if r.id not in self.broker_pool]
             self._match(owned, segmented, now, cache)
             return
@@ -393,32 +383,32 @@ class _Simulation:
                 ctx,
                 epoch,
             )
-            for trade in trades:
-                self.ledgers[trade.buyer].info_paid += trade.info_price
-                self.ledgers[trade.seller].info_received += trade.info_price
-                req = self.registry[trade.request]
-                req.platform = trade.buyer
-                req.traded = True
-            self.trade_log.extend(trades)
             self._commit(assignment, now)
         else:  # bilateral
-            states = [
-                TradingState(
-                    id=pid,
-                    vehicles=[v for v in self.vehicles if v.platform == pid],
-                    unsatisfied=[r for r in unsatisfied if r.platform == pid],
-                )
-                for pid in self.pids
-            ]
             trades = bilateral_trading_round(
-                states, self.constraints.gamma, self.trading_rng, ctx, epoch
+                self._platform_states(unsatisfied),
+                self.constraints.gamma,
+                self.trading_rng,
+                ctx,
+                epoch,
             )
-            for trade in trades:
-                self.ledgers[trade.buyer].info_paid += trade.info_price
-                self.ledgers[trade.seller].info_received += trade.info_price
-            self.trade_log.extend(trades)
             if trades:
                 self._match(self._waiting(), segmented, now, cache)
+        for trade in trades:
+            self.ledgers[trade.buyer].info_paid += trade.info_price
+            self.ledgers[trade.seller].info_received += trade.info_price
+        self.trade_log.extend(trades)
+
+    def _platform_states(self, requests: list[Request]) -> list[PlatformState]:
+        """Each platform's whole fleet and its own share of the requests."""
+        return [
+            PlatformState(
+                id=pid,
+                vehicles=[v for v in self.vehicles if v.platform == pid],
+                pool=[r for r in requests if r.platform == pid],
+            )
+            for pid in self.pids
+        ]
 
     # -- movement and billing ----------------------------------------------
 
@@ -640,7 +630,7 @@ def _attach_allocations(scenario: Scenario, metrics: EpisodeMetrics) -> None:
     }
     try:
         outcome = epm_allocate(game)
-    except Exception as exc:
+    except MarketError as exc:
         allocations["epm"] = {"status": "undefined", "reason": str(exc)}
     else:
         if outcome is None:
@@ -658,7 +648,7 @@ def _attach_allocations(scenario: Scenario, metrics: EpisodeMetrics) -> None:
             {p: float(metrics.per_platform[p].contributed_fares) for p in game.players},
         )
         outcome = contribution_allocate(game, weights)
-    except Exception as exc:
+    except MarketError as exc:
         allocations["contribution"] = {"status": "undefined", "reason": str(exc)}
     else:
         if outcome is None:

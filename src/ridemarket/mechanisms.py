@@ -24,9 +24,9 @@ from .errors import (
     ZeroDenominatorError,
     ZeroWeightError,
 )
-from .model import PricingScheme, Request, Trip, Vehicle, trip_marginal_profit
+from .model import PricingScheme, Request, Vehicle, trip_marginal_profit
 from .network import RoadNetwork
-from .rtv import Constraints, RouteCache, build_rtv_graph
+from .rtv import Constraints, RouteCache, RtvGraph, build_rtv_graph
 from .solve import Assignment, AssignmentProblem, LinearProgram, solve_assignment, solve_lp
 
 log = logging.getLogger(__name__)
@@ -124,9 +124,25 @@ def in_core(game: CoalitionGame, allocation: Allocation, tol: float = 1e-6) -> b
     return True
 
 
-def _core_rows(game: CoalitionGame, width: int, x_at: Mapping[str, int]):
-    """Core constraints as LP rows over a variable layout with slot map x_at."""
+def _core_allocation(
+    game: CoalitionGame, d: Mapping[str, float], o: Mapping[str, float]
+) -> tuple[Allocation, float] | None:
+    """Core allocation minimizing the spread t of the scaled gains (x - o) / d.
+
+    Minimizes t subject to t >= (x_i - o_i)/d_i - (x_j - o_j)/d_j for every
+    ordered pair, then the core rows: no coalition gets less than it earns
+    alone, and the grand coalition's value is shared out exactly.  Returns
+    None when the core is empty.
+    """
+    width = 1 + game.n
+    x_at = {p: 1 + i for i, p in enumerate(game.players)}
     rows: list[tuple[np.ndarray, str, float]] = []
+    for i, j in itertools.permutations(game.players, 2):
+        a = np.zeros(width)
+        a[0] = 1.0
+        a[x_at[i]] = -1.0 / d[i]
+        a[x_at[j]] = 1.0 / d[j]
+        rows.append((a, ">=", o[j] / d[j] - o[i] / d[i]))
     for size in range(1, game.n):
         for combo in itertools.combinations(game.players, size):
             a = np.zeros(width)
@@ -137,7 +153,11 @@ def _core_rows(game: CoalitionGame, width: int, x_at: Mapping[str, int]):
     for p in game.players:
         a[x_at[p]] = 1.0
     rows.append((a, "=", float(game.grand_value())))
-    return rows
+    res = solve_lp(LinearProgram(c=np.eye(width)[0], rows=rows))
+    if res.status != "optimal":
+        return None
+    amounts = {p: float(res.x[x_at[p]]) for p in game.players}
+    return Allocation(amounts), float(res.value)
 
 
 def epm_allocate(game: CoalitionGame) -> tuple[Allocation, float] | None:
@@ -150,21 +170,7 @@ def epm_allocate(game: CoalitionGame) -> tuple[Allocation, float] | None:
     bad = [p for p, v in singles.items() if v <= 0]
     if bad:
         raise NonpositiveStandaloneError(f"non-positive standalone value for {bad}")
-    width = 1 + game.n
-    x_at = {p: 1 + i for i, p in enumerate(game.players)}
-    rows = []
-    for i, j in itertools.permutations(game.players, 2):
-        a = np.zeros(width)
-        a[0] = 1.0
-        a[x_at[i]] = -1.0 / singles[i]
-        a[x_at[j]] = 1.0 / singles[j]
-        rows.append((a, ">=", 0.0))
-    rows.extend(_core_rows(game, width, x_at))
-    res = solve_lp(LinearProgram(c=np.eye(width)[0], rows=rows))
-    if res.status != "optimal":
-        return None
-    amounts = {p: float(res.x[x_at[p]]) for p in game.players}
-    return Allocation(amounts), float(res.value)
+    return _core_allocation(game, singles, dict.fromkeys(game.players, 0.0))
 
 
 def contribution_weights(
@@ -212,22 +218,7 @@ def contribution_allocate(
     if bad:
         raise ZeroWeightError(f"non-positive weight for {bad}")
     singles = {p: float(game.value([p])) for p in game.players}
-    width = 1 + game.n
-    x_at = {p: 1 + i for i, p in enumerate(game.players)}
-    rows = []
-    for i, j in itertools.permutations(game.players, 2):
-        a = np.zeros(width)
-        a[0] = 1.0
-        a[x_at[i]] = -1.0 / weights[i]
-        a[x_at[j]] = 1.0 / weights[j]
-        rhs = singles[j] / weights[j] - singles[i] / weights[i]
-        rows.append((a, ">=", rhs))
-    rows.extend(_core_rows(game, width, x_at))
-    res = solve_lp(LinearProgram(c=np.eye(width)[0], rows=rows))
-    if res.status != "optimal":
-        return None
-    amounts = {p: float(res.x[x_at[p]]) for p in game.players}
-    return Allocation(amounts), float(res.value)
+    return _core_allocation(game, weights, singles)
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +280,25 @@ class MatchingContext:
     profit_cache: dict = field(default_factory=dict)
 
 
+def _max_profit_assignment(
+    requests: list[Request], vehicles: list[Vehicle], ctx: MatchingContext
+) -> tuple[RtvGraph, Assignment]:
+    """Trip graph of the requests and fleet, and its max-profit assignment."""
+    graph = build_rtv_graph(
+        requests, vehicles, ctx.net, ctx.now, ctx.constraints,
+        cache=ctx.route_cache, registry=ctx.registry,
+    )
+    # No unserved penalty: a request is only served at a profit, which also
+    # keeps every valuation and information price non-negative.
+    assignment = solve_assignment(
+        AssignmentProblem(
+            graph=graph, objective="max_profit", penalty=0.0,
+            scheme=ctx.scheme, net=ctx.net,
+        )
+    )
+    return graph, assignment
+
+
 def optimal_profit(
     vehicles: list[Vehicle], requests: list[Request], ctx: MatchingContext
 ) -> int:
@@ -309,16 +319,7 @@ def optimal_profit(
     )
     if key in ctx.profit_cache:
         return ctx.profit_cache[key]
-    graph = build_rtv_graph(
-        requests, vehicles, ctx.net, ctx.now, ctx.constraints,
-        cache=ctx.route_cache, registry=ctx.registry,
-    )
-    assignment = solve_assignment(
-        AssignmentProblem(
-            graph=graph, objective="max_profit", penalty=0.0,
-            scheme=ctx.scheme, net=ctx.net,
-        )
-    )
+    _, assignment = _max_profit_assignment(requests, vehicles, ctx)
     profit = -assignment.objective_micro // 1000
     ctx.profit_cache[key] = profit
     return profit
@@ -326,22 +327,23 @@ def optimal_profit(
 
 @dataclass
 class PlatformState:
-    """One platform's live fleet and unmatched request pool."""
+    """One platform's whole fleet and its own unmatched requests."""
 
     id: str
     vehicles: list[Vehicle]
     pool: list[Request]
-    ctx: MatchingContext
 
 
-def platform_valuation(state: PlatformState, request: Request) -> int:
+def platform_valuation(
+    state: PlatformState, request: Request, ctx: MatchingContext
+) -> int:
     """How much adding the request to the pool is worth to the platform.
 
     Marginal optimal profit, clamped at zero; a request no vehicle can
     serve is worth nothing.
     """
-    base = optimal_profit(state.vehicles, state.pool, state.ctx)
-    extended = optimal_profit(state.vehicles, state.pool + [request], state.ctx)
+    base = optimal_profit(state.vehicles, state.pool, ctx)
+    extended = optimal_profit(state.vehicles, state.pool + [request], ctx)
     return max(0, extended - base)
 
 
@@ -357,19 +359,14 @@ class AuctionAward:
     payment: int
 
 
-@dataclass
-class MarketplaceResult:
-    awards: list[AuctionAward]
-    leftovers: list[str]  # request ids that found no buyer this epoch
-
-
 def marketplace_epoch(
     pool: list[Request],
     platforms: list[PlatformState],
     gamma: float,
     rng: np.random.Generator,
+    ctx: MatchingContext,
     epoch: int = 0,
-) -> MarketplaceResult:
+) -> list[AuctionAward]:
     """Sequentially auction the broker's requests in random order.
 
     Earlier awards enter the winner's pool and therefore lower (or raise)
@@ -380,13 +377,11 @@ def marketplace_epoch(
     perm = rng.permutation(len(ordered))
     states = sorted(platforms, key=lambda s: s.id)
     awards: list[AuctionAward] = []
-    leftovers: list[str] = []
     for idx in perm:
         request = ordered[idx]
-        bids = [Bid(s.id, platform_valuation(s, request)) for s in states]
+        bids = [Bid(s.id, platform_valuation(s, request, ctx)) for s in states]
         outcome = run_single_item_auction(bids, gamma)
         if outcome is None:
-            leftovers.append(request.id)
             continue
         winner = next(s for s in states if s.id == outcome.winner)
         winner.pool.append(request)
@@ -398,7 +393,7 @@ def marketplace_epoch(
                 payment=outcome.payment,
             )
         )
-    return MarketplaceResult(awards=awards, leftovers=sorted(leftovers))
+    return awards
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +450,8 @@ def central_trading_epoch(
     A platform whose vehicle serves another platform's request pays the
     seller gamma times its profit from that service; pooled rides split
     the payment in proportion to the profit of serving each request alone.
-    The broker only passes payments through.
+    Each traded request moves to its buyer.  The broker only passes
+    payments through.
     """
     if not 0.0 <= gamma <= 1.0:
         raise InvalidGammaError(f"gamma must lie in [0, 1], got {gamma}")
@@ -468,18 +464,7 @@ def central_trading_epoch(
     empty = Assignment(chosen=[], unserved=[r.id for r in requests], objective_micro=0)
     if not requests or not vehicles:
         return [], empty
-    graph = build_rtv_graph(
-        requests, vehicles, ctx.net, ctx.now, ctx.constraints,
-        cache=ctx.route_cache, registry=ctx.registry,
-    )
-    # No unserved penalty here: the trading stage only serves at a profit,
-    # which also keeps every information price non-negative.
-    assignment = solve_assignment(
-        AssignmentProblem(
-            graph=graph, objective="max_profit", penalty=0.0,
-            scheme=ctx.scheme, net=ctx.net,
-        )
-    )
+    graph, assignment = _max_profit_assignment(requests, vehicles, ctx)
     platform_of_vehicle = {v.id: v.platform for v in vehicles}
     trades: list[TradeRecord] = []
     for trip in assignment.chosen:
@@ -494,9 +479,12 @@ def central_trading_epoch(
         ]
         shares = _split_proportional(total_price, standalone, list(trip.requests))
         for rid, share in zip(trip.requests, shares):
-            seller = ctx.registry[rid].platform
+            request = ctx.registry[rid]
+            seller = request.platform
             if seller == buyer:
                 continue
+            request.platform = buyer
+            request.traded = True
             trades.append(
                 TradeRecord(
                     epoch=epoch,
@@ -509,17 +497,8 @@ def central_trading_epoch(
     return trades, assignment
 
 
-@dataclass
-class TradingState:
-    """One platform's view during a bilateral round: full fleet, leftovers."""
-
-    id: str
-    vehicles: list[Vehicle]
-    unsatisfied: list[Request]
-
-
 def bilateral_trading_round(
-    states: list[TradingState],
+    states: list[PlatformState],
     gamma: float,
     rng: np.random.Generator,
     ctx: MatchingContext,
@@ -540,9 +519,7 @@ def bilateral_trading_round(
     trades: list[TradeRecord] = []
     for pair_idx in rng.permutation(len(pairs)):
         left, right = (ordered[k] for k in pairs[pair_idx])
-        candidates = sorted(
-            left.unsatisfied + right.unsatisfied, key=lambda r: r.id
-        )
+        candidates = sorted(left.pool + right.pool, key=lambda r: r.id)
         for req_idx in rng.permutation(len(candidates)):
             request = candidates[req_idx]
             if request.traded or request.state != "waiting":
@@ -553,17 +530,13 @@ def bilateral_trading_round(
                 seller, buyer = right, left
             else:
                 continue  # traded away by an earlier pair
-            base = optimal_profit(buyer.vehicles, buyer.unsatisfied, ctx)
-            extended = optimal_profit(
-                buyer.vehicles, buyer.unsatisfied + [request], ctx
-            )
-            profit = extended - base
-            if profit <= 0:
+            profit = platform_valuation(buyer, request, ctx)
+            if profit == 0:
                 continue
             request.platform = buyer.id
             request.traded = True
-            seller.unsatisfied.remove(request)
-            buyer.unsatisfied.append(request)
+            seller.pool.remove(request)
+            buyer.pool.append(request)
             trades.append(
                 TradeRecord(
                     epoch=epoch,

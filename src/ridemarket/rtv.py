@@ -359,7 +359,6 @@ def enumerate_trips(
     net: RoadNetwork,
     constraints: Constraints,
     now: float,
-    capacity: int = 4,
     cache: RouteCache | None = None,
     registry: Mapping[str, Request] | None = None,
 ) -> RtvGraph:
@@ -368,6 +367,8 @@ def enumerate_trips(
     A request set of size k is only tried for a vehicle when all of its
     size-(k-1) subsets were feasible for that vehicle, which is a valid
     pruning because dropping a rider from a feasible route stays feasible.
+    Trips stop at MAX_ROUTE_STOPS // 2 requests; ``best_route`` enforces
+    each vehicle's own capacity.
     """
     reqs = sorted(requests, key=lambda r: r.id)
     vehs = sorted(vehicles, key=lambda v: v.id)
@@ -390,7 +391,7 @@ def enumerate_trips(
             tv_edges[(key, veh.id)] = _make_trip(
                 key, veh, found, baseline, group_base, registry
             )
-        max_size = min(capacity, len(singles))
+        max_size = min(MAX_ROUTE_STOPS // 2, len(singles))
         for size in range(2, max_size + 1):
             feasible[size] = set()
             candidates: set[tuple[str, ...]] = set()
@@ -465,7 +466,6 @@ def build_rtv_graph(
     net: RoadNetwork,
     now: float,
     constraints: Constraints,
-    capacity: int = 4,
     cache: RouteCache | None = None,
     registry: Mapping[str, Request] | None = None,
 ) -> RtvGraph:
@@ -475,8 +475,7 @@ def build_rtv_graph(
     rv = build_rv_graph(reqs, vehs, net, now, constraints, cache=cache,
                         registry=registry)
     return enumerate_trips(
-        rv, vehs, reqs, net, constraints, now, capacity=capacity, cache=cache,
-        registry=registry,
+        rv, vehs, reqs, net, constraints, now, cache=cache, registry=registry,
     )
 
 

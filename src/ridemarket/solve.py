@@ -48,15 +48,10 @@ UNBOUNDED = "unbounded"
 
 @dataclass
 class LinearProgram:
-    """min c@x subject to rows (a, rel, b) with rel in {'<=', '>=', '='}.
-
-    Variables are bounded below by ``lower_bounds`` (zeros when omitted)
-    and unbounded above.
-    """
+    """min c@x subject to rows (a, rel, b) with rel in {'<=', '>=', '='} and x >= 0."""
 
     c: np.ndarray
     rows: list[tuple[np.ndarray, str, float]]
-    lower_bounds: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         self.c = np.asarray(self.c, dtype=float)
@@ -73,12 +68,6 @@ class LinearProgram:
                 raise DimensionMismatchError(f"unknown relation {rel!r}")
             checked.append((a, rel, float(b)))
         self.rows = checked
-        if self.lower_bounds is None:
-            self.lower_bounds = np.zeros(n)
-        else:
-            self.lower_bounds = np.asarray(self.lower_bounds, dtype=float)
-            if self.lower_bounds.shape != (n,):
-                raise DimensionMismatchError("lower bound vector length mismatch")
 
 
 @dataclass
@@ -104,7 +93,6 @@ def _simplex_iterate(
     z: np.ndarray,
     basis: list[int],
     allowed: np.ndarray,
-    tol: float,
 ) -> str:
     """Pivot to optimality or unboundedness.
 
@@ -117,22 +105,22 @@ def _simplex_iterate(
     stall = 0
     last = z[-1]
     for _ in range(_MAX_PIVOTS):
-        negative = np.where(allowed & (z[:-1] < -tol))[0]
+        negative = np.where(allowed & (z[:-1] < -_SIMPLEX_TOL))[0]
         if negative.size == 0:
             return OPTIMAL
         if bland:
             col = int(negative[0])
         else:
             col = int(negative[np.argmin(z[negative])])
-        positive = np.where(T[:, col] > tol)[0]
+        positive = np.where(T[:, col] > _SIMPLEX_TOL)[0]
         if positive.size == 0:
             return UNBOUNDED
         ratios = T[positive, -1] / T[positive, col]
-        tied = positive[ratios <= ratios.min() + tol]
+        tied = positive[ratios <= ratios.min() + _SIMPLEX_TOL]
         row = int(min(tied, key=lambda i: basis[i]))
         _pivot(T, z, basis, row, col)
         if not bland:
-            if z[-1] > last + tol:
+            if z[-1] > last + _SIMPLEX_TOL:
                 stall = 0
             else:
                 stall += 1
@@ -145,20 +133,19 @@ def _simplex_iterate(
     )
 
 
-def solve_lp(lp: LinearProgram, tol: float = _SIMPLEX_TOL) -> LpResult:
+def solve_lp(lp: LinearProgram) -> LpResult:
     """Two-phase primal simplex."""
     n = lp.c.shape[0]
     m = len(lp.rows)
     if m == 0:
-        # only lower bounds: each variable sits at its bound unless pushed down
-        if np.any(lp.c < -tol):
+        # no rows: each variable sits at zero unless pushed down
+        if np.any(lp.c < -_SIMPLEX_TOL):
             return LpResult(UNBOUNDED)
-        x = lp.lower_bounds.copy()
+        x = np.zeros(n)
         return LpResult(OPTIMAL, float(lp.c @ x), x, np.array(lp.c, copy=True))
 
-    # shift to x' = x - lb >= 0
     A = np.array([a for a, _, _ in lp.rows], dtype=float)
-    b = np.array([r - a @ lp.lower_bounds for (a, _, r) in lp.rows], dtype=float)
+    b = np.array([r for _, _, r in lp.rows], dtype=float)
     rels = [rel for _, rel, _ in lp.rows]
     for i in range(m):
         if b[i] < 0:
@@ -203,7 +190,7 @@ def solve_lp(lp: LinearProgram, tol: float = _SIMPLEX_TOL) -> LpResult:
         for i in range(m):
             if basis[i] in art_cols:
                 z1 -= T[i]
-        status = _simplex_iterate(T, z1, basis, np.ones(width, dtype=bool), tol)
+        status = _simplex_iterate(T, z1, basis, np.ones(width, dtype=bool))
         if status != OPTIMAL:  # phase 1 is always bounded below by 0
             raise SolverError("phase 1 reported unbounded")
         if -z1[-1] > 1e-7 * (1.0 + abs(b).max()):
@@ -214,7 +201,7 @@ def solve_lp(lp: LinearProgram, tol: float = _SIMPLEX_TOL) -> LpResult:
             if basis[i] in art_cols:
                 pivots = [
                     j for j in range(width)
-                    if not art_mask[j] and abs(T[i, j]) > tol
+                    if not art_mask[j] and abs(T[i, j]) > _SIMPLEX_TOL
                 ]
                 if pivots:
                     _pivot(T, z1, basis, i, pivots[0])
@@ -232,14 +219,15 @@ def solve_lp(lp: LinearProgram, tol: float = _SIMPLEX_TOL) -> LpResult:
     for i in range(m):
         if c_full[basis[i]] != 0.0:
             z -= c_full[basis[i]] * T[i]
-    status = _simplex_iterate(T, z, basis, ~art_mask, tol)
+    status = _simplex_iterate(T, z, basis, ~art_mask)
     if status == UNBOUNDED:
         return LpResult(UNBOUNDED)
 
-    x_shift = np.zeros(width)
+    x_full = np.zeros(width)
     for i in range(m):
-        x_shift[basis[i]] = T[i, -1]
-    x = lp.lower_bounds + x_shift[:n]
+        x_full[basis[i]] = T[i, -1]
+    # + 0.0 turns a basic value of -0.0 into 0.0, so no allocation prints -0.0
+    x = x_full[:n] + 0.0
     return LpResult(OPTIMAL, float(lp.c @ x), x, z[:n].copy())
 
 
@@ -408,11 +396,17 @@ def _solve_node(
     comp: _Compiled,
     fixed_in: frozenset[int],
     fixed_out: frozenset[int],
-) -> _Relaxation | None:
+) -> _Relaxation:
+    """Solve one node's relaxation.
+
+    Every node LP is feasible, since each request may stay unserved, and
+    bounded, since every free edge lies in a vehicle row with limit 1; any
+    other status is a solver fault.
+    """
     node = _build_node_lp(comp, fixed_in, fixed_out)
     res = solve_lp(node.lp)
     if res.status != OPTIMAL:
-        return None
+        raise SolverError(f"assignment relaxation reported {res.status}")
     return _Relaxation(
         bound=res.value * comp.scale + node.const,
         x=res.x,
@@ -425,7 +419,7 @@ def _solve_node(
 
 def _branch_and_bound(
     comp: _Compiled,
-    root: _Relaxation | None,
+    root: _Relaxation,
     target: int | None = None,
 ) -> tuple[int | None, frozenset[int] | None]:
     """Exact minimum of the integer micro-cost under the root's fixings.
@@ -438,9 +432,6 @@ def _branch_and_bound(
     best_val: int | None = None
     best_set: frozenset[int] | None = None
     cap = float("inf") if target is None else target + 1
-
-    if root is None:
-        return None, None
     counter = itertools.count()
     heap = [(root.bound, next(counter), root)]
     while heap:
@@ -470,8 +461,6 @@ def _branch_and_bound(
             (fin, fout | {branch_e}),
         ):
             child = _solve_node(comp, child_fin, child_fout)
-            if child is None:
-                continue
             limit = min(best_val if best_val is not None else float("inf"), cap)
             if child.bound >= limit - 0.5:
                 continue
@@ -544,8 +533,6 @@ def solve_assignment(problem: AssignmentProblem) -> Assignment:
         return _finish(comp, frozenset())
     root = _solve_node(comp, frozenset(), frozenset())
     value, witness = _branch_and_bound(comp, root)
-    if value is None:
-        raise SolverError("assignment relaxation reported infeasible")
     return _finish(comp, _lex_min_optimum(comp, value, witness, root))
 
 

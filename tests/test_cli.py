@@ -7,6 +7,7 @@ from ridemarket.cli import SEED_ENV, main
 from ridemarket.io import gen_scenario, read_results
 from ridemarket.mechanisms import CoalitionGame
 from ridemarket.io import write_game
+from ridemarket.solve import LpResult
 
 
 @pytest.fixture()
@@ -71,7 +72,8 @@ def test_unbounded_phase_one_is_exit_one(bundle, monkeypatch, capsys):
 
 
 def test_infeasible_assignment_relaxation_is_exit_one(bundle, monkeypatch, capsys):
-    monkeypatch.setattr("ridemarket.solve._solve_node", lambda *args: None)
+    monkeypatch.setattr("ridemarket.solve.solve_lp",
+                        lambda lp: LpResult("infeasible"))
     assert main(["simulate", "--scenario", str(bundle)]) == 1
     err = capsys.readouterr().err
     assert err == "error: assignment relaxation reported infeasible\n"

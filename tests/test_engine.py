@@ -280,6 +280,33 @@ def test_allocations_attached_for_cooperative(net):
     assert m.allocations["contribution"]["status"] in {"ok", "core_empty", "undefined"}
 
 
+def _small_alliance(net, specs):
+    reqs = _requests(np.random.default_rng(53), sorted(net.node_set()), 8, ["A", "B"])
+    return _scenario(net, reqs, specs, "cooperative", seed=59,
+                     alliance=frozenset({"A", "B"}))
+
+
+def test_allocation_rule_error_is_undefined(net):
+    # B has no fleet, so its standalone value is 0 and the EPM ratios are
+    # undefined; the rule's own MarketError is written into the results
+    sc = _small_alliance(net, [PlatformSpec("A", 2), PlatformSpec("B", 0)])
+    m = run(sc)
+    assert m.coalition_values["B"] == 0
+    epm = m.allocations["epm"]
+    assert epm["status"] == "undefined"
+    assert epm["reason"].startswith("non-positive standalone value for ['B']")
+
+
+def test_allocation_programming_error_propagates(net, monkeypatch):
+    def broken(game):
+        raise TypeError("broken rule")
+
+    monkeypatch.setattr("ridemarket.engine.epm_allocate", broken)
+    sc = _small_alliance(net, [PlatformSpec("A", 2), PlatformSpec("B", 2)])
+    with pytest.raises(TypeError, match="broken rule"):
+        run(sc)
+
+
 def test_non_cooperative_runs_have_no_allocations(net):
     nodes = sorted(net.node_set())
     rng = np.random.default_rng(61)

@@ -18,7 +18,6 @@ from ridemarket.mechanisms import (
     CoalitionGame,
     MatchingContext,
     PlatformState,
-    TradingState,
     _split_proportional,
     bilateral_trading_round,
     central_trading_epoch,
@@ -307,8 +306,8 @@ def test_bilateral_trade_moves_request_to_buyer():
     net, req, veh, ctx = _trade_setup()
     gain = optimal_profit([veh], [req], ctx)
     states = [
-        TradingState(id="A", vehicles=[], unsatisfied=[req]),
-        TradingState(id="B", vehicles=[veh], unsatisfied=[]),
+        PlatformState(id="A", vehicles=[], pool=[req]),
+        PlatformState(id="B", vehicles=[veh], pool=[]),
     ]
     rng = np.random.default_rng(0)
     trades = bilateral_trading_round(states, 0.1, rng, ctx)
@@ -318,9 +317,9 @@ def test_bilateral_trade_moves_request_to_buyer():
     assert t.info_price == round(0.1 * gain)
     assert t.info_price > 0
     assert req.platform == "B" and req.traded
-    assert states[0].unsatisfied == []
-    # a traded request is never re-traded
-    states[1].unsatisfied.append(req)
+    assert states[0].pool == [] and states[1].pool == [req]
+    # a traded request is never re-traded, even to a seller that now values it
+    states[0].vehicles.append(Vehicle(id="a0", platform="A", position="0"))
     assert bilateral_trading_round(states, 0.1, rng, ctx) == []
 
 
@@ -363,14 +362,13 @@ def test_marketplace_awards_to_highest_value_platform():
     ctx = MatchingContext(net=net, constraints=Constraints(), scheme=PricingScheme(),
                           now=0.0, registry={req.id: req})
     near = PlatformState(id="A", vehicles=[Vehicle(id="a0", platform="A", position="0")],
-                         pool=[], ctx=ctx)
+                         pool=[])
     far = PlatformState(id="B", vehicles=[Vehicle(id="b0", platform="B", position="30")],
-                        pool=[], ctx=ctx)
+                        pool=[])
     rng = np.random.default_rng(1)
-    result = marketplace_epoch([req], [near, far], 0.1, rng)
-    assert len(result.awards) == 1
-    award = result.awards[0]
+    awards = marketplace_epoch([req], [near, far], 0.1, rng, ctx)
+    assert len(awards) == 1
+    award = awards[0]
     assert award.platform == "A"  # shorter deadhead wins
     assert award.payment >= 0
-    assert req in near.pool
-    assert result.leftovers == []
+    assert near.pool == [req] and far.pool == []

@@ -5,7 +5,12 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
 from ridemarket import solve
-from ridemarket.errors import DimensionMismatchError, PivotLimitError, TooLargeError
+from ridemarket.errors import (
+    DimensionMismatchError,
+    PivotLimitError,
+    SolverError,
+    TooLargeError,
+)
 from ridemarket.model import Request, Vehicle, PricingScheme, fill_direct
 from ridemarket.network import make_grid
 from ridemarket.rtv import Constraints, RtvGraph, build_rtv_graph
@@ -16,6 +21,7 @@ from ridemarket.solve import (
     UNBOUNDED,
     AssignmentProblem,
     LinearProgram,
+    LpResult,
     brute_force_assignment,
     solve_assignment,
     solve_lp,
@@ -58,12 +64,11 @@ def test_lp_unbounded():
     assert solve_lp(lp).status == UNBOUNDED
 
 
-def test_lp_equality_and_lower_bounds():
-    # min x + y s.t. x + y = 3, x >= 1, y >= 0.5
+def test_lp_equality():
+    # min x + y s.t. x + y = 3, x, y >= 0
     lp = LinearProgram(
         c=[1.0, 1.0],
         rows=[(np.array([1.0, 1.0]), "=", 3.0)],
-        lower_bounds=[1.0, 0.5],
     )
     res = solve_lp(lp)
     assert res.status == OPTIMAL
@@ -96,15 +101,14 @@ def test_lp_cross_check_against_scipy():
                 A_ub.append(-a); b_ub.append(-b)
             else:
                 A_eq.append(a); b_eq.append(b)
-        lb = np.where(rng.random(n) < 0.3, rng.normal(size=n), 0.0)
-        res = solve_lp(LinearProgram(c=c, rows=rows, lower_bounds=lb))
+        res = solve_lp(LinearProgram(c=c, rows=rows))
         ref = linprog(
             c,
             A_ub=np.array(A_ub) if A_ub else None,
             b_ub=np.array(b_ub) if b_ub else None,
             A_eq=np.array(A_eq) if A_eq else None,
             b_eq=np.array(b_eq) if b_eq else None,
-            bounds=[(float(l), None) for l in lb],
+            bounds=(0, None),
             method="highs",
         )
         want = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}.get(ref.status)
@@ -308,6 +312,36 @@ def test_assignment_tie_breaks_to_smallest_edge_set():
     assert (("r0",), "v0") in graph.tv_edges and (("r0",), "v1") in graph.tv_edges
     got = solve_assignment(AssignmentProblem(graph=graph))
     assert [(t.requests, t.vehicle) for t in got.chosen] == [(("r0",), "v0")]
+
+
+def test_failed_later_node_lp_is_a_solver_error(monkeypatch):
+    # every node LP is feasible and bounded, so a node LP that fails after
+    # the root is a solver fault too, not a subtree to drop
+    net = make_grid(5, 5, edge_len=300.0, speed=8.0)
+    nodes = sorted(net.node_set())
+    graph = _random_graph(np.random.default_rng(0), net, nodes, 6, 3, colocated=True)
+    problem = AssignmentProblem(graph=graph)
+    real = solve.solve_lp
+    calls = []
+
+    def counted(lp):
+        calls.append(lp)
+        return real(lp)
+
+    monkeypatch.setattr(solve, "solve_lp", counted)
+    solve_assignment(problem)
+    n_lps = len(calls)
+    assert n_lps > 2
+    for failing in range(2, n_lps + 1):
+        calls.clear()
+
+        def fail_one(lp):
+            calls.append(lp)
+            return LpResult(INFEASIBLE) if len(calls) == failing else real(lp)
+
+        monkeypatch.setattr(solve, "solve_lp", fail_one)
+        with pytest.raises(SolverError, match="^assignment relaxation reported infeasible$"):
+            solve_assignment(problem)
 
 
 def test_assignment_empty_graph():

@@ -18,12 +18,11 @@ from dataclasses import replace
 from .engine import run
 from .errors import MarketError, ValidationError
 from .io import (
-    _results_csv,
+    format_results,
     gen_scenario,
     load_scenario,
-    metrics_to_dict,
     read_game,
-    write_results,
+    write_text,
     write_trade_log,
 )
 from .mechanisms import (
@@ -119,11 +118,7 @@ def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        try:
-            with open(out, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise MarketError(f"cannot write {out}: {exc}") from exc
+        write_text(out, text)
 
 
 def _cmd_simulate(args) -> int:
@@ -134,11 +129,7 @@ def _cmd_simulate(args) -> int:
     if args.structure:
         scenario.structure = MarketStructure(args.structure)
     metrics = run(scenario)
-    if args.format == "json":
-        text = json.dumps(metrics_to_dict(metrics), indent=2, sort_keys=True) + "\n"
-    else:
-        text = _results_csv([metrics])
-    _emit(text, args.out)
+    _emit(format_results(metrics, args.format), args.out)
     if args.trade_log:
         write_trade_log(metrics.trade_log, args.trade_log)
     return 0
@@ -152,26 +143,12 @@ def _cmd_compare(args) -> int:
     kinds = [k.strip() for k in args.structures.split(",") if k.strip()]
     if not kinds:
         raise ValidationError("no market structures given")
-    for kind in kinds:
-        if kind not in STRUCTURE_KINDS:
-            raise ValidationError(f"unknown market structure {kind!r}")
-    results = []
-    for kind in kinds:
-        variant = replace(
-            scenario,
-            structure=MarketStructure(kind),
-            compute_allocations=False,
-        )
-        results.append(run(variant))
-    if args.out and args.format == "json":
-        write_results(results, args.out, fmt="json")
-    elif args.out:
-        write_results(results, args.out, fmt="csv")
-    elif args.format == "json":
-        payload = [metrics_to_dict(m) for m in results]
-        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    else:
-        sys.stdout.write(_results_csv(results))
+    structures = [MarketStructure(kind) for kind in kinds]
+    results = [
+        run(replace(scenario, structure=s, compute_allocations=False))
+        for s in structures
+    ]
+    _emit(format_results(results, args.format), args.out)
     return 0
 
 
@@ -217,8 +194,8 @@ def _cmd_auction(args) -> int:
         raise ValidationError("no bids given")
     try:
         amounts = [dollars(float(p)) for p in parts]
-    except ValueError:
-        raise ValidationError(f"bids must be numbers, got {args.bids!r}") from None
+    except (ValueError, OverflowError):  # not a number, or not finite
+        raise ValidationError(f"bids must be finite numbers, got {args.bids!r}") from None
     width = len(str(len(amounts) - 1))
     bids = [Bid(platform=f"{i:0{width}d}", amount=a) for i, a in enumerate(amounts)]
     outcome = run_single_item_auction(bids, args.gamma)
@@ -266,9 +243,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except MarketError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

@@ -314,23 +314,22 @@ class _Simulation:
             (r for r in self.admitted if r.state == WAITING), key=lambda r: r.id
         )
 
-    def _match(self, pool: list[Request], structure: MarketStructure, now: float,
-               cache: RouteCache) -> Assignment | None:
+    def _match(self, pool: list[Request], now: float, cache: RouteCache) -> None:
+        """Match and commit the pool; trading and marketplace structures match
+        within each platform, as segmented does."""
         if not pool:
-            return None
+            return
         graph = build_rtv_graph(
             pool, self.vehicles, self.net, now, self.constraints,
             cache=cache, registry=self.registry,
         )
         filtered = apply_market_structure(
             graph,
-            structure,
+            self.sc.structure,
             {r.id: r.platform for r in pool},
             {v.id: v.platform for v in self.vehicles},
         )
-        assignment = self._solve(filtered)
-        self._commit(assignment, now)
-        return assignment
+        self._commit(self._solve(filtered), now)
 
     def _stage(self, now: float, epoch: int) -> None:
         waiting = self._waiting()
@@ -338,7 +337,7 @@ class _Simulation:
             return
         cache: RouteCache = RouteCache()
         if self.kind in ("single", "segmented", "cooperative"):
-            self._match(waiting, self.sc.structure, now, cache)
+            self._match(waiting, now, cache)
             return
         ctx = MatchingContext(
             net=self.net,
@@ -348,7 +347,6 @@ class _Simulation:
             registry=self.registry,
             route_cache=cache,
         )
-        segmented = MarketStructure("segmented")
         if self.kind == "marketplace":
             pool = [r for r in waiting if r.id in self.broker_pool]
             states = self._platform_states(
@@ -365,11 +363,11 @@ class _Simulation:
                 self.broker_balance += award.payment
             self.auction_log.extend(awards)
             owned = [r for r in self._waiting() if r.id not in self.broker_pool]
-            self._match(owned, segmented, now, cache)
+            self._match(owned, now, cache)
             return
 
         # trading structures: platform-local matching first
-        self._match(waiting, segmented, now, cache)
+        self._match(waiting, now, cache)
         unsatisfied = [r for r in waiting if r.state == WAITING]
         if not unsatisfied:
             return
@@ -393,7 +391,7 @@ class _Simulation:
                 epoch,
             )
             if trades:
-                self._match(self._waiting(), segmented, now, cache)
+                self._match(self._waiting(), now, cache)
         for trade in trades:
             self.ledgers[trade.buyer].info_paid += trade.info_price
             self.ledgers[trade.seller].info_received += trade.info_price

@@ -1,8 +1,9 @@
 """Exception types shared across the package.
 
-Every error raised by the library derives from MarketError so callers
-(notably the command line front end) can distinguish validation failures
-from programming errors.
+Every error raised by the library on bad input derives from MarketError,
+raised where the input is read, so callers (notably the command line
+front end) can tell validation failures from programming errors, which
+keep their built-in types.
 """
 from __future__ import annotations
 
@@ -11,10 +12,14 @@ class MarketError(Exception):
     """Base class for all domain errors raised by this package."""
 
 
+class ValidationError(MarketError):
+    """Caller input is invalid: a field of the wrong type or a value out of range."""
+
+
 # --- network -----------------------------------------------------------------
 
 class MissingFileError(MarketError):
-    """An input file does not exist."""
+    """An input file does not exist or cannot be read."""
 
 
 class MalformedRowError(MarketError):
@@ -107,10 +112,6 @@ class ScenarioParseError(MarketError):
 
 class UnknownKeyError(MarketError):
     """Scenario file contains a key outside the schema."""
-
-
-class ValidationError(MarketError):
-    """Scenario contents are syntactically fine but semantically invalid."""
 
 
 class OutputError(MarketError):

@@ -3,12 +3,15 @@
 A scenario is a JSON document pointing at a request CSV; paths inside the
 document resolve relative to the document's directory.  Parsing is
 strict: unknown keys are rejected rather than ignored, so a misspelled
-parameter ("gama") fails loudly instead of silently running defaults.
+parameter ("gama") fails loudly instead of silently running defaults, and
+every field is read through one checked accessor, so a value of the wrong
+JSON type fails with a ValidationError that names its key.
 """
 from __future__ import annotations
 
 import csv
 import json
+import sys
 from pathlib import Path
 from typing import Mapping
 
@@ -16,6 +19,7 @@ import numpy as np
 
 from .engine import EpisodeMetrics, PlatformMetrics, PlatformSpec, Scenario
 from .errors import (
+    MarketError,
     OutputError,
     ScenarioParseError,
     UnknownKeyError,
@@ -56,10 +60,52 @@ def _check_keys(obj: Mapping, allowed: set, where: str) -> None:
         raise UnknownKeyError(f"{where}: unknown key(s) {unknown}")
 
 
-def _need(obj: Mapping, key: str, where: str):
+_REQUIRED = object()
+_EXPECTED = {
+    int: "an integer", float: "a finite number", str: "a string",
+    bool: "true or false", list: "a list", dict: "an object",
+}
+
+
+def _field(obj: Mapping, key: str, where: str, kind: type, default=_REQUIRED):
+    """``obj[key]``, checked to be a JSON value of type ``kind``.
+
+    ``float`` accepts any finite number and returns it as a float; no
+    kind but ``bool`` accepts true or false.  A missing key gives
+    ``default``, or is an error when there is none.
+    """
     if key not in obj:
-        raise ValidationError(f"{where}: missing required key {key!r}")
-    return obj[key]
+        if default is _REQUIRED:
+            raise ValidationError(f"{where}: missing required key {key!r}")
+        return default
+    value = obj[key]
+    if kind is float:
+        # compared, not passed to math.isfinite, which overflows on huge ints
+        ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
+              and abs(value) <= sys.float_info.max)
+    else:
+        ok = isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+    if not ok:
+        raise ValidationError(
+            f"{where}.{key}: expected {_EXPECTED[kind]}, got {json.dumps(value)}"
+        )
+    return float(value) if kind is float else value
+
+
+def _section(doc: Mapping, key: str, allowed: set) -> Mapping:
+    """An optional object of the scenario, empty when absent."""
+    section = _field(doc, key, "scenario", dict, {})
+    _check_keys(section, allowed, key)
+    return section
+
+
+def _read_json(path: Path, what: str):
+    try:
+        return json.loads(path.read_text())
+    except (OSError, UnicodeError) as exc:
+        raise ScenarioParseError(f"cannot read {what} {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ScenarioParseError(f"{path}: invalid JSON: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +117,7 @@ def load_requests(path: str | Path) -> list[Request]:
     path = Path(path)
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeError) as exc:
         raise ScenarioParseError(f"cannot read request file {path}: {exc}") from exc
     rows = list(csv.reader(text.splitlines()))
     if not rows or rows[0] != REQUEST_HEADER:
@@ -102,7 +148,7 @@ def load_requests(path: str | Path) -> list[Request]:
                     request_time=when, platform=platform,
                 )
             )
-        except Exception as exc:
+        except MarketError as exc:
             raise ScenarioParseError(f"{path}:{lineno}: {exc}") from exc
     return requests
 
@@ -112,104 +158,81 @@ def write_requests(requests: list[Request], path: str | Path) -> None:
     for r in sorted(requests, key=lambda r: (r.request_time, r.id)):
         time_s = f"{r.request_time:g}"
         lines.append(f"{r.id},{time_s},{r.origin},{r.destination},{r.platform}")
-    _write_text(path, "\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
 # scenario documents
 # ---------------------------------------------------------------------------
 
-def _load_net(doc, base: Path) -> RoadNetwork:
-    if "grid" in (doc or {}):
+def _load_net(doc: Mapping, base: Path) -> RoadNetwork:
+    if "grid" in doc:
         _check_keys(doc, {"grid"}, "network")
-        grid = doc["grid"]
+        grid = _field(doc, "grid", "network", dict)
         _check_keys(grid, _GRID_KEYS, "network.grid")
         return make_grid(
-            rows=int(_need(grid, "rows", "network.grid")),
-            cols=int(_need(grid, "cols", "network.grid")),
-            edge_len=float(grid.get("edge_len_m", 200.0)),
-            speed=float(grid.get("speed_mps", 10.0)),
+            rows=_field(grid, "rows", "network.grid", int),
+            cols=_field(grid, "cols", "network.grid", int),
+            edge_len=_field(grid, "edge_len_m", "network.grid", float, 200.0),
+            speed=_field(grid, "speed_mps", "network.grid", float, 10.0),
         )
     _check_keys(doc, _FILE_NET_KEYS, "network")
-    rel = _need(doc, "path", "network")
-    return load_network(base / rel, speed=float(doc.get("speed_mps", 10.0)))
+    return load_network(
+        base / _field(doc, "path", "network", str),
+        speed=_field(doc, "speed_mps", "network", float, 10.0),
+    )
 
 
 def load_scenario(path: str | Path) -> Scenario:
     """Parse a scenario document and its request table into a Scenario."""
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except OSError as exc:
-        raise ScenarioParseError(f"cannot read scenario {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ScenarioParseError(f"{path}: invalid JSON: {exc}") from exc
+    doc = _read_json(path, "scenario")
     _check_keys(doc, _TOP_KEYS, "scenario")
     base = path.parent
 
-    net = _load_net(_need(doc, "network", "scenario"), base)
-
-    req_ref = _need(doc, "requests", "scenario")
-    if not isinstance(req_ref, str):
-        raise ValidationError("scenario.requests: expected a CSV path")
-    requests = load_requests(base / req_ref)
+    net = _load_net(_field(doc, "network", "scenario", dict), base)
+    requests = load_requests(base / _field(doc, "requests", "scenario", str))
 
     platforms = []
-    for i, spec in enumerate(_need(doc, "platforms", "scenario")):
+    for i, spec in enumerate(_field(doc, "platforms", "scenario", list)):
         where = f"platforms[{i}]"
         _check_keys(spec, _PLATFORM_KEYS, where)
-        positions = spec.get("positions")
+        positions = _field(spec, "positions", where, list, None)
         platforms.append(
             PlatformSpec(
-                id=str(_need(spec, "id", where)),
-                fleet=int(_need(spec, "fleet", where)),
+                id=_field(spec, "id", where, str),
+                fleet=_field(spec, "fleet", where, int),
                 positions=tuple(str(n) for n in positions) if positions else None,
             )
         )
 
     structure = MarketStructure("single")
     if "structure" in doc:
-        _check_keys(doc["structure"], _STRUCTURE_KEYS, "structure")
-        alliance = doc["structure"].get("alliance")
-        try:
-            structure = MarketStructure(
-                kind=str(_need(doc["structure"], "kind", "structure")),
-                alliance=frozenset(str(p) for p in alliance) if alliance else None,
-            )
-        except ValueError as exc:
-            raise ValidationError(f"structure: {exc}") from exc
+        spec = _section(doc, "structure", _STRUCTURE_KEYS)
+        alliance = _field(spec, "alliance", "structure", list, None)
+        structure = MarketStructure(
+            kind=_field(spec, "kind", "structure", str),
+            alliance=frozenset(str(p) for p in alliance) if alliance else None,
+        )
 
-    kwargs = {}
-    if "constraints" in doc:
-        _check_keys(doc["constraints"], _CONSTRAINT_KEYS, "constraints")
-        kwargs = {k: float(v) for k, v in doc["constraints"].items()}
-    try:
-        constraints = Constraints(**kwargs)
-    except ValueError as exc:
-        raise ValidationError(f"constraints: {exc}") from exc
-
-    pricing = PricingScheme()
-    if "pricing" in doc:
-        _check_keys(doc["pricing"], _PRICING_KEYS, "pricing")
-        try:
-            pricing = PricingScheme.from_dollars(
-                **{k: float(v) for k, v in doc["pricing"].items()}
-            )
-        except Exception as exc:
-            raise ValidationError(f"pricing: {exc}") from exc
-
+    limits = _section(doc, "constraints", _CONSTRAINT_KEYS)
+    prices = _section(doc, "pricing", _PRICING_KEYS)
     return Scenario(
         net=net,
         requests=requests,
         platforms=platforms,
         structure=structure,
-        constraints=constraints,
-        pricing=pricing,
-        seed=int(doc.get("seed", 0)),
-        horizon_s=float(doc.get("horizon_s", 0.0)),
-        objective=str(doc.get("objective", "min_delay_penalty")),
-        name=str(doc.get("name", path.stem)),
-        compute_allocations=bool(doc.get("allocations", True)),
+        constraints=Constraints(
+            **{k: _field(limits, k, "constraints", float) for k in limits}
+        ),
+        pricing=PricingScheme.from_dollars(
+            **{k: _field(prices, k, "pricing", float) for k in prices}
+        ),
+        seed=_field(doc, "seed", "scenario", int, 0),
+        horizon_s=_field(doc, "horizon_s", "scenario", float, 0.0),
+        objective=_field(doc, "objective", "scenario", str, "min_delay_penalty"),
+        name=_field(doc, "name", "scenario", str, path.stem),
+        compute_allocations=_field(doc, "allocations", "scenario", bool, True),
     )
 
 
@@ -329,11 +352,26 @@ def metrics_from_dict(doc: Mapping) -> EpisodeMetrics:
     )
 
 
-def _write_text(path: str | Path, text: str) -> None:
+def write_text(path: str | Path, text: str) -> None:
+    """Write a text file; a failure is an OutputError."""
     try:
         Path(path).write_text(text)
     except OSError as exc:
         raise OutputError(f"cannot write {path}: {exc}") from exc
+
+
+def format_results(
+    results: EpisodeMetrics | list[EpisodeMetrics], fmt: str = "json"
+) -> str:
+    """Episode metrics as JSON text (round-trippable) or a summary CSV."""
+    many = results if isinstance(results, list) else [results]
+    if fmt == "json":
+        payload = [metrics_to_dict(m) for m in many]
+        doc = payload if isinstance(results, list) else payload[0]
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    if fmt == "csv":
+        return _results_csv(many)
+    raise OutputError(f"unknown results format {fmt!r}")
 
 
 def write_results(
@@ -342,15 +380,7 @@ def write_results(
     fmt: str = "json",
 ) -> None:
     """Persist episode metrics as JSON (round-trippable) or summary CSV."""
-    many = results if isinstance(results, list) else [results]
-    if fmt == "json":
-        payload = [metrics_to_dict(m) for m in many]
-        doc = payload if isinstance(results, list) else payload[0]
-        _write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    elif fmt == "csv":
-        _write_text(path, _results_csv(many))
-    else:
-        raise OutputError(f"unknown results format {fmt!r}")
+    write_text(path, format_results(results, fmt))
 
 
 def _results_csv(many: list[EpisodeMetrics]) -> str:
@@ -382,12 +412,7 @@ def _results_csv(many: list[EpisodeMetrics]) -> str:
 
 def read_results(path: str | Path) -> EpisodeMetrics | list[EpisodeMetrics]:
     """Read back JSON results written by write_results."""
-    try:
-        doc = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ScenarioParseError(f"cannot read results {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ScenarioParseError(f"{path}: invalid JSON: {exc}") from exc
+    doc = _read_json(Path(path), "results")
     if isinstance(doc, list):
         return [metrics_from_dict(d) for d in doc]
     return metrics_from_dict(doc)
@@ -400,7 +425,7 @@ def write_trade_log(trades: list[TradeRecord], path: str | Path) -> None:
         lines.append(
             f"{t.epoch},{t.request},{t.seller},{t.buyer},{to_dollars(t.info_price):.4f}"
         )
-    _write_text(path, "\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -413,36 +438,27 @@ def _coalition_key(players) -> str:
 
 def read_game(path: str | Path) -> tuple[CoalitionGame, dict | None, dict | None]:
     """Read a characteristic-function file, plus optional costs/revenues."""
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except OSError as exc:
-        raise ScenarioParseError(f"cannot read game {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ScenarioParseError(f"{path}: invalid JSON: {exc}") from exc
+    doc = _read_json(Path(path), "game")
     _check_keys(doc, _GAME_KEYS, "game")
-    players = [str(p) for p in _need(doc, "players", "game")]
-    raw = _need(doc, "v", "game")
+    players = [str(p) for p in _field(doc, "players", "game", list)]
+    raw = _field(doc, "v", "game", dict)
     values = {}
-    for key, val in raw.items():
+    for key in raw:
         members = [p.strip() for p in key.split(",") if p.strip()]
         if key != _coalition_key(members):
             raise ValidationError(
                 f"game.v: key {key!r} must list members sorted and comma-joined"
             )
-        values[frozenset(members)] = float(val)
-    try:
-        game = CoalitionGame(players=tuple(players), values=values)
-    except Exception as exc:
-        raise ValidationError(f"game: {exc}") from exc
+        values[frozenset(members)] = _field(raw, key, "game.v", float)
+    game = CoalitionGame(players=tuple(players), values=values)
 
     def _table(name):
-        if name not in doc:
+        table = _field(doc, name, "game", dict, None)
+        if table is None:
             return None
-        table = {str(k): float(v) for k, v in doc[name].items()}
         if set(table) != set(players):
             raise ValidationError(f"game.{name}: must cover exactly the players")
-        return table
+        return {k: _field(table, k, f"game.{name}", float) for k in table}
 
     return game, _table("costs"), _table("revenues")
 
@@ -464,7 +480,7 @@ def write_game(
         doc["costs"] = {k: float(v) for k, v in sorted(costs.items())}
     if revenues is not None:
         doc["revenues"] = {k: float(v) for k, v in sorted(revenues.items())}
-    _write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -496,8 +512,10 @@ def gen_scenario(
         raise ValidationError("need at least one request")
     if not 1 <= n_platforms <= 26:
         raise ValidationError("platform count must be in 1..26")
-    if horizon_s <= 0:
-        raise ValidationError("horizon must be positive")
+    if not 0 < horizon_s <= sys.float_info.max:
+        raise ValidationError("horizon must be positive and finite")
+    if seed < 0:
+        raise ValidationError(f"seed must be non-negative, got {seed}")
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -537,5 +555,5 @@ def gen_scenario(
         "structure": {"kind": structure},
     }
     path = out / "scenario.json"
-    _write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return path

@@ -21,6 +21,7 @@ from .errors import (
     InvalidGammaError,
     NegativeInputError,
     NonpositiveStandaloneError,
+    ValidationError,
     ZeroDenominatorError,
     ZeroWeightError,
 )
@@ -52,15 +53,18 @@ class CoalitionGame:
     def __post_init__(self) -> None:
         self.players = tuple(self.players)
         if not 1 <= len(self.players) <= MAX_PLAYERS:
-            raise ValueError(f"player count must be in 1..{MAX_PLAYERS}")
+            raise ValidationError(f"player count must be in 1..{MAX_PLAYERS}")
         if len(set(self.players)) != len(self.players):
-            raise ValueError("duplicate player id")
+            raise ValidationError("duplicate player id")
         self.values = {frozenset(k): v for k, v in self.values.items()}
         base = set(self.players)
+        stray = set().union(*self.values) - base
+        if stray:
+            raise ValidationError(f"coalition values name unknown players {sorted(stray)}")
         for size in range(1, len(self.players) + 1):
             for combo in itertools.combinations(sorted(base), size):
                 if frozenset(combo) not in self.values:
-                    raise ValueError(f"missing coalition value for {combo}")
+                    raise ValidationError(f"missing coalition value for {combo}")
 
     @property
     def n(self) -> int:
@@ -71,7 +75,7 @@ class CoalitionGame:
         if not s:
             raise EmptyCoalitionError("the empty coalition has no value")
         if not s <= set(self.players):
-            raise ValueError(f"unknown players {sorted(s - set(self.players))}")
+            raise ValidationError(f"unknown players {sorted(s - set(self.players))}")
         return self.values[s]
 
     def grand_value(self) -> float:
@@ -183,7 +187,7 @@ def contribution_weights(
     net revenue here and therefore equals one (flagged in the log).
     """
     if set(costs) != set(revenues):
-        raise ValueError("costs and revenues must cover the same players")
+        raise ValidationError("costs and revenues must cover the same players")
     total_cost = float(sum(costs.values()))
     total_revenue = float(sum(revenues.values()))
     net = total_revenue - total_cost
@@ -410,7 +414,7 @@ class TradeRecord:
 
     def __post_init__(self) -> None:
         if self.seller == self.buyer:
-            raise ValueError("a platform cannot trade with itself")
+            raise ValidationError("a platform cannot trade with itself")
         if self.info_price < 0:
             raise NegativeInputError("information price must be non-negative")
 

@@ -7,10 +7,11 @@ rounded to fixed point once, at the end.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
-from .errors import NegativeInputError
+from .errors import NegativeInputError, ValidationError
 from .network import RoadNetwork
 
 FP_PER_DOLLAR = 1000
@@ -82,6 +83,9 @@ class PricingScheme:
     @classmethod
     def from_dollars(cls, **overrides: float) -> "PricingScheme":
         """Build a scheme from dollar-valued overrides of the defaults."""
+        for name, amount in overrides.items():
+            if not abs(amount) * FP_PER_DOLLAR < math.inf:
+                raise ValidationError(f"pricing field {name} must be a finite amount")
         return cls(**{k: dollars(v) for k, v in overrides.items()})
 
 
@@ -152,8 +156,10 @@ class Request:
     def __post_init__(self) -> None:
         if self.origin == self.destination:
             raise NegativeInputError(f"request {self.id}: origin equals destination")
-        if self.request_time < 0:
-            raise NegativeInputError(f"request {self.id}: negative request time")
+        if not 0 <= self.request_time < math.inf:
+            raise NegativeInputError(
+                f"request {self.id}: request time must be finite and non-negative"
+            )
         if not self.origin_platform:
             self.origin_platform = self.platform
 

@@ -173,8 +173,8 @@ def load_network(path: str, speed: float = 10.0) -> RoadNetwork:
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
-    except FileNotFoundError:
-        raise MissingFileError(f"network file not found: {path}") from None
+    except (OSError, UnicodeError) as exc:
+        raise MissingFileError(f"cannot read network file {path}: {exc}") from None
     nodes: list[str] = []
     edges: list[Edge] = []
     section = None

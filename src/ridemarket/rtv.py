@@ -2,8 +2,11 @@
 
 The construction follows the usual two-stage pattern: a coarse pairwise
 graph first, then exhaustive trip enumeration that only considers request
-sets whose subsets were already feasible.  A market structure acts on the
-finished graph purely as a subgraph filter.
+sets whose subsets were already feasible.  The request-vehicle edges are
+exact, but the request-request test (``pair_shareable``) is a heuristic
+probe, not a relaxation: it can reject a pair that a real vehicle could
+serve together, and trip enumeration then never tries that pair.  A
+market structure acts on the finished graph purely as a subgraph filter.
 """
 from __future__ import annotations
 
@@ -14,7 +17,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import UnmappedEntityError
+from .errors import UnmappedEntityError, ValidationError
 from .model import (
     DROPOFF,
     PICKUP,
@@ -61,15 +64,15 @@ class Constraints:
 
     def __post_init__(self) -> None:
         if self.detour_factor < 1.0:
-            raise ValueError("detour factor below 1 forbids even direct rides")
+            raise ValidationError("detour factor below 1 forbids even direct rides")
         if self.max_wait_s < 0 or self.max_pickup_s < 0:
-            raise ValueError("wait bounds must be non-negative")
+            raise ValidationError("wait bounds must be non-negative")
         if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError("gamma must lie in [0, 1]")
+            raise ValidationError("gamma must lie in [0, 1]")
         if self.interval_s <= 0:
-            raise ValueError("decision interval must be positive")
+            raise ValidationError("decision interval must be positive")
         if self.unserved_penalty < 0:
-            raise ValueError("unserved penalty must be non-negative")
+            raise ValidationError("unserved penalty must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -81,7 +84,7 @@ class MarketStructure:
 
     def __post_init__(self) -> None:
         if self.kind not in STRUCTURE_KINDS:
-            raise ValueError(f"unknown market structure kind {self.kind!r}")
+            raise ValidationError(f"unknown market structure kind {self.kind!r}")
 
 
 @dataclass
@@ -292,11 +295,13 @@ def pair_shareable(
     net: RoadNetwork,
     constraints: Constraints,
 ) -> bool:
-    """Can one empty vehicle serve both requests within every bound?
+    """Can one empty probe vehicle serve both requests within every bound?
 
-    The probe vehicle starts at the earlier request's origin at that
-    request's release time, the most favourable position any real vehicle
-    could occupy.
+    The probe starts at the earlier request's origin at that request's
+    release time.  This is not the most favourable case, so the test is
+    not a relaxation: a real vehicle elsewhere, at a later ``now`` with
+    other pickup deadlines, can serve a pair the probe cannot (for
+    example by picking up the later request first).
     """
     earlier, later = sorted((first, second), key=lambda r: (r.request_time, r.id))
     probe = Vehicle(id="__probe__", platform="", position=earlier.origin)
@@ -326,7 +331,7 @@ def build_rv_graph(
     registry = {**(registry or {}), **{r.id: r for r in reqs}}
     for r in reqs:
         if r.direct_duration <= 0:
-            raise ValueError(
+            raise ValidationError(
                 f"request {r.id} has no direct-trip values; "
                 "call fill_direct() before building graphs"
             )

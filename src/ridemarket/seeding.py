@@ -7,6 +7,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ValidationError
+
 # Fixed substream indices; changing these would change every seeded run.
 SUBSTREAMS = {
     "placement": 0,      # initial vehicle positions
@@ -20,4 +22,6 @@ def substream(seed: int, name: str) -> np.random.Generator:
     """Return the generator for one named substream of ``seed``."""
     if name not in SUBSTREAMS:
         raise KeyError(f"unknown substream {name!r}")
+    if seed < 0:
+        raise ValidationError(f"seed must be non-negative, got {seed}")
     return np.random.default_rng(np.random.SeedSequence([int(seed), SUBSTREAMS[name]]))

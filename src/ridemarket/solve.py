@@ -25,6 +25,7 @@ from .errors import (
     PivotLimitError,
     SolverError,
     TooLargeError,
+    ValidationError,
 )
 from .model import METERS_PER_MILE, PricingScheme, Trip, trip_marginal_profit
 from .network import RoadNetwork
@@ -252,11 +253,11 @@ class AssignmentProblem:
 
     def __post_init__(self) -> None:
         if self.objective not in OBJECTIVES:
-            raise ValueError(f"unknown objective {self.objective!r}")
+            raise ValidationError(f"unknown objective {self.objective!r}")
         if self.penalty < 0:
-            raise ValueError("penalty must be non-negative")
+            raise ValidationError("penalty must be non-negative")
         if self.objective == "max_profit" and (self.scheme is None or self.net is None):
-            raise ValueError("max_profit needs a pricing scheme and a network")
+            raise ValidationError("max_profit needs a pricing scheme and a network")
 
 
 @dataclass
@@ -325,64 +326,6 @@ def _exact_cost(comp: _Compiled, chosen: frozenset[int]) -> int:
 
 
 @dataclass
-class _NodeLp:
-    lp: LinearProgram
-    const: int            # exact cost of the fixed-in edges
-    free: list[int]       # edge id per structural column
-
-
-def _build_node_lp(
-    comp: _Compiled,
-    fixed_in: frozenset[int],
-    fixed_out: frozenset[int],
-) -> _NodeLp:
-    """Relaxation with the fixed variables eliminated structurally.
-
-    Fixed-in edges, which never clash with each other, contribute a
-    constant and knock out their vehicle and requests; fixed-out edges
-    simply drop.  This keeps the tableau small and avoids artificial
-    columns for the fixings.
-    """
-    m = len(comp.edges)
-    blocked = {comp.edge_vehicle[e] for e in fixed_in}
-    covered = set().union(*(comp.edge_requests[e] for e in fixed_in))
-    free = [
-        e for e in range(m)
-        if e not in fixed_in and e not in fixed_out
-        and comp.edge_vehicle[e] not in blocked
-        and not (comp.edge_requests[e] & covered)
-    ]
-    open_reqs = [r for r in range(len(comp.requests)) if r not in covered]
-    col_of = {e: i for i, e in enumerate(free)}
-    y_of = {r: len(free) + i for i, r in enumerate(open_reqs)}
-    width = len(free) + len(open_reqs)
-    const = sum(comp.costs[e] for e in fixed_in)
-
-    c = np.zeros(width)
-    for i, e in enumerate(free):
-        c[i] = comp.costs[e] / comp.scale
-    for r in open_reqs:
-        c[y_of[r]] = comp.penalty_micro / comp.scale
-
-    rows: list[tuple[np.ndarray, str, float]] = []
-    by_vehicle: dict[int, list[int]] = {}
-    for e in free:
-        by_vehicle.setdefault(comp.edge_vehicle[e], []).append(e)
-    for v in sorted(by_vehicle):
-        a = np.zeros(width)
-        a[[col_of[e] for e in by_vehicle[v]]] = 1.0
-        rows.append((a, "<=", 1.0))
-    for r in open_reqs:
-        a = np.zeros(width)
-        for e in free:
-            if r in comp.edge_requests[e]:
-                a[col_of[e]] = 1.0
-        a[y_of[r]] = 1.0
-        rows.append((a, "=", 1.0))
-    return _NodeLp(lp=LinearProgram(c=c, rows=rows), const=const, free=free)
-
-
-@dataclass
 class _Relaxation:
     bound: float          # micro-units, including the fixed constant
     x: np.ndarray
@@ -397,21 +340,51 @@ def _solve_node(
     fixed_in: frozenset[int],
     fixed_out: frozenset[int],
 ) -> _Relaxation:
-    """Solve one node's relaxation.
+    """Solve one node's relaxation, with the fixed variables eliminated.
 
-    Every node LP is feasible, since each request may stay unserved, and
-    bounded, since every free edge lies in a vehicle row with limit 1; any
-    other status is a solver fault.
+    Fixed-in edges, which never clash with each other, contribute a
+    constant and knock out their vehicle and requests; fixed-out edges
+    simply drop.  This keeps the tableau small and avoids artificial
+    columns for the fixings.  The columns are the free edges, then one
+    unserved column per open request; the rows are one ``<=`` row per
+    vehicle with a free edge, in index order, then one ``=`` row per open
+    request.  Every node LP is feasible, since each request may stay
+    unserved, and bounded, since every free edge lies in a vehicle row
+    with limit 1; any other status is a solver fault.
     """
-    node = _build_node_lp(comp, fixed_in, fixed_out)
-    res = solve_lp(node.lp)
+    blocked = {comp.edge_vehicle[e] for e in fixed_in}
+    covered = set().union(*(comp.edge_requests[e] for e in fixed_in))
+    free = [
+        e for e in range(len(comp.edges))
+        if e not in fixed_in and e not in fixed_out
+        and comp.edge_vehicle[e] not in blocked
+        and not (comp.edge_requests[e] & covered)
+    ]
+    open_reqs = [r for r in range(len(comp.requests)) if r not in covered]
+    vehicle_row = {
+        v: k for k, v in enumerate(sorted({comp.edge_vehicle[e] for e in free}))
+    }
+    request_row = {r: len(vehicle_row) + k for k, r in enumerate(open_reqs)}
+    c = np.array(
+        [comp.costs[e] for e in free] + [comp.penalty_micro] * len(open_reqs),
+        dtype=float,
+    ) / comp.scale
+    A = np.zeros((len(vehicle_row) + len(open_reqs), c.shape[0]))
+    for i, e in enumerate(free):
+        A[vehicle_row[comp.edge_vehicle[e]], i] = 1.0
+        for r in comp.edge_requests[e]:
+            A[request_row[r], i] = 1.0
+    for k, r in enumerate(open_reqs):
+        A[request_row[r], len(free) + k] = 1.0
+    rows = [(a, "<=" if k < len(vehicle_row) else "=", 1.0) for k, a in enumerate(A)]
+    res = solve_lp(LinearProgram(c=c, rows=rows))
     if res.status != OPTIMAL:
         raise SolverError(f"assignment relaxation reported {res.status}")
     return _Relaxation(
-        bound=res.value * comp.scale + node.const,
+        bound=res.value * comp.scale + sum(comp.costs[e] for e in fixed_in),
         x=res.x,
-        free=node.free,
-        reduced=res.reduced[: len(node.free)] * comp.scale,
+        free=free,
+        reduced=res.reduced[: len(free)] * comp.scale,
         fixed_in=fixed_in,
         fixed_out=fixed_out,
     )
@@ -522,8 +495,9 @@ def _finish(comp: _Compiled, chosen_idx: frozenset[int]) -> Assignment:
     for t in chosen:
         served.update(t.requests)
     unserved = sorted(set(comp.requests) - served)
-    objective = sum(comp.costs[e] for e in chosen_idx) + comp.penalty_micro * len(unserved)
-    return Assignment(chosen=chosen, unserved=unserved, objective_micro=objective)
+    return Assignment(
+        chosen=chosen, unserved=unserved, objective_micro=_exact_cost(comp, chosen_idx)
+    )
 
 
 def solve_assignment(problem: AssignmentProblem) -> Assignment:

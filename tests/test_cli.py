@@ -56,6 +56,47 @@ def test_bad_env_seed_is_a_clean_error(bundle, monkeypatch, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, mutate", [
+    pytest.param("platforms[0].fleet",
+                 lambda d: d["platforms"][0].update(fleet=[3]), id="fleet"),
+    pytest.param("scenario.platforms", lambda d: d.update(platforms=5), id="platforms"),
+    pytest.param("network.grid.rows",
+                 lambda d: d["network"]["grid"].update(rows=None), id="rows"),
+    pytest.param("platforms[0].positions",
+                 lambda d: d["platforms"][0].update(positions=7), id="positions"),
+    pytest.param("structure.alliance",
+                 lambda d: d["structure"].update(alliance=5), id="alliance"),
+    pytest.param("scenario.seed", lambda d: d.update(seed="x"), id="seed"),
+    pytest.param("constraints.gamma",
+                 lambda d: d.update(constraints={"gamma": "abc"}), id="gamma"),
+])
+def test_malformed_field_is_one_line_naming_the_key(bundle, capsys, key, mutate):
+    doc = json.loads(bundle.read_text())
+    mutate(doc)
+    bundle.write_text(json.dumps(doc))
+    assert main(["simulate", "--scenario", str(bundle)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key}: expected ")
+    assert err.count("\n") == 1
+
+
+def test_negative_seed_is_exit_one(bundle, monkeypatch, capsys):
+    assert main(["simulate", "--scenario", str(bundle), "--seed", "-1"]) == 1
+    assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
+    monkeypatch.setenv(SEED_ENV, "-2")
+    assert main(["simulate", "--scenario", str(bundle)]) == 1
+    assert capsys.readouterr().err == "error: seed must be non-negative, got -2\n"
+
+
+def test_unwritable_out_is_exit_one(bundle, tmp_path, capsys):
+    out = tmp_path / "missing-dir" / "res.csv"
+    for command in ("simulate", "compare"):
+        assert main([command, "--scenario", str(bundle), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}: ")
+        assert err.count("\n") == 1
+
+
 def test_solver_failure_is_exit_one(bundle, monkeypatch, capsys):
     monkeypatch.setattr("ridemarket.solve._MAX_PIVOTS", 1)
     assert main(["simulate", "--scenario", str(bundle)]) == 1
@@ -123,6 +164,11 @@ def test_auction_command(capsys):
     assert capsys.readouterr().out.strip() == "no_sale"
     assert main(["auction", "--bids", "2,4", "--gamma", "0.5"]) == 0
     assert capsys.readouterr().out.strip() == "winner=1 payment=1.0000"
+    for bids in ("x,1", "nan,1", "inf,1"):
+        assert main(["auction", "--bids", bids]) == 1
+        assert capsys.readouterr().err == (
+            f"error: bids must be finite numbers, got {bids!r}\n"
+        )
 
 
 def test_gen_scenario_command(tmp_path, capsys):

@@ -63,6 +63,41 @@ def test_request_csv_errors_carry_line_numbers(tmp_path):
     assert "requests.csv:3" in str(err.value)
 
 
+def test_request_csv_rejects_non_finite_times(tmp_path):
+    path = tmp_path / "requests.csv"
+    for when in ("inf", "nan"):
+        path.write_text(
+            "id,request_time_s,origin_node,dest_node,platform\n"
+            f"r0,{when},0,8,A\n"
+        )
+        with pytest.raises(ScenarioParseError, match="requests.csv:2: request r0"):
+            load_requests(path)
+
+
+def test_request_programming_error_propagates(tmp_path, monkeypatch):
+    path = tmp_path / "requests.csv"
+    write_requests(_sample_requests(), path)
+
+    def broken(**kwargs):
+        raise TypeError("broken Request")
+
+    monkeypatch.setattr("ridemarket.io.Request", broken)
+    with pytest.raises(TypeError, match="broken Request"):
+        load_requests(path)
+
+
+def test_unreadable_documents_are_parse_errors(tmp_path):
+    doc_path = gen_scenario(tmp_path / "demo", n_requests=3, seed=0)
+    garbage = b"\xff\xfe\x00\x81"
+    (tmp_path / "demo" / "requests.csv").write_bytes(garbage)
+    with pytest.raises(ScenarioParseError, match="cannot read request file"):
+        load_scenario(doc_path)
+    for reader, what in ((load_scenario, "scenario"), (read_game, "game")):
+        doc_path.write_bytes(garbage)
+        with pytest.raises(ScenarioParseError, match=f"cannot read {what}"):
+            reader(doc_path)
+
+
 def test_scenario_document_round_trip(tmp_path):
     doc_path = gen_scenario(tmp_path / "demo", n_requests=6, n_platforms=2,
                             fleet=2, seed=11, structure="central")
@@ -164,7 +199,7 @@ def test_game_file_round_trip(tmp_path):
 def test_game_file_requires_complete_value_table(tmp_path):
     path = tmp_path / "game.json"
     path.write_text(json.dumps({"players": ["A", "B"], "v": {"A": 1.0, "A,B": 3.0}}))
-    with pytest.raises((ValidationError, ScenarioParseError, ValueError)):
+    with pytest.raises(ValidationError):
         read_game(path)
 
 
@@ -175,6 +210,11 @@ def test_gen_scenario_guards():
         gen_scenario("/tmp/never-used", n_platforms=0)
     with pytest.raises(ValidationError):
         gen_scenario("/tmp/never-used", horizon_s=0.0)
+    for horizon_s in (float("inf"), float("nan")):
+        with pytest.raises(ValidationError, match="horizon"):
+            gen_scenario("/tmp/never-used", horizon_s=horizon_s)
+    with pytest.raises(ValidationError, match="seed must be non-negative"):
+        gen_scenario("/tmp/never-used", seed=-1)
 
 
 def test_gen_scenario_deterministic(tmp_path):

@@ -9,6 +9,7 @@ import pytest
 from ridemarket.errors import (
     EmptyCoalitionError,
     NonpositiveStandaloneError,
+    ValidationError,
     ZeroDenominatorError,
     ZeroWeightError,
 )
@@ -85,8 +86,13 @@ def _shapley_oracle(game):
 # ---------------------------------------------------------------------------
 
 def test_game_requires_all_coalitions():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         CoalitionGame(players=("a", "b"), values={frozenset({"a"}): 1.0})
+
+
+def test_game_rejects_values_for_unknown_players():
+    with pytest.raises(ValidationError, match=r"unknown players \['z'\]"):
+        _game("a", {"a": 1, "az": 2})
 
 
 def test_empty_coalition_rejected():

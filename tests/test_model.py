@@ -1,6 +1,7 @@
 """Money arithmetic, tariffs, request lifecycle and direct-trip values."""
 import pytest
 
+from ridemarket.errors import ValidationError
 from ridemarket.model import (
     ASSIGNED,
     EXPIRED,
@@ -78,6 +79,9 @@ def test_pricing_scheme_from_dollars():
         pay_per_mile=1.429, pay_per_min=0.502,
     )
     assert scheme == PricingScheme()
+    for amount in (1e306, float("inf"), float("nan")):
+        with pytest.raises(ValidationError, match="ded_base must be a finite amount"):
+            PricingScheme.from_dollars(ded_base=amount)
 
 
 def test_request_lifecycle_valid_path():

@@ -8,6 +8,7 @@ from ridemarket.errors import (
     DanglingEdgeError,
     InvalidDimensionError,
     MalformedRowError,
+    MissingFileError,
     TooLargeError,
     UnknownNodeError,
     UnreachableError,
@@ -113,6 +114,14 @@ def test_dangling_edge_and_bad_speed_raise(tmp_path):
     duplicate.write_text("#nodes\na\nb\na\n#edges\na,b,10\n", encoding="utf-8")
     with pytest.raises(MalformedRowError, match="duplicate node id"):
         load_network(str(duplicate))
+
+
+def test_unreadable_network_file_raises(tmp_path):
+    binary = tmp_path / "net.csv"
+    binary.write_bytes(b"\xff\xfe\x00\x81")
+    for path in (tmp_path / "missing.csv", tmp_path, binary):
+        with pytest.raises(MissingFileError, match="cannot read network file"):
+            load_network(str(path))
 
 
 def test_directed_edges_respected():

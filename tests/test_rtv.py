@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ridemarket.errors import ValidationError
 from ridemarket.model import DROPOFF, PICKUP, Request, Stop, Vehicle, fill_direct
 from ridemarket.network import make_grid
 from ridemarket.rtv import (
@@ -235,7 +236,7 @@ def test_rv_graph_requires_direct_values():
     net = make_grid(3, 3, edge_len=200.0, speed=10.0)
     bad = Request(id="r0", origin="0", destination="8", request_time=0.0, platform="A")
     veh = Vehicle(id="v0", platform="A", position="0")
-    with pytest.raises(ValueError, match="fill_direct"):
+    with pytest.raises(ValidationError, match="fill_direct"):
         build_rv_graph([bad], [veh], net, 0.0, Constraints())
 
 
@@ -321,7 +322,7 @@ def test_market_structure_filters():
 
 
 def test_unknown_structure_kind_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         MarketStructure(kind="oligopoly")
 
 

@@ -10,6 +10,7 @@ from ridemarket.errors import (
     PivotLimitError,
     SolverError,
     TooLargeError,
+    ValidationError,
 )
 from ridemarket.model import Request, Vehicle, PricingScheme, fill_direct
 from ridemarket.network import make_grid
@@ -363,11 +364,11 @@ def test_assignment_problem_validation():
         Request(id="r0", origin="0", destination="8", request_time=0.0, platform="A"),
     ])
     graph = build_rtv_graph(reqs, [], net, 0.0, Constraints())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         AssignmentProblem(graph=graph, objective="max_happiness")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         AssignmentProblem(graph=graph, penalty=-1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         AssignmentProblem(graph=graph, objective="max_profit")  # needs scheme+net
 
 

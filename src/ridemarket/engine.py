@@ -48,9 +48,9 @@ from .network import RoadNetwork
 from .rtv import (
     Constraints,
     MarketStructure,
-    RouteCache,
     apply_market_structure,
     build_rtv_graph,
+    pickup_deadline,
 )
 from .seeding import substream
 from .solve import OBJECTIVES, Assignment, AssignmentProblem, solve_assignment
@@ -303,10 +303,7 @@ class _Simulation:
                 req = self.registry[rid]
                 req.set_state(ASSIGNED)
                 req.assigned_vehicle = vehicle.id
-                req.pickup_deadline = min(
-                    req.request_time + self.constraints.max_wait_s,
-                    now + self.constraints.max_pickup_s,
-                )
+                req.pickup_deadline = pickup_deadline(req, now, self.constraints)
                 vehicle.assigned.add(rid)
 
     def _waiting(self) -> list[Request]:
@@ -314,14 +311,13 @@ class _Simulation:
             (r for r in self.admitted if r.state == WAITING), key=lambda r: r.id
         )
 
-    def _match(self, pool: list[Request], now: float, cache: RouteCache) -> None:
+    def _match(self, pool: list[Request], now: float) -> None:
         """Match and commit the pool; trading and marketplace structures match
         within each platform, as segmented does."""
         if not pool:
             return
         graph = build_rtv_graph(
-            pool, self.vehicles, self.net, now, self.constraints,
-            cache=cache, registry=self.registry,
+            pool, self.vehicles, self.net, now, self.constraints, registry=self.registry
         )
         filtered = apply_market_structure(
             graph,
@@ -335,9 +331,8 @@ class _Simulation:
         waiting = self._waiting()
         if not waiting:
             return
-        cache: RouteCache = RouteCache()
         if self.kind in ("single", "segmented", "cooperative"):
-            self._match(waiting, now, cache)
+            self._match(waiting, now)
             return
         ctx = MatchingContext(
             net=self.net,
@@ -345,7 +340,6 @@ class _Simulation:
             scheme=self.scheme,
             now=now,
             registry=self.registry,
-            route_cache=cache,
         )
         if self.kind == "marketplace":
             pool = [r for r in waiting if r.id in self.broker_pool]
@@ -363,11 +357,11 @@ class _Simulation:
                 self.broker_balance += award.payment
             self.auction_log.extend(awards)
             owned = [r for r in self._waiting() if r.id not in self.broker_pool]
-            self._match(owned, now, cache)
+            self._match(owned, now)
             return
 
         # trading structures: platform-local matching first
-        self._match(waiting, now, cache)
+        self._match(waiting, now)
         unsatisfied = [r for r in waiting if r.state == WAITING]
         if not unsatisfied:
             return
@@ -391,7 +385,7 @@ class _Simulation:
                 epoch,
             )
             if trades:
-                self._match(self._waiting(), now, cache)
+                self._match(self._waiting(), now)
         for trade in trades:
             self.ledgers[trade.buyer].info_paid += trade.info_price
             self.ledgers[trade.seller].info_received += trade.info_price

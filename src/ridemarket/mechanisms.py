@@ -27,7 +27,7 @@ from .errors import (
 )
 from .model import PricingScheme, Request, Vehicle, trip_marginal_profit
 from .network import RoadNetwork
-from .rtv import Constraints, RouteCache, RtvGraph, build_rtv_graph
+from .rtv import Constraints, RtvGraph, build_rtv_graph
 from .solve import Assignment, AssignmentProblem, LinearProgram, solve_assignment, solve_lp
 
 log = logging.getLogger(__name__)
@@ -280,7 +280,6 @@ class MatchingContext:
     scheme: PricingScheme
     now: float
     registry: Mapping[str, Request]
-    route_cache: RouteCache = field(default_factory=dict)
     profit_cache: dict = field(default_factory=dict)
 
 
@@ -289,8 +288,7 @@ def _max_profit_assignment(
 ) -> tuple[RtvGraph, Assignment]:
     """Trip graph of the requests and fleet, and its max-profit assignment."""
     graph = build_rtv_graph(
-        requests, vehicles, ctx.net, ctx.now, ctx.constraints,
-        cache=ctx.route_cache, registry=ctx.registry,
+        requests, vehicles, ctx.net, ctx.now, ctx.constraints, registry=ctx.registry
     )
     # No unserved penalty: a request is only served at a profit, which also
     # keeps every valuation and information price non-negative.

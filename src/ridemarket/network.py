@@ -148,6 +148,11 @@ def make_grid(rows: int, cols: int, edge_len: float, speed: float) -> RoadNetwor
         raise InvalidDimensionError("grid needs at least one row and one column")
     if edge_len <= 0 or speed <= 0:
         raise InvalidDimensionError("edge length and speed must be positive")
+    if rows * cols > MAX_NODES:
+        raise TooLargeError(
+            f"grid has {rows * cols} nodes; the all-pairs tables "
+            f"allow at most {MAX_NODES}"
+        )
     nodes = [str(r * cols + c) for r in range(rows) for c in range(cols)]
     edges: list[Edge] = []
     for r in range(rows):

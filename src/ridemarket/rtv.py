@@ -88,33 +88,6 @@ class MarketStructure:
 
 
 @dataclass
-class RvGraph:
-    """Pairwise shareability: request-request and request-vehicle edges."""
-
-    rr_edges: list[tuple[str, str]]
-    rv_edges: list[tuple[str, str]]
-
-    def rr_set(self) -> set[tuple[str, str]]:
-        return set(self.rr_edges)
-
-    def rv_set(self) -> set[tuple[str, str]]:
-        return set(self.rv_edges)
-
-
-@dataclass
-class RtvGraph:
-    """Trip-level graph: feasible trips and their vehicle edges."""
-
-    requests: list[str]
-    vehicles: list[str]
-    trips: list[tuple[str, ...]]
-    tv_edges: dict[tuple[tuple[str, ...], str], Trip]
-
-    def edges_sorted(self) -> list[Trip]:
-        return [self.tv_edges[k] for k in sorted(self.tv_edges)]
-
-
-@dataclass
 class RouteResult:
     """Outcome of the exhaustive stop-order search for one candidate."""
 
@@ -124,7 +97,33 @@ class RouteResult:
     dropoff_times: dict[str, float]
 
 
-def _pickup_deadline(req: Request, now: float, constraints: Constraints) -> float:
+@dataclass
+class RvGraph:
+    """Pairwise shareability: request-request edges, and the route of each
+    feasible (request, vehicle) pair in sorted key order."""
+
+    rr_edges: list[tuple[str, str]]
+    rv_edges: dict[tuple[str, str], RouteResult]
+
+
+@dataclass
+class RtvGraph:
+    """Trip-level graph: feasible trips and their vehicle edges."""
+
+    requests: list[str]
+    vehicles: list[str]
+    tv_edges: dict[tuple[tuple[str, ...], str], Trip]
+
+    @property
+    def trips(self) -> list[tuple[str, ...]]:
+        """Request sets with at least one vehicle edge, sorted."""
+        return sorted({key for key, _ in self.tv_edges})
+
+    def edges_sorted(self) -> list[Trip]:
+        return [self.tv_edges[k] for k in sorted(self.tv_edges)]
+
+
+def pickup_deadline(req: Request, now: float, constraints: Constraints) -> float:
     """Latest admissible pickup instant for a not-yet-assigned request."""
     return min(req.request_time + constraints.max_wait_s, now + constraints.max_pickup_s)
 
@@ -173,13 +172,13 @@ def best_route(
         deadline = (
             req.pickup_deadline
             if req.pickup_deadline is not None
-            else _pickup_deadline(req, now, constraints)
+            else pickup_deadline(req, now, constraints)
         )
         recs.append((rid, PICKUP, req.origin, deadline + EPS, req.request_time))
         recs.append((rid, DROPOFF, req.destination,
                      chi * req.direct_duration + EPS, None))
     for req in new_requests:
-        deadline = _pickup_deadline(req, now, constraints)
+        deadline = pickup_deadline(req, now, constraints)
         recs.append((req.id, PICKUP, req.origin, deadline + EPS, req.request_time))
         recs.append((req.id, DROPOFF, req.destination,
                      chi * req.direct_duration + EPS, None))
@@ -263,32 +262,6 @@ def best_route(
     )
 
 
-RouteCache = dict
-
-
-def _cached_route(
-    vehicle: Vehicle,
-    new_requests: list[Request],
-    registry: Mapping[str, Request],
-    net: RoadNetwork,
-    constraints: Constraints,
-    now: float,
-    cache: RouteCache | None,
-) -> RouteResult | None:
-    if cache is None:
-        return best_route(vehicle, new_requests, registry, net, constraints, now)
-    key = (
-        vehicle.id,
-        tuple(vehicle.schedule),
-        vehicle.position,
-        tuple(sorted(r.id for r in new_requests)),
-        now,
-    )
-    if key not in cache:
-        cache[key] = best_route(vehicle, new_requests, registry, net, constraints, now)
-    return cache[key]
-
-
 def pair_shareable(
     first: Request,
     second: Request,
@@ -318,7 +291,6 @@ def build_rv_graph(
     net: RoadNetwork,
     now: float,
     constraints: Constraints,
-    cache: RouteCache | None = None,
     registry: Mapping[str, Request] | None = None,
 ) -> RvGraph:
     """Pairwise feasibility graph over waiting requests and vehicles.
@@ -335,26 +307,27 @@ def build_rv_graph(
                 f"request {r.id} has no direct-trip values; "
                 "call fill_direct() before building graphs"
             )
-    rv: list[tuple[str, str]] = []
+    rv: dict[tuple[str, str], RouteResult] = {}
     # Earliest pickup of each (vehicle, request) pair: straight from the
     # vehicle's position, as no stop order can beat the shortest path.  A
     # pair that misses the deadline even so has no feasible route.
     reach = now + net.distance_block(
         [v.position for v in vehs], [r.origin for r in reqs]
     ) / net.speed
-    latest = np.array([_pickup_deadline(r, now, constraints) for r in reqs])
+    latest = np.array([pickup_deadline(r, now, constraints) for r in reqs])
     can_reach = (reach <= latest + (EPS + REACH_SLACK)).tolist()
+    # Both lists are sorted by id, so the keys arrive in sorted order.
     for j, req in enumerate(reqs):
         for k, veh in enumerate(vehs):
-            if can_reach[k][j] and _cached_route(
-                veh, [req], registry, net, constraints, now, cache
-            ):
-                rv.append((req.id, veh.id))
+            if can_reach[k][j]:
+                found = best_route(veh, [req], registry, net, constraints, now)
+                if found is not None:
+                    rv[(req.id, veh.id)] = found
     rr: list[tuple[str, str]] = []
     for a, b in itertools.combinations(reqs, 2):
         if pair_shareable(a, b, net, constraints):
             rr.append(tuple(sorted((a.id, b.id))))
-    return RvGraph(rr_edges=sorted(rr), rv_edges=sorted(rv))
+    return RvGraph(rr_edges=sorted(rr), rv_edges=rv)
 
 
 def enumerate_trips(
@@ -364,7 +337,6 @@ def enumerate_trips(
     net: RoadNetwork,
     constraints: Constraints,
     now: float,
-    cache: RouteCache | None = None,
     registry: Mapping[str, Request] | None = None,
 ) -> RtvGraph:
     """Exhaustive trip enumeration over the pairwise graph.
@@ -378,23 +350,19 @@ def enumerate_trips(
     reqs = sorted(requests, key=lambda r: r.id)
     vehs = sorted(vehicles, key=lambda v: v.id)
     registry = {**(registry or {}), **{r.id: r for r in reqs}}
-    rr = rv.rr_set()
-    rv_set = rv.rv_set()
+    rr = set(rv.rr_edges)
     tv_edges: dict[tuple[tuple[str, ...], str], Trip] = {}
 
     for veh in vehs:
         baseline = schedule_distance(veh, net)
         group_base = len(veh.committed())
         feasible: dict[int, set[tuple[str, ...]]] = {1: set()}
-        singles = [r for r in reqs if (r.id, veh.id) in rv_set]
-        for req in singles:
-            found = _cached_route(veh, [req], registry, net, constraints, now, cache)
-            if found is None:
-                continue
-            key = (req.id,)
+        singles = [r.id for r in reqs if (r.id, veh.id) in rv.rv_edges]
+        for rid in singles:
+            key = (rid,)
             feasible[1].add(key)
             tv_edges[(key, veh.id)] = _make_trip(
-                key, veh, found, baseline, group_base, registry
+                key, veh, rv.rv_edges[(rid, veh.id)], baseline, group_base, registry
             )
         max_size = min(MAX_ROUTE_STOPS // 2, len(singles))
         for size in range(2, max_size + 1):
@@ -418,8 +386,8 @@ def enumerate_trips(
                     if subs_ok:
                         candidates.add(union)
             for key in sorted(candidates):
-                found = _cached_route(
-                    veh, [registry[r] for r in key], registry, net, constraints, now, cache
+                found = best_route(
+                    veh, [registry[r] for r in key], registry, net, constraints, now
                 )
                 if found is None:
                     continue
@@ -428,11 +396,9 @@ def enumerate_trips(
                     key, veh, found, baseline, group_base, registry
                 )
 
-    trips = sorted({k[0] for k in tv_edges})
     return RtvGraph(
         requests=[r.id for r in reqs],
         vehicles=[v.id for v in vehs],
-        trips=trips,
         tv_edges=tv_edges,
     )
 
@@ -471,17 +437,13 @@ def build_rtv_graph(
     net: RoadNetwork,
     now: float,
     constraints: Constraints,
-    cache: RouteCache | None = None,
     registry: Mapping[str, Request] | None = None,
 ) -> RtvGraph:
     """Convenience: pairwise graph then trip enumeration in one call."""
     reqs = list(requests)
     vehs = list(vehicles)
-    rv = build_rv_graph(reqs, vehs, net, now, constraints, cache=cache,
-                        registry=registry)
-    return enumerate_trips(
-        rv, vehs, reqs, net, constraints, now, cache=cache, registry=registry,
-    )
+    rv = build_rv_graph(reqs, vehs, net, now, constraints, registry=registry)
+    return enumerate_trips(rv, vehs, reqs, net, constraints, now, registry=registry)
 
 
 def apply_market_structure(
@@ -532,6 +494,5 @@ def apply_market_structure(
     return RtvGraph(
         requests=list(graph.requests),
         vehicles=list(graph.vehicles),
-        trips=sorted({k[0] for k in tv}),
         tv_edges=tv,
     )

@@ -89,15 +89,21 @@ def test_unreachable_node_raises():
 def test_network_above_node_bound_fails_before_allocating():
     nodes = [str(i) for i in range(MAX_NODES + 1)]
     edges = [(nodes[i], nodes[i + 1], 1.0) for i in range(MAX_NODES)]
-    tracemalloc.start()
-    try:
-        with pytest.raises(TooLargeError, match=f"at most {MAX_NODES}"):
-            RoadNetwork(nodes=nodes, edges=edges, speed=10.0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    # the all-pairs tables would take 12 bytes for each of 25 million pairs
-    assert peak < 100_000
+    builds = (
+        lambda: RoadNetwork(nodes=nodes, edges=edges, speed=10.0),
+        # 5,041 nodes: rejected before a node id or edge is built
+        lambda: make_grid(71, 71, edge_len=100.0, speed=10.0),
+    )
+    for build in builds:
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooLargeError, match=f"at most {MAX_NODES}"):
+                build()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the all-pairs tables would take 12 bytes for each of 25 million pairs
+        assert peak < 100_000
 
 
 def test_dangling_edge_and_bad_speed_raise(tmp_path):

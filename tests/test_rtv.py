@@ -1,10 +1,12 @@
 """Shareability graphs: route search oracle, trip closure, structure filters."""
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ridemarket import rtv
 from ridemarket.errors import ValidationError
 from ridemarket.model import DROPOFF, PICKUP, Request, Stop, Vehicle, fill_direct
 from ridemarket.network import make_grid
@@ -218,7 +220,7 @@ def test_reach_bound_keeps_exactly_the_routable_pairs(data):
         (r.id, v.id) for r in reqs for v in vehicles
         if best_route(v, [r], everyone, net, cons, now) is not None
     )
-    assert rv.rv_edges == routable
+    assert list(rv.rv_edges) == routable
 
 
 def test_reach_bound_keeps_pickup_on_its_deadline():
@@ -229,7 +231,7 @@ def test_reach_bound_keeps_pickup_on_its_deadline():
         req = fill_direct(net, [Request(id="r0", origin="2", destination="15",
                                         request_time=release, platform="A")])
         rv = build_rv_graph(req, [veh], net, 300.0, cons)
-        assert rv.rv_edges == ([("r0", "v0")] if kept else [])
+        assert list(rv.rv_edges) == ([("r0", "v0")] if kept else [])
 
 
 def test_rv_graph_requires_direct_values():
@@ -287,6 +289,59 @@ def test_trip_enumeration_structural_properties():
                 seen.add((stop.kind, stop.request))
             assert all(d >= -EPS for d in trip.per_request_delay.values())
     assert saw_pool
+
+
+def test_rtv_build_searches_each_route_once(monkeypatch):
+    # the rv stage hands each single's route to trip enumeration, so one
+    # build searches each (vehicle, request set) at most once
+    net = make_grid(5, 5, edge_len=220.0, speed=9.0)
+    nodes = sorted(net.node_set())
+    cons = Constraints()
+    rng = np.random.default_rng(5)
+    now = 60.0
+    searched: Counter = Counter()
+    built = []
+    search, build_rv = rtv.best_route, rtv.build_rv_graph
+
+    def counted_search(vehicle, new_requests, *args, **kwargs):
+        new_requests = list(new_requests)
+        searched[(vehicle.id, frozenset(r.id for r in new_requests))] += 1
+        return search(vehicle, new_requests, *args, **kwargs)
+
+    def kept_build(*args, **kwargs):
+        built.append(build_rv(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(rtv, "best_route", counted_search)
+    monkeypatch.setattr(rtv, "build_rv_graph", kept_build)
+    pooled = set()
+    for _ in range(12):
+        reqs, vehs = _random_instance(rng, net, nodes, 6, 3)
+        onboard = _rider(rng, nodes, "o0", request_time=0.0, pickup_time=now - 20.0)
+        assigned = _rider(rng, nodes, "a0", request_time=now - 30.0,
+                          pickup_deadline=now + 240.0)
+        committed = fill_direct(net, [onboard, assigned])
+        vehs[1].onboard.add("o0")
+        vehs[1].schedule = [Stop(onboard.destination, "o0", DROPOFF)]
+        vehs[2].assigned.add("a0")
+        vehs[2].schedule = [Stop(assigned.origin, "a0", PICKUP),
+                            Stop(assigned.destination, "a0", DROPOFF)]
+        searched.clear()
+        built.clear()
+        graph = build_rtv_graph(reqs, vehs, net, now, cons,
+                                registry={r.id: r for r in committed})
+        assert max(searched.values()) == 1
+        (rv,) = built
+        singles = {(key[0], vid): trip for (key, vid), trip in graph.tv_edges.items()
+                   if len(key) == 1}
+        assert sorted(singles) == list(rv.rv_edges)
+        for pair, trip in singles.items():
+            found = rv.rv_edges[pair]
+            assert trip.route is found.route
+            assert trip.total_distance == found.total_distance
+        pooled |= {vid for key, vid in graph.tv_edges if len(key) > 1}
+    # shared trips were enumerated for the idle, onboard and assigned vehicles
+    assert pooled == {"v0", "v1", "v2"}
 
 
 def test_market_structure_filters():

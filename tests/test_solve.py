@@ -265,8 +265,7 @@ def test_assignment_ignores_input_order(seed, objective, colocated, shuffle):
     requests, vehicles = list(graph.requests), list(graph.vehicles)
     for seq in (items, requests, vehicles):
         shuffle.shuffle(seq)
-    permuted = RtvGraph(requests=requests, vehicles=vehicles,
-                        trips=list(graph.trips), tv_edges=dict(items))
+    permuted = RtvGraph(requests=requests, vehicles=vehicles, tv_edges=dict(items))
 
     def solved(g):
         return solve_assignment(AssignmentProblem(

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, replace
 
-from .errors import DrainError, MarketError, ValidationError
+from .errors import DrainError, MarketError, TooLargeError, ValidationError
 from .mechanisms import (
     Allocation,
     AuctionAward,
@@ -48,6 +48,7 @@ from .network import RoadNetwork
 from .rtv import (
     Constraints,
     MarketStructure,
+    RtvGraph,
     apply_market_structure,
     build_rtv_graph,
     pickup_deadline,
@@ -56,6 +57,10 @@ from .seeding import substream
 from .solve import OBJECTIVES, Assignment, AssignmentProblem, solve_assignment
 
 _EPS = 1e-9
+
+# Vehicles per platform: set-up draws a position and builds a Vehicle for
+# each, so a larger fleet fails here instead of exhausting memory.
+MAX_FLEET = 100_000
 
 
 @dataclass(frozen=True)
@@ -69,6 +74,11 @@ class PlatformSpec:
     def __post_init__(self) -> None:
         if self.fleet < 0:
             raise ValidationError(f"platform {self.id}: negative fleet")
+        if self.fleet > MAX_FLEET:
+            raise TooLargeError(
+                f"platform {self.id}: expected a fleet of at most {MAX_FLEET}, "
+                f"got {self.fleet}"
+            )
         if self.positions is not None:
             object.__setattr__(self, "positions", tuple(self.positions))
             if len(self.positions) != self.fleet:
@@ -311,43 +321,41 @@ class _Simulation:
             (r for r in self.admitted if r.state == WAITING), key=lambda r: r.id
         )
 
-    def _match(self, pool: list[Request], now: float) -> None:
-        """Match and commit the pool; trading and marketplace structures match
-        within each platform, as segmented does."""
-        if not pool:
+    def _match(self, graph: RtvGraph, now: float) -> None:
+        """Match and commit the graph's requests; trading and marketplace
+        structures match within each platform, as segmented does."""
+        if not graph.requests:
             return
-        graph = build_rtv_graph(
-            pool, self.vehicles, self.net, now, self.constraints, registry=self.registry
-        )
         filtered = apply_market_structure(
             graph,
             self.sc.structure,
-            {r.id: r.platform for r in pool},
+            {rid: self.registry[rid].platform for rid in graph.requests},
             {v.id: v.platform for v in self.vehicles},
         )
         self._commit(self._solve(filtered), now)
 
+    def _build(self, requests: list[Request], now: float) -> RtvGraph:
+        return build_rtv_graph(requests, self.vehicles, self.net, now,
+                               self.constraints, registry=self.registry)
+
     def _stage(self, now: float, epoch: int) -> None:
+        """One decision stage on one trip graph of the waiting requests.
+
+        The match leaves idle vehicles as the graph saw them, so central
+        trading restricts it; bilateral valuations see whole fleets, which
+        the match changed, so bilateral builds once more."""
         waiting = self._waiting()
         if not waiting:
             return
-        if self.kind in ("single", "segmented", "cooperative"):
-            self._match(waiting, now)
-            return
-        ctx = MatchingContext(
-            net=self.net,
-            constraints=self.constraints,
-            scheme=self.scheme,
-            now=now,
-            registry=self.registry,
-        )
+        graph = self._build(waiting, now)
+        ctx = MatchingContext(graph, self.net, self.scheme, self.registry)
+        gamma = self.constraints.gamma
         if self.kind == "marketplace":
-            pool = [r for r in waiting if r.id in self.broker_pool]
-            states = self._platform_states(
-                [r for r in waiting if r.id not in self.broker_pool]
-            )
             awards = marketplace_epoch(
-                pool, states, self.constraints.gamma, self.auction_rng, ctx, epoch
+                [r for r in waiting if r.id in self.broker_pool],
+                self._platform_states(
+                    [r for r in waiting if r.id not in self.broker_pool]),
+                gamma, self.auction_rng, ctx, epoch,
             )
             for award in awards:
                 req = self.registry[award.request]
@@ -356,36 +364,26 @@ class _Simulation:
                 self.ledgers[award.platform].info_paid += award.payment
                 self.broker_balance += award.payment
             self.auction_log.extend(awards)
-            owned = [r for r in self._waiting() if r.id not in self.broker_pool]
-            self._match(owned, now)
-            return
-
-        # trading structures: platform-local matching first
-        self._match(waiting, now)
+            graph = graph.restrict(
+                [r.id for r in waiting if r.id not in self.broker_pool], graph.vehicles
+            )
+        self._match(graph, now)
         unsatisfied = [r for r in waiting if r.state == WAITING]
-        if not unsatisfied:
+        if self.kind not in ("bilateral", "central") or not unsatisfied:
             return
         if self.kind == "central":
-            idle = [v for v in self.vehicles if v.idle]
             trades, assignment = central_trading_epoch(
-                {pid: [r for r in unsatisfied if r.platform == pid]
-                 for pid in self.pids},
-                {pid: [v for v in idle if v.platform == pid] for pid in self.pids},
-                self.constraints.gamma,
-                ctx,
-                epoch,
+                unsatisfied, [v for v in self.vehicles if v.idle], gamma, ctx, epoch
             )
             self._commit(assignment, now)
         else:  # bilateral
+            graph = self._build(unsatisfied, now)
+            ctx = MatchingContext(graph, self.net, self.scheme, self.registry)
             trades = bilateral_trading_round(
-                self._platform_states(unsatisfied),
-                self.constraints.gamma,
-                self.trading_rng,
-                ctx,
-                epoch,
+                self._platform_states(unsatisfied), gamma, self.trading_rng, ctx, epoch
             )
             if trades:
-                self._match(self._waiting(), now)
+                self._match(graph, now)
         for trade in trades:
             self.ledgers[trade.buyer].info_paid += trade.info_price
             self.ledgers[trade.seller].info_received += trade.info_price

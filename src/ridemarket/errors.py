@@ -61,7 +61,8 @@ class UnmappedEntityError(MarketError):
 # --- solve -------------------------------------------------------------------
 
 class TooLargeError(MarketError):
-    """Input exceeds a size guard: the network's node bound or the oracle's."""
+    """Input exceeds a size guard: the network's node bound, a platform's
+    fleet bound or the oracle's."""
 
 
 class DimensionMismatchError(MarketError):

@@ -3,7 +3,8 @@
 Cooperative-game allocations work on a characteristic function over
 platform coalitions.  The auction and trading procedures operate on live
 platform state during a simulation epoch; they compute valuations by
-re-solving small profit-maximizing assignment problems.
+solving profit-maximizing assignments over restrictions of the stage's
+trip graph.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ from .errors import (
 )
 from .model import PricingScheme, Request, Vehicle, trip_marginal_profit
 from .network import RoadNetwork
-from .rtv import Constraints, RtvGraph, build_rtv_graph
+from .rtv import RtvGraph
 from .solve import Assignment, AssignmentProblem, LinearProgram, solve_assignment, solve_lp
 
 log = logging.getLogger(__name__)
@@ -273,32 +274,32 @@ def run_single_item_auction(bids: list[Bid], gamma: float) -> AuctionOutcome | N
 
 @dataclass
 class MatchingContext:
-    """Shared inputs for valuation subproblems within one epoch stage."""
+    """Shared inputs for valuation subproblems within one decision stage.
 
+    ``graph`` is the stage's trip graph; every subproblem solves a
+    restriction of it, so vehicles must not change while it is in use.
+    """
+
+    graph: RtvGraph
     net: RoadNetwork
-    constraints: Constraints
     scheme: PricingScheme
-    now: float
     registry: Mapping[str, Request]
     profit_cache: dict = field(default_factory=dict)
 
 
 def _max_profit_assignment(
     requests: list[Request], vehicles: list[Vehicle], ctx: MatchingContext
-) -> tuple[RtvGraph, Assignment]:
-    """Trip graph of the requests and fleet, and its max-profit assignment."""
-    graph = build_rtv_graph(
-        requests, vehicles, ctx.net, ctx.now, ctx.constraints, registry=ctx.registry
-    )
+) -> Assignment:
+    """Max-profit assignment of the requests to the fleet."""
+    graph = ctx.graph.restrict([r.id for r in requests], [v.id for v in vehicles])
     # No unserved penalty: a request is only served at a profit, which also
     # keeps every valuation and information price non-negative.
-    assignment = solve_assignment(
+    return solve_assignment(
         AssignmentProblem(
             graph=graph, objective="max_profit", penalty=0.0,
             scheme=ctx.scheme, net=ctx.net,
         )
     )
-    return graph, assignment
 
 
 def optimal_profit(
@@ -311,18 +312,10 @@ def optimal_profit(
     """
     if not vehicles or not requests:
         return 0
-    key = (
-        tuple(
-            (v.id, v.position, tuple(v.schedule), tuple(sorted(v.onboard)),
-             tuple(sorted(v.assigned)))
-            for v in sorted(vehicles, key=lambda v: v.id)
-        ),
-        tuple(sorted(r.id for r in requests)),
-    )
+    key = (tuple(sorted(v.id for v in vehicles)), tuple(sorted(r.id for r in requests)))
     if key in ctx.profit_cache:
         return ctx.profit_cache[key]
-    _, assignment = _max_profit_assignment(requests, vehicles, ctx)
-    profit = -assignment.objective_micro // 1000
+    profit = -_max_profit_assignment(requests, vehicles, ctx).objective_micro // 1000
     ctx.profit_cache[key] = profit
     return profit
 
@@ -441,8 +434,8 @@ def _split_proportional(total: int, weights: list[int], tags: list[str]) -> list
 
 
 def central_trading_epoch(
-    unsatisfied: Mapping[str, list[Request]],
-    idle_vehicles: Mapping[str, list[Vehicle]],
+    requests: list[Request],
+    vehicles: list[Vehicle],
     gamma: float,
     ctx: MatchingContext,
     epoch: int = 0,
@@ -457,16 +450,7 @@ def central_trading_epoch(
     """
     if not 0.0 <= gamma <= 1.0:
         raise InvalidGammaError(f"gamma must lie in [0, 1], got {gamma}")
-    requests = sorted(
-        (r for pool in unsatisfied.values() for r in pool), key=lambda r: r.id
-    )
-    vehicles = sorted(
-        (v for fleet in idle_vehicles.values() for v in fleet), key=lambda v: v.id
-    )
-    empty = Assignment(chosen=[], unserved=[r.id for r in requests], objective_micro=0)
-    if not requests or not vehicles:
-        return [], empty
-    graph, assignment = _max_profit_assignment(requests, vehicles, ctx)
+    assignment = _max_profit_assignment(requests, vehicles, ctx)
     platform_of_vehicle = {v.id: v.platform for v in vehicles}
     trades: list[TradeRecord] = []
     for trip in assignment.chosen:
@@ -475,7 +459,7 @@ def central_trading_epoch(
         total_price = round(gamma * profit)
         standalone = [
             trip_marginal_profit(
-                ctx.scheme, graph.tv_edges[((rid,), trip.vehicle)], ctx.net
+                ctx.scheme, ctx.graph.tv_edges[((rid,), trip.vehicle)], ctx.net
             )
             for rid in trip.requests
         ]

@@ -7,6 +7,10 @@ exact, but the request-request test (``pair_shareable``) is a heuristic
 probe, not a relaxation: it can reject a pair that a real vehicle could
 serve together, and trip enumeration then never tries that pair.  A
 market structure acts on the finished graph purely as a subgraph filter.
+
+The engine builds the graph once per decision stage (bilateral once more
+after its match).  The auction, matching and central trading solve
+restrictions of it (``RtvGraph.restrict``), equal to the subset's build.
 """
 from __future__ import annotations
 
@@ -121,6 +125,28 @@ class RtvGraph:
 
     def edges_sorted(self) -> list[Trip]:
         return [self.tv_edges[k] for k in sorted(self.tv_edges)]
+
+    def restrict(
+        self, request_ids: Iterable[str], vehicle_ids: Iterable[str]
+    ) -> RtvGraph:
+        """The subgraph over the named requests and vehicles.
+
+        It equals the build over that subset at the same ``now``, registry
+        and vehicle states: a trip's route depends only on its own requests
+        and vehicle, and enumeration tries a request set exactly when all
+        of its subsets are feasible.
+        """
+        requests, vehicles = set(request_ids), set(vehicle_ids)
+        unknown = sorted(requests.difference(self.requests)) + sorted(
+            vehicles.difference(self.vehicles))
+        if unknown:
+            raise UnmappedEntityError(f"{unknown} not in the trip graph")
+        return RtvGraph(
+            requests=sorted(requests),
+            vehicles=sorted(vehicles),
+            tv_edges={(key, vid): trip for (key, vid), trip in self.tv_edges.items()
+                      if vid in vehicles and requests.issuperset(key)},
+        )
 
 
 def pickup_deadline(req: Request, now: float, constraints: Constraints) -> float:

@@ -69,6 +69,9 @@ def test_bad_env_seed_is_a_clean_error(bundle, monkeypatch, capsys):
     pytest.param("scenario.seed", lambda d: d.update(seed="x"), id="seed"),
     pytest.param("constraints.gamma",
                  lambda d: d.update(constraints={"gamma": "abc"}), id="gamma"),
+    # fails before the episode set-up allocates a vehicle per unit of fleet
+    pytest.param("platform A",
+                 lambda d: d["platforms"][0].update(fleet=10**12), id="fleet-bound"),
 ])
 def test_malformed_field_is_one_line_naming_the_key(bundle, capsys, key, mutate):
     doc = json.loads(bundle.read_text())

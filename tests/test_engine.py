@@ -1,10 +1,13 @@
 """Episode engine: resolution, dispatch loop, billing and coalition values."""
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from ridemarket import rtv
 from ridemarket.engine import (
+    MAX_FLEET,
     PlatformSpec,
     Scenario,
     build_coalition_game,
@@ -12,7 +15,7 @@ from ridemarket.engine import (
     resolve_scenario,
     run,
 )
-from ridemarket.errors import DrainError, ValidationError
+from ridemarket.errors import DrainError, TooLargeError, ValidationError
 from ridemarket.io import metrics_to_dict
 from ridemarket.model import (
     METERS_PER_MILE,
@@ -114,6 +117,12 @@ def test_scenario_validation(net):
     with pytest.raises(ValidationError):
         _scenario(net, [req], [PlatformSpec("A", 1)], "cooperative",
                   alliance=frozenset({"A", "Z"}))
+
+
+def test_fleet_above_bound_fails_before_allocating():
+    assert PlatformSpec("A", MAX_FLEET).fleet == MAX_FLEET
+    with pytest.raises(TooLargeError, match=f"at most {MAX_FLEET}, got {10**12}"):
+        PlatformSpec("A", 10**12)
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +340,31 @@ def _starved_setup(net):
                             request_time=float(i * 20), platform="A"))
     specs = [PlatformSpec("A", 1), PlatformSpec("B", 3)]
     return reqs, specs
+
+
+@pytest.mark.parametrize("kind, builds", [
+    ("single", 1), ("segmented", 1), ("cooperative", 1), ("central", 1),
+    ("marketplace", 1),
+    # bilateral valuations see whole fleets, which its match has just changed
+    ("bilateral", 2),
+])
+def test_one_trip_graph_per_decision_stage(net, monkeypatch, kind, builds):
+    reqs, specs = _starved_setup(net)
+    per_epoch: Counter = Counter()
+    build = rtv.build_rv_graph
+
+    def counted(requests, vehicles, road, now, *args, **kwargs):
+        per_epoch[now] += 1
+        return build(requests, vehicles, road, now, *args, **kwargs)
+
+    monkeypatch.setattr(rtv, "build_rv_graph", counted)
+    alliance = frozenset({"A", "B"}) if kind == "cooperative" else frozenset()
+    m = run(_scenario(net, reqs, specs, kind, seed=73, alliance=alliance,
+                      compute_allocations=False))
+    # the trading or auction stage ran, on the structures that have one
+    traded = bool(m.n_trades or m.auction_log)
+    assert traded == (kind in ("bilateral", "central", "marketplace"))
+    assert max(per_epoch.values()) == builds
 
 
 def test_trading_beats_segmented_when_one_side_is_starved(net):

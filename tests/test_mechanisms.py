@@ -33,7 +33,7 @@ from ridemarket.mechanisms import (
 )
 from ridemarket.model import PricingScheme, Request, Vehicle, fill_direct, trip_marginal_profit
 from ridemarket.network import make_grid
-from ridemarket.rtv import Constraints
+from ridemarket.rtv import Constraints, build_rtv_graph
 
 
 def _game(players, values):
@@ -288,6 +288,13 @@ def test_split_proportional_largest_remainder():
 # trading rounds
 # ---------------------------------------------------------------------------
 
+def _context(net, requests, vehicles, now):
+    """The stage context of one trip graph over the requests and vehicles."""
+    registry = {r.id: r for r in requests}
+    graph = build_rtv_graph(requests, vehicles, net, now, Constraints(), registry=registry)
+    return MatchingContext(graph=graph, net=net, scheme=PricingScheme(), registry=registry)
+
+
 def _trade_setup():
     net = make_grid(6, 6, edge_len=400.0, speed=8.0)
     # platform A holds a long profitable request but has no vehicle nearby
@@ -295,9 +302,7 @@ def _trade_setup():
         Request(id="r0", origin="0", destination="35", request_time=0.0, platform="A"),
     ])[0]
     veh = Vehicle(id="b0", platform="B", position="0")
-    ctx = MatchingContext(net=net, constraints=Constraints(), scheme=PricingScheme(),
-                          now=0.0, registry={req.id: req})
-    return net, req, veh, ctx
+    return net, req, veh, _context(net, [req], [veh], 0.0)
 
 
 def test_optimal_profit_of_single_request():
@@ -325,16 +330,16 @@ def test_bilateral_trade_moves_request_to_buyer():
     assert req.platform == "B" and req.traded
     assert states[0].pool == [] and states[1].pool == [req]
     # a traded request is never re-traded, even to a seller that now values it
-    states[0].vehicles.append(Vehicle(id="a0", platform="A", position="0"))
+    a0 = Vehicle(id="a0", platform="A", position="0")
+    states[0].vehicles.append(a0)
+    ctx = _context(net, [req], [veh, a0], 0.0)
+    assert optimal_profit([a0], [req], ctx) > 0
     assert bilateral_trading_round(states, 0.1, rng, ctx) == []
 
 
 def test_central_trading_assigns_and_prices():
     net, req, veh, ctx = _trade_setup()
-    trades, assignment = central_trading_epoch(
-        unsatisfied={"A": [req]}, idle_vehicles={"B": [veh]},
-        gamma=0.1, ctx=ctx,
-    )
+    trades, assignment = central_trading_epoch([req], [veh], gamma=0.1, ctx=ctx)
     assert len(trades) == 1
     assert (trades[0].seller, trades[0].buyer) == ("A", "B")
     assert len(assignment.chosen) == 1
@@ -350,12 +355,8 @@ def test_central_trading_skips_unprofitable():
         Request(id="r0", origin="0", destination="1", request_time=0.0, platform="A"),
     ])[0]
     far = Vehicle(id="b0", platform="B", position="35")
-    ctx = MatchingContext(net=net, constraints=Constraints(), scheme=PricingScheme(),
-                          now=700.0, registry={req.id: req})
-    trades, assignment = central_trading_epoch(
-        unsatisfied={"A": [req]}, idle_vehicles={"B": [far]},
-        gamma=0.1, ctx=ctx,
-    )
+    ctx = _context(net, [req], [far], 700.0)
+    trades, assignment = central_trading_epoch([req], [far], gamma=0.1, ctx=ctx)
     assert trades == []
     assert assignment.chosen == []
 
@@ -365,12 +366,11 @@ def test_marketplace_awards_to_highest_value_platform():
     req = fill_direct(net, [
         Request(id="r0", origin="0", destination="35", request_time=0.0, platform=""),
     ])[0]
-    ctx = MatchingContext(net=net, constraints=Constraints(), scheme=PricingScheme(),
-                          now=0.0, registry={req.id: req})
-    near = PlatformState(id="A", vehicles=[Vehicle(id="a0", platform="A", position="0")],
-                         pool=[])
-    far = PlatformState(id="B", vehicles=[Vehicle(id="b0", platform="B", position="30")],
-                        pool=[])
+    a0 = Vehicle(id="a0", platform="A", position="0")
+    b0 = Vehicle(id="b0", platform="B", position="30")
+    ctx = _context(net, [req], [a0, b0], 0.0)
+    near = PlatformState(id="A", vehicles=[a0], pool=[])
+    far = PlatformState(id="B", vehicles=[b0], pool=[])
     rng = np.random.default_rng(1)
     awards = marketplace_epoch([req], [near, far], 0.1, rng, ctx)
     assert len(awards) == 1

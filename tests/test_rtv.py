@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ridemarket import rtv
-from ridemarket.errors import ValidationError
+from ridemarket.errors import UnmappedEntityError, ValidationError
 from ridemarket.model import DROPOFF, PICKUP, Request, Stop, Vehicle, fill_direct
 from ridemarket.network import make_grid
 from ridemarket.rtv import (
@@ -342,6 +342,50 @@ def test_rtv_build_searches_each_route_once(monkeypatch):
         pooled |= {vid for key, vid in graph.tv_edges if len(key) > 1}
     # shared trips were enumerated for the idle, onboard and assigned vehicles
     assert pooled == {"v0", "v1", "v2"}
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_restriction_equals_the_build_over_the_subset(data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    net = make_grid(int(rng.integers(3, 6)), int(rng.integers(3, 6)),
+                    edge_len=float(rng.integers(150, 300)), speed=9.0)
+    nodes = sorted(net.node_set())
+    cons = Constraints()
+    now = 60.0
+    reqs, vehs = _random_instance(rng, net, nodes, int(rng.integers(1, 8)),
+                                  int(rng.integers(1, 5)))
+    committed = []
+    for k, veh in enumerate(vehs):  # idle, carrying a rider, or on its way to one
+        kind = int(rng.integers(0, 3))
+        if kind == 1:
+            rider = _rider(rng, nodes, f"o{k}", request_time=0.0, pickup_time=now - 20.0)
+            veh.onboard.add(rider.id)
+            veh.schedule = [Stop(rider.destination, rider.id, DROPOFF)]
+        elif kind == 2:
+            rider = _rider(rng, nodes, f"a{k}", request_time=now - 30.0,
+                           pickup_deadline=now + 240.0)
+            veh.assigned.add(rider.id)
+            veh.schedule = [Stop(rider.origin, rider.id, PICKUP),
+                            Stop(rider.destination, rider.id, DROPOFF)]
+        else:
+            continue
+        committed.append(rider)
+    registry = {r.id: r for r in fill_direct(net, committed)}
+    whole = build_rtv_graph(reqs, vehs, net, now, cons, registry=registry)
+    for _ in range(3):
+        sub_reqs = [r for r in reqs if data.draw(st.booleans())]
+        sub_vehs = [v for v in vehs if data.draw(st.booleans())]
+        part = whole.restrict([r.id for r in reversed(sub_reqs)],
+                              [v.id for v in reversed(sub_vehs)])
+        want = build_rtv_graph(sub_reqs, sub_vehs, net, now, cons, registry=registry)
+        assert part.requests == want.requests
+        assert part.vehicles == want.vehicles
+        assert list(part.tv_edges.items()) == list(want.tv_edges.items())
+    with pytest.raises(UnmappedEntityError, match="r99"):
+        whole.restrict(["r99"], whole.vehicles)
+    with pytest.raises(UnmappedEntityError, match="v99"):
+        whole.restrict(whole.requests, ["v99"])
 
 
 def test_market_structure_filters():

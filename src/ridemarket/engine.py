@@ -292,11 +292,11 @@ class _Simulation:
             cursor += 1
         return cursor
 
-    def _solve(self, graph, objective: str | None = None) -> Assignment:
+    def _solve(self, graph: RtvGraph) -> Assignment:
         return solve_assignment(
             AssignmentProblem(
                 graph=graph,
-                objective=objective or self.sc.objective,
+                objective=self.sc.objective,
                 penalty=self.constraints.unserved_penalty,
                 scheme=self.scheme,
                 net=self.net,

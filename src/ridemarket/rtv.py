@@ -368,8 +368,9 @@ def enumerate_trips(
     """Exhaustive trip enumeration over the pairwise graph.
 
     A request set of size k is only tried for a vehicle when all of its
-    size-(k-1) subsets were feasible for that vehicle, which is a valid
-    pruning because dropping a rider from a feasible route stays feasible.
+    size-(k-1) subsets were feasible for that vehicle (and a pair only when
+    it is shareable), which is a valid pruning because dropping a rider
+    from a feasible route stays feasible.
     Trips stop at MAX_ROUTE_STOPS // 2 requests; ``best_route`` enforces
     each vehicle's own capacity.
     """
@@ -382,42 +383,29 @@ def enumerate_trips(
     for veh in vehs:
         baseline = schedule_distance(veh, net)
         group_base = len(veh.committed())
-        feasible: dict[int, set[tuple[str, ...]]] = {1: set()}
         singles = [r.id for r in reqs if (r.id, veh.id) in rv.rv_edges]
         for rid in singles:
-            key = (rid,)
-            feasible[1].add(key)
-            tv_edges[(key, veh.id)] = _make_trip(
-                key, veh, rv.rv_edges[(rid, veh.id)], baseline, group_base, registry
+            tv_edges[((rid,), veh.id)] = _make_trip(
+                (rid,), veh, rv.rv_edges[(rid, veh.id)], baseline, group_base, registry
             )
-        max_size = min(MAX_ROUTE_STOPS // 2, len(singles))
-        for size in range(2, max_size + 1):
-            feasible[size] = set()
-            candidates: set[tuple[str, ...]] = set()
-            if size == 2:
-                for a, b in itertools.combinations(sorted(feasible[1]), 2):
-                    pair = tuple(sorted((a[0], b[0])))
-                    if pair in rr:
-                        candidates.add(pair)
-            else:
-                smaller = sorted(feasible[size - 1])
-                for t1, t2 in itertools.combinations(smaller, 2):
-                    union = tuple(sorted(set(t1) | set(t2)))
-                    if len(union) != size or union in candidates:
-                        continue
-                    subs_ok = all(
-                        tuple(sorted(set(union) - {r})) in feasible[size - 1]
-                        for r in union
-                    )
-                    if subs_ok:
-                        candidates.add(union)
-            for key in sorted(candidates):
+        smaller = {(rid,) for rid in singles}
+        for size in range(2, min(MAX_ROUTE_STOPS // 2, len(singles)) + 1):
+            candidates = [
+                t + (rid,)
+                for t in sorted(smaller)
+                for rid in singles
+                if rid > t[-1]
+                and (size > 2 or (t[0], rid) in rr)
+                and all(t[:i] + t[i + 1:] + (rid,) in smaller for i in range(size - 1))
+            ]
+            smaller = set()
+            for key in candidates:
                 found = best_route(
                     veh, [registry[r] for r in key], registry, net, constraints, now
                 )
                 if found is None:
                     continue
-                feasible[size].add(key)
+                smaller.add(key)
                 tv_edges[(key, veh.id)] = _make_trip(
                     key, veh, found, baseline, group_base, registry
                 )

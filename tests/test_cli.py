@@ -16,6 +16,18 @@ def bundle(tmp_path):
                         fleet=2, seed=5, structure="segmented")
 
 
+@pytest.fixture()
+def game_file(tmp_path):
+    game = CoalitionGame(
+        players=("A", "B"),
+        values={frozenset({"A"}): 10.0, frozenset({"B"}): 20.0,
+                frozenset({"A", "B"}): 36.0},
+    )
+    path = tmp_path / "game.json"
+    write_game(game, path)
+    return path
+
+
 def test_simulate_to_stdout(bundle, capsys):
     assert main(["simulate", "--scenario", str(bundle)]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -108,11 +120,20 @@ def test_solver_failure_is_exit_one(bundle, monkeypatch, capsys):
     assert err.count("\n") == 1
 
 
-def test_unbounded_phase_one_is_exit_one(bundle, monkeypatch, capsys):
+def test_unbounded_phase_one_is_exit_one(game_file, monkeypatch, capsys):
+    # the core-allocation LP has >= and = rows, so it still runs phase 1
+    monkeypatch.setattr("ridemarket.solve._simplex_iterate",
+                        lambda *args: "unbounded")
+    assert main(["allocate", "--game", str(game_file), "--method", "epm"]) == 1
+    assert capsys.readouterr().err == "error: phase 1 reported unbounded\n"
+
+
+def test_unbounded_assignment_relaxation_is_exit_one(bundle, monkeypatch, capsys):
+    # assignment LPs start from a feasible slack basis: no phase 1 runs
     monkeypatch.setattr("ridemarket.solve._simplex_iterate",
                         lambda *args: "unbounded")
     assert main(["simulate", "--scenario", str(bundle)]) == 1
-    assert capsys.readouterr().err == "error: phase 1 reported unbounded\n"
+    assert capsys.readouterr().err == "error: assignment relaxation reported unbounded\n"
 
 
 def test_infeasible_assignment_relaxation_is_exit_one(bundle, monkeypatch, capsys):
@@ -142,19 +163,12 @@ def test_compare_subset_of_structures(bundle, capsys):
     assert [r["structure"] for r in rows] == ["single", "segmented"]
 
 
-def test_allocate_game_file(tmp_path, capsys):
-    game = CoalitionGame(
-        players=("A", "B"),
-        values={frozenset({"A"}): 10.0, frozenset({"B"}): 20.0,
-                frozenset({"A", "B"}): 36.0},
-    )
-    path = tmp_path / "game.json"
-    write_game(game, path)
-    assert main(["allocate", "--game", str(path), "--method", "shapley"]) == 0
+def test_allocate_game_file(game_file, capsys):
+    assert main(["allocate", "--game", str(game_file), "--method", "shapley"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["amounts"]["A"] == pytest.approx(13.0)
     assert doc["amounts"]["B"] == pytest.approx(23.0)
-    assert main(["allocate", "--game", str(path), "--method", "epm"]) == 0
+    assert main(["allocate", "--game", str(game_file), "--method", "epm"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["amounts"]["A"] == pytest.approx(12.0, abs=1e-9)
     assert doc["amounts"]["B"] == pytest.approx(24.0, abs=1e-9)

@@ -118,6 +118,8 @@ def test_lp_cross_check_against_scipy():
             assert res.value == pytest.approx(ref.fun, abs=1e-6, rel=1e-6)
             # reduced costs are non-negative at a minimum
             assert np.all(res.reduced > -1e-6)
+            if m == 0:
+                assert np.array_equal(res.reduced, c)
 
 
 def _beale_lp():
@@ -186,13 +188,12 @@ def test_assignment_matches_brute_force():
         assert got.unserved == want.unserved
 
 
-def _milp_objective_micro(problem):
-    """Exact micro-cost of an optimum found by HiGHS branch and bound.
+def _xy_form(problem):
+    """The assignment in its textbook form, independent of the solver's.
 
-    Columns are one binary x per trip-vehicle edge and one unserved
-    indicator y per request; vehicle rows are <= 1 and request rows = 1.
-    The rounded solution is re-costed in integers, so only the choice of
-    edges comes from floating point.
+    Columns are one x per trip-vehicle edge and one unserved indicator y
+    per request, costed in micro-units; the V vehicle rows are <= 1 and
+    the R request rows = 1.  Returns (edges, costs, penalty, A, V, R).
     """
     graph = problem.graph
     edges = graph.edges_sorted()
@@ -207,6 +208,17 @@ def _milp_objective_micro(problem):
         for r in t.requests:
             A[V + req_index[r], e] = 1.0
     A[V:, E:] = np.eye(R)
+    return edges, costs, penalty, A, V, R
+
+
+def _milp_objective_micro(problem):
+    """Exact micro-cost of an optimum found by HiGHS branch and bound.
+
+    Solves the x+y form with binary x.  The rounded solution is re-costed
+    in integers, so only the choice of edges comes from floating point.
+    """
+    edges, costs, penalty, A, V, R = _xy_form(problem)
+    E = len(edges)
     res = milp(
         np.array(costs + [penalty] * R, dtype=float),
         constraints=LinearConstraint(A, np.r_[np.full(V, -np.inf), np.ones(R)],
@@ -241,6 +253,69 @@ def test_assignment_optimum_matches_milp_beyond_oracle_guard():
             )
             assert solve_assignment(problem).objective_micro == \
                 _milp_objective_micro(problem)
+
+
+def test_node_lps_are_packing_form_without_phase_one(monkeypatch):
+    # every node LP row reads <= 1 and touches a free edge, so the slack
+    # basis is feasible and each LP is one simplex pass
+    net = make_grid(5, 5, edge_len=300.0, speed=8.0)
+    nodes = sorted(net.node_set())
+    rng = np.random.default_rng(23)
+    real_lp, real_iterate = solve.solve_lp, solve._simplex_iterate
+    lps, passes = [], []
+
+    def counted_lp(lp):
+        lps.append(lp)
+        return real_lp(lp)
+
+    def counted_iterate(*args):
+        passes.append(len(lps))
+        return real_iterate(*args)
+
+    monkeypatch.setattr(solve, "solve_lp", counted_lp)
+    monkeypatch.setattr(solve, "_simplex_iterate", counted_iterate)
+    for trial in range(12):
+        graph = _random_graph(rng, net, nodes, int(rng.integers(6, 13)),
+                              int(rng.integers(3, 7)), colocated=trial % 2 == 0)
+        solve_assignment(AssignmentProblem(
+            graph=graph, objective=OBJECTIVES[trial % 3], penalty=10.0,
+            scheme=PricingScheme(), net=net,
+        ))
+    assert len(lps) > 12
+    for lp in lps:
+        for a, rel, b in lp.rows:
+            assert (rel, b) == ("<=", 1.0)
+            assert np.any(a != 0.0)
+    assert passes == list(range(1, len(lps) + 1))
+
+
+def test_root_bound_matches_highs_on_the_xy_form():
+    # the packing-form root bound equals the textbook relaxation's optimum.
+    # HiGHS gets the micro-unit costs unscaled: scaled to order one, its
+    # 1e-7 tolerances would allow errors of a micro-unit
+    net = make_grid(5, 5, edge_len=300.0, speed=8.0)
+    nodes = sorted(net.node_set())
+    rng = np.random.default_rng(29)
+    for trial in range(20):
+        graph = _random_graph(rng, net, nodes, int(rng.integers(3, 16)),
+                              int(rng.integers(2, 9)), colocated=trial % 2 == 0)
+        for objective in OBJECTIVES:
+            problem = AssignmentProblem(
+                graph=graph, objective=objective, penalty=10.0,
+                scheme=PricingScheme(), net=net,
+            )
+            comp = solve._compile(problem)
+            if not comp.edges:
+                continue
+            root = solve._solve_node(comp, frozenset(), frozenset())
+            _, costs, penalty, A, V, R = _xy_form(problem)
+            ref = linprog(
+                np.array(costs + [penalty] * R, dtype=float),
+                A_ub=A[:V], b_ub=np.ones(V), A_eq=A[V:], b_eq=np.ones(R),
+                bounds=(0, None), method="highs-ds",
+            )
+            assert ref.status == 0
+            assert abs(root.bound - ref.fun) < 1e-3
 
 
 _PERMUTE_NET = make_grid(5, 5, edge_len=300.0, speed=8.0)

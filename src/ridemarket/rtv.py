@@ -3,10 +3,16 @@
 The construction follows the usual two-stage pattern: a coarse pairwise
 graph first, then exhaustive trip enumeration that only considers request
 sets whose subsets were already feasible.  The request-vehicle edges are
-exact, but the request-request test (``pair_shareable``) is a heuristic
-probe, not a relaxation: it can reject a pair that a real vehicle could
-serve together, and trip enumeration then never tries that pair.  A
-market structure acts on the finished graph purely as a subgraph filter.
+exact: ``best_route`` is the only stop-order search, and what skips it is
+exact too.  An idle vehicle's single has one stop order, computed in
+closed form with ``best_route``'s own float operations; reach bounds on
+shortest paths skip a pair whose pickup misses its deadline, or that
+makes a committed stop miss its own, and an idle vehicle's request pair
+whose second pickup comes too late in either order.  The request-request
+test (``pair_shareable``) is a heuristic probe, not a relaxation: it can
+reject a pair that a real vehicle could serve together, and trip
+enumeration then never tries that pair.  A market structure acts on the
+finished graph purely as a subgraph filter.
 
 The engine builds the graph once per decision stage (bilateral once more
 after its match).  The auction, matching and central trading solve
@@ -53,6 +59,7 @@ MAX_ROUTE_STOPS = 8
 
 _STOP_ORDER = operator.itemgetter(0, 1)  # (request, kind) of a stop record
 _BITS = tuple(1 << i for i in range(MAX_ROUTE_STOPS + 1))
+_INF = float("inf")
 
 
 @dataclass(frozen=True)
@@ -337,23 +344,104 @@ def build_rv_graph(
     # Earliest pickup of each (vehicle, request) pair: straight from the
     # vehicle's position, as no stop order can beat the shortest path.  A
     # pair that misses the deadline even so has no feasible route.
+    speed = net.speed
     reach = now + net.distance_block(
         [v.position for v in vehs], [r.origin for r in reqs]
-    ) / net.speed
-    latest = np.array([pickup_deadline(r, now, constraints) for r in reqs])
-    can_reach = (reach <= latest + (EPS + REACH_SLACK)).tolist()
+    ) / speed
+    deadlines = [pickup_deadline(r, now, constraints) for r in reqs]
+    can_reach = (reach <= np.array(deadlines) + (EPS + REACH_SLACK)).tolist()
+    flat = net.flat_distances()
+    n_nodes = len(net.nodes)
+    chi = constraints.detour_factor
+    base = [net.node_index(v.position) * n_nodes for v in vehs]
+    # None for an idle vehicle, else its committed stops with deadlines.
+    stops = [_committed_stops(v, base[k], registry, net, constraints, now)
+             for k, v in enumerate(vehs)]
     # Both lists are sorted by id, so the keys arrive in sorted order.
     for j, req in enumerate(reqs):
+        rid, rt = req.id, req.request_time
+        o = net.node_index(req.origin)
+        row_o = o * n_nodes
+        limit = deadlines[j] + EPS
+        late = deadlines[j] + (EPS + REACH_SLACK)
+        leg2 = flat[row_o + net.node_index(req.destination)]
+        ride_limit = chi * req.direct_duration + EPS
+        route = (Stop(req.origin, rid, PICKUP), Stop(req.destination, rid, DROPOFF))
         for k, veh in enumerate(vehs):
-            if can_reach[k][j]:
+            if not can_reach[k][j]:
+                continue
+            if stops[k] is None:
+                # An idle vehicle has one stop order, pickup then dropoff:
+                # best_route's arithmetic for it, in the same order.
+                if veh.capacity < 1:
+                    continue
+                leg1 = flat[base[k] + o]
+                arrive = max(now + leg1 / speed, rt)
+                total = leg1 + leg2  # best_route's 0.0 + leg1 is leg1
+                drop = arrive + leg2 / speed
+                if total < _INF and arrive <= limit and drop - arrive <= ride_limit:
+                    rv[(rid, veh.id)] = RouteResult(route, total, {rid: arrive},
+                                                    {rid: drop})
+                continue
+            # The pickup comes before or after each committed stop s.  Skip
+            # the pair when, for some s, both orders miss a deadline even on
+            # shortest paths (REACH_SLACK covers the rounding, as above).
+            at_o = max(now + flat[base[k] + o] / speed, rt)
+            for s, row_s, to_s, due in stops[k]:
+                if (at_o + flat[row_o + s] / speed > due
+                        and max(now + (to_s + flat[row_s + o]) / speed, rt) > late):
+                    break
+            else:
                 found = best_route(veh, [req], registry, net, constraints, now)
                 if found is not None:
-                    rv[(req.id, veh.id)] = found
+                    rv[(rid, veh.id)] = found
     rr: list[tuple[str, str]] = []
     for a, b in itertools.combinations(reqs, 2):
         if pair_shareable(a, b, net, constraints):
             rr.append(tuple(sorted((a.id, b.id))))
     return RvGraph(rr_edges=sorted(rr), rv_edges=rv)
+
+
+def _committed_stops(
+    vehicle: Vehicle,
+    base: int,
+    registry: Mapping[str, Request],
+    net: RoadNetwork,
+    constraints: Constraints,
+    now: float,
+) -> list[tuple[int, int, float, float]] | None:
+    """The reach-bound view of a vehicle's commitments; None when idle.
+
+    One record per committed stop with an absolute deadline, an onboard
+    rider's dropoff or an assigned rider's pickup: its node index, the
+    start of its row in ``flat_distances``, the distance to it from the
+    vehicle's position (``base`` is the start of that row), and its
+    deadline plus ``EPS + REACH_SLACK``.  The times match best_route's.
+    """
+    if not vehicle.onboard and not vehicle.assigned:
+        return None
+    flat = net.flat_distances()
+    n_nodes = len(net.nodes)
+    slack = EPS + REACH_SLACK
+    due = []
+    for rid in vehicle.onboard:
+        req = registry[rid]
+        ride_start = req.pickup_time if req.pickup_time is not None else now
+        due.append((req.destination,
+                    ride_start + constraints.detour_factor * req.direct_duration))
+    for rid in vehicle.assigned:
+        req = registry[rid]
+        deadline = (
+            req.pickup_deadline
+            if req.pickup_deadline is not None
+            else pickup_deadline(req, now, constraints)
+        )
+        due.append((req.origin, deadline))
+    out = []
+    for node, deadline in due:
+        s = net.node_index(node)
+        out.append((s, s * n_nodes, flat[base + s], deadline + slack))
+    return out
 
 
 def enumerate_trips(
@@ -372,22 +460,42 @@ def enumerate_trips(
     it is shareable), which is a valid pruning because dropping a rider
     from a feasible route stays feasible.
     Trips stop at MAX_ROUTE_STOPS // 2 requests; ``best_route`` enforces
-    each vehicle's own capacity.
+    each vehicle's own capacity.  An idle vehicle skips the search for a
+    pair when neither pickup order reaches the second pickup by its
+    deadline, even on shortest paths from the first pickup time of its
+    single's route.
     """
     reqs = sorted(requests, key=lambda r: r.id)
     vehs = sorted(vehicles, key=lambda v: v.id)
     registry = {**(registry or {}), **{r.id: r for r in reqs}}
     rr = set(rv.rr_edges)
     tv_edges: dict[tuple[tuple[str, ...], str], Trip] = {}
+    flat = net.flat_distances()
+    n_nodes = len(net.nodes)
+    speed = net.speed
+    # Per request: origin node index, release time, and latest pickup plus
+    # EPS + REACH_SLACK, as in build_rv_graph's reach bound.
+    pickup = {
+        r.id: (net.node_index(r.origin), r.request_time,
+               pickup_deadline(r, now, constraints) + (EPS + REACH_SLACK))
+        for r in reqs
+    }
+    # rv_edges is in sorted key order, so each vehicle's singles are too.
+    routes_of: dict[str, dict[str, RouteResult]] = {}
+    for (rid, vid), found in rv.rv_edges.items():
+        if rid in pickup:
+            routes_of.setdefault(vid, {})[rid] = found
 
     for veh in vehs:
         baseline = schedule_distance(veh, net)
         group_base = len(veh.committed())
-        singles = [r.id for r in reqs if (r.id, veh.id) in rv.rv_edges]
+        routes = routes_of.get(veh.id, {})
+        singles = list(routes)
         for rid in singles:
             tv_edges[((rid,), veh.id)] = _make_trip(
-                (rid,), veh, rv.rv_edges[(rid, veh.id)], baseline, group_base, registry
+                (rid,), veh, routes[rid], baseline, group_base, registry
             )
+        idle = not veh.onboard and not veh.assigned
         smaller = {(rid,) for rid in singles}
         for size in range(2, min(MAX_ROUTE_STOPS // 2, len(singles)) + 1):
             candidates = [
@@ -400,6 +508,16 @@ def enumerate_trips(
             ]
             smaller = set()
             for key in candidates:
+                if idle and size == 2:
+                    a, b = key
+                    o_a, release_a, late_a = pickup[a]
+                    o_b, release_b, late_b = pickup[b]
+                    if (max(routes[a].pickup_times[a] + flat[o_a * n_nodes + o_b] / speed,
+                            release_b) > late_b
+                            and max(routes[b].pickup_times[b]
+                                    + flat[o_b * n_nodes + o_a] / speed,
+                                    release_a) > late_a):
+                        continue
                 found = best_route(
                     veh, [registry[r] for r in key], registry, net, constraints, now
                 )

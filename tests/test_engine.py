@@ -4,6 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ridemarket import rtv
 from ridemarket.engine import (
@@ -162,6 +163,28 @@ def test_money_conservation_all_structures(net):
         else:
             assert paid == received
             assert m.broker_balance == 0
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_money_balances_and_reruns_are_byte_identical(seed):
+    rng = np.random.default_rng(seed)
+    net = make_grid(int(rng.integers(3, 6)), int(rng.integers(3, 6)),
+                    edge_len=float(rng.integers(200, 500)), speed=8.0)
+    nodes = sorted(net.node_set())
+    platforms = ["A", "B", "C"][: int(rng.integers(2, 4))]
+    reqs = _requests(rng, nodes, int(rng.integers(1, 13)), platforms + [""],
+                     spread_s=int(rng.integers(30, 600)))
+    specs = [PlatformSpec(p, int(rng.integers(0, 4))) for p in platforms]
+    for kind in rtv.STRUCTURE_KINDS:
+        alliance = frozenset(rng.choice(platforms, size=2, replace=False)) \
+            if kind == "cooperative" else frozenset()
+        sc = _scenario(net, reqs, specs, kind, seed=int(rng.integers(0, 1000)),
+                       alliance=alliance, compute_allocations=bool(rng.integers(0, 2)))
+        m = run(sc)
+        assert m.total_fares - m.total_driver_pay == m.total_profit + m.broker_balance
+        assert json.dumps(metrics_to_dict(m), sort_keys=True) == \
+            json.dumps(metrics_to_dict(run(sc)), sort_keys=True)
 
 
 def test_single_equals_grand_cooperative(net):

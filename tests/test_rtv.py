@@ -189,10 +189,17 @@ def test_reach_bound_keeps_exactly_the_routable_pairs(data):
     vehicles, committed = [], []
     for k in range(data.draw(st.integers(1, 4))):
         veh = Vehicle(id=f"v{k}", platform="A", position=data.draw(node),
-                      capacity=data.draw(st.integers(1, 4)))
+                      capacity=data.draw(st.integers(0, 4)))
         if data.draw(st.booleans()):
-            start = now - data.draw(st.integers(0, 60))
-            committed.append(trip(f"o{k}", request_time=0.0, pickup_time=start))
+            rider = trip(f"o{k}", request_time=0.0)
+            if data.draw(st.booleans()):
+                start = now - data.draw(st.integers(0, 60))
+            else:  # a direct dropoff uses up the detour budget, give or take
+                direct = net.travel_time(rider.origin, rider.destination)
+                start = (now + net.travel_time(veh.position, rider.destination)
+                         - cons.detour_factor * direct + data.draw(st.integers(-20, 20)))
+            rider.pickup_time = start
+            committed.append(rider)
             veh.onboard.add(f"o{k}")
         if data.draw(st.booleans()):
             deadline = now + data.draw(st.integers(0, 300))
@@ -216,11 +223,13 @@ def test_reach_bound_keeps_exactly_the_routable_pairs(data):
 
     rv = build_rv_graph(reqs, vehicles, net, now, cons, registry=registry)
     everyone = {**registry, **{r.id: r for r in reqs}}
-    routable = sorted(
-        (r.id, v.id) for r in reqs for v in vehicles
-        if best_route(v, [r], everyone, net, cons, now) is not None
-    )
-    assert list(rv.rv_edges) == routable
+    searched = {(r.id, v.id): best_route(v, [r], everyone, net, cons, now)
+                for r in reqs for v in vehicles}
+    routable = [(key, searched[key]) for key in sorted(searched)
+                if searched[key] is not None]
+    # RouteResult equality is exact: the closed form for idle vehicles
+    # gives bit-identical times and distances
+    assert list(rv.rv_edges.items()) == routable
 
 
 def test_reach_bound_keeps_pickup_on_its_deadline():
@@ -232,6 +241,45 @@ def test_reach_bound_keeps_pickup_on_its_deadline():
                                         request_time=release, platform="A")])
         rv = build_rv_graph(req, [veh], net, 300.0, cons)
         assert list(rv.rv_edges) == ([("r0", "v0")] if kept else [])
+
+
+def test_reach_bounds_keep_routes_within_eps_of_a_deadline():
+    # Three routes, each with a single stop order that misses a deadline by
+    # EPS / 2, which the route search accepts; so must the bounds.
+    net = _REACH_NET  # 20 s per edge; node (row, col) is "4 * row + col"
+    cons = Constraints(max_wait_s=30.0, max_pickup_s=300.0)
+    now, late = 300.0, EPS / 2
+
+    def rider(rid, o, d, release, **fields):
+        return Request(id=rid, origin=o, destination=d, request_time=release,
+                       platform="A", **fields)
+
+    # r0 is due at node 1 at now + 20; r1 at node 2 at now + 40 - late
+    reqs = fill_direct(net, [rider("r0", "1", "2", now - 10.0),
+                             rider("r1", "2", "3", now + 10.0 - late)])
+    # v0 picks r0 on the way to o0's dropoff at node 3 (100 s budget), which
+    # it reaches at now + 60 = o0's deadline + late; dropping o0 first
+    # leaves r0 behind.
+    # v1 must drop o1 at node 1 by now + 20 (75 s budget), then picks r1.
+    # Idle v2 picks r0, then r1; r1 first leaves r0 behind.
+    committed = fill_direct(net, [
+        rider("o0", "4", "3", 0.0, pickup_time=now + 60.0 - 100.0 - late),
+        rider("o1", "8", "1", 0.0, pickup_time=now + 20.0 - 75.0),
+    ])
+    vehs = [Vehicle(id=f"v{k}", platform="A", position="0") for k in range(3)]
+    vehs[0].onboard.add("o0")
+    vehs[0].schedule = [Stop("3", "o0", DROPOFF)]
+    vehs[1].onboard.add("o1")
+    vehs[1].schedule = [Stop("1", "o1", DROPOFF)]
+    registry = {r.id: r for r in committed}
+    rv = build_rv_graph(reqs, vehs, net, now, cons, registry=registry)
+    everyone = {**registry, **{r.id: r for r in reqs}}
+    assert ("r0", "v0") in rv.rv_edges and ("r1", "v1") in rv.rv_edges
+    for (rid, vid), found in rv.rv_edges.items():
+        veh = vehs[int(vid[1:])]
+        assert found == best_route(veh, [everyone[rid]], everyone, net, cons, now)
+    graph = build_rtv_graph(reqs, vehs, net, now, cons, registry=registry)
+    assert (("r0", "r1"), "v2") in graph.tv_edges
 
 
 def test_rv_graph_requires_direct_values():
@@ -342,6 +390,71 @@ def test_rtv_build_searches_each_route_once(monkeypatch):
         pooled |= {vid for key, vid in graph.tv_edges if len(key) > 1}
     # shared trips were enumerated for the idle, onboard and assigned vehicles
     assert pooled == {"v0", "v1", "v2"}
+
+
+def _unbounded_trips(reqs, vehs, net, cons, now, registry):
+    """Trip enumeration with no reach bound and no closed form: every single,
+    every shareable pair and every larger candidate goes to best_route."""
+    everyone = {**registry, **{r.id: r for r in reqs}}
+    ids = sorted(r.id for r in reqs)
+    shareable = {(a, b) for a, b in itertools.combinations(ids, 2)
+                 if pair_shareable(everyone[a], everyone[b], net, cons)}
+    tv_edges = {}
+    for veh in sorted(vehs, key=lambda v: v.id):
+        baseline = rtv.schedule_distance(veh, net)
+        group_base = len(veh.committed())
+        feasible = {()}
+        for size in range(1, MAX_ROUTE_STOPS // 2 + 1):
+            smaller, feasible = feasible, set()
+            for key in itertools.combinations(ids, size):
+                if size == 2 and key not in shareable:
+                    continue
+                if any(key[:i] + key[i + 1:] not in smaller for i in range(size)):
+                    continue
+                found = best_route(veh, [everyone[r] for r in key], everyone, net,
+                                   cons, now)
+                if found is not None:
+                    feasible.add(key)
+                    tv_edges[(key, veh.id)] = rtv._make_trip(
+                        key, veh, found, baseline, group_base, everyone)
+    return tv_edges
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_bounds_skip_only_infeasible_searches(data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    net = make_grid(int(rng.integers(3, 6)), int(rng.integers(3, 6)),
+                    edge_len=float(rng.integers(150, 300)), speed=9.0)
+    nodes = sorted(net.node_set())
+    cons = Constraints(max_pickup_s=float(rng.choice([60.0, 150.0, 300.0])))
+    now = 60.0
+    reqs, vehs = _random_instance(rng, net, nodes, int(rng.integers(1, 8)),
+                                  int(rng.integers(1, 5)))
+    committed = []
+    for r in reqs:  # some released after now, so a vehicle may wait
+        r.request_time = float(rng.integers(0, 120))
+    for k, veh in enumerate(vehs):  # idle, carrying a rider, or on its way to one
+        veh.capacity = int(rng.integers(0, 5))
+        kind = int(rng.integers(0, 3))
+        if kind == 1:
+            rider = _rider(rng, nodes, f"o{k}", request_time=0.0,
+                           pickup_time=now - float(rng.integers(0, 120)))
+            veh.onboard.add(rider.id)
+            veh.schedule = [Stop(rider.destination, rider.id, DROPOFF)]
+        elif kind == 2:
+            rider = _rider(rng, nodes, f"a{k}", request_time=now - 30.0,
+                           pickup_deadline=now + float(rng.integers(30, 300)))
+            veh.assigned.add(rider.id)
+            veh.schedule = [Stop(rider.origin, rider.id, PICKUP),
+                            Stop(rider.destination, rider.id, DROPOFF)]
+        else:
+            continue
+        committed.append(rider)
+    registry = {r.id: r for r in fill_direct(net, committed)}
+    graph = build_rtv_graph(reqs, vehs, net, now, cons, registry=registry)
+    want = _unbounded_trips(reqs, vehs, net, cons, now, registry)
+    assert list(graph.tv_edges.items()) == list(want.items())
 
 
 @settings(max_examples=100, deadline=None)

@@ -44,17 +44,19 @@ def main() -> None:
     for trip in sorted(graph.trips, key=lambda t: (len(t), t)):
         print(f"  trip {'+'.join(trip)}")
 
+    registry = {r.id: r for r in requests}
     for objective in ("min_delay_penalty", "min_vmt_penalty", "max_profit"):
         assignment = solve_assignment(AssignmentProblem(
-            graph=graph, objective=objective,
-            penalty=cons.unserved_penalty, scheme=scheme, net=net))
+            graph=graph, objective=objective, penalty=cons.unserved_penalty,
+            scheme=scheme, net=net, registry=registry))
         print(f"\nobjective {objective}: value {assignment.objective_value:.4f}")
         for trip in sorted(assignment.chosen, key=lambda t: t.edge_key):
             stops = " -> ".join(f"{s.kind[0]}:{s.request}@{s.node}" for s in trip.route)
             print(f"  {trip.vehicle} serves {'+'.join(trip.requests)}: {stops}")
+            profit = trip_marginal_profit(scheme, trip, net, registry)
             print(f"    incremental distance {trip.incremental_distance:.0f} m, "
-                  f"summed delay {sum(trip.per_request_delay.values()):.0f} s, "
-                  f"marginal profit {to_dollars(trip_marginal_profit(scheme, trip, net)):.2f}")
+                  f"summed delay {trip.total_delay:.0f} s, "
+                  f"marginal profit {to_dollars(profit):.2f}")
         if assignment.unserved:
             print(f"  unserved: {sorted(assignment.unserved)}")
 

@@ -300,6 +300,7 @@ class _Simulation:
                 penalty=self.constraints.unserved_penalty,
                 scheme=self.scheme,
                 net=self.net,
+                registry=self.registry,
             )
         )
 

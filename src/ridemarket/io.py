@@ -22,6 +22,7 @@ from .errors import (
     MarketError,
     OutputError,
     ScenarioParseError,
+    TooLargeError,
     UnknownKeyError,
     ValidationError,
 )
@@ -31,6 +32,9 @@ from .network import RoadNetwork, load_network, make_grid
 from .rtv import Constraints, MarketStructure
 
 REQUEST_HEADER = ["id", "request_time_s", "origin_node", "dest_node", "platform"]
+
+# gen_scenario draws and writes requests one at a time; this bounds its run time.
+MAX_REQUESTS = 1_000_000
 
 _TOP_KEYS = {
     "name", "seed", "horizon_s", "objective", "network", "requests",
@@ -506,22 +510,29 @@ def gen_scenario(
 
     Origins and destinations are distinct uniform nodes; request times are
     uniform integer seconds in [0, horizon].  The platform column is left
-    blank so episode seeding controls the demand split.
+    blank so episode seeding controls the demand split.  Every input is
+    checked before anything is drawn or written.
     """
     if n_requests < 1:
         raise ValidationError("need at least one request")
+    if n_requests > MAX_REQUESTS:
+        raise TooLargeError(f"expected at most {MAX_REQUESTS} requests, got {n_requests}")
     if not 1 <= n_platforms <= 26:
         raise ValidationError("platform count must be in 1..26")
-    if not 0 < horizon_s <= sys.float_info.max:
-        raise ValidationError("horizon must be positive and finite")
+    # request times are drawn as int64 seconds in [0, int(horizon_s)]
+    if not 0 < horizon_s < 2**63:
+        raise ValidationError(
+            f"horizon must be positive and below 2**63 s, got {horizon_s}"
+        )
     if seed < 0:
         raise ValidationError(f"seed must be non-negative, got {seed}")
+    platforms = [PlatformSpec(chr(ord("A") + k), fleet) for k in range(n_platforms)]
+    net = make_grid(rows, cols, edge_len=edge_len_m, speed=speed_mps)
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise OutputError(f"cannot create {out}: {exc}") from exc
-    net = make_grid(rows, cols, edge_len=edge_len_m, speed=speed_mps)
     rng = np.random.default_rng(seed)
     width = len(str(max(n_requests - 1, 0)))
     requests = []
@@ -549,9 +560,7 @@ def gen_scenario(
             }
         },
         "requests": "requests.csv",
-        "platforms": [
-            {"id": chr(ord("A") + k), "fleet": fleet} for k in range(n_platforms)
-        ],
+        "platforms": [{"id": p.id, "fleet": p.fleet} for p in platforms],
         "structure": {"kind": structure},
     }
     path = out / "scenario.json"

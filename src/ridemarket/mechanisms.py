@@ -297,7 +297,7 @@ def _max_profit_assignment(
     return solve_assignment(
         AssignmentProblem(
             graph=graph, objective="max_profit", penalty=0.0,
-            scheme=ctx.scheme, net=ctx.net,
+            scheme=ctx.scheme, net=ctx.net, registry=ctx.registry,
         )
     )
 
@@ -455,12 +455,11 @@ def central_trading_epoch(
     trades: list[TradeRecord] = []
     for trip in assignment.chosen:
         buyer = platform_of_vehicle[trip.vehicle]
-        profit = trip_marginal_profit(ctx.scheme, trip, ctx.net)
+        profit = trip_marginal_profit(ctx.scheme, trip, ctx.net, ctx.registry)
         total_price = round(gamma * profit)
         standalone = [
-            trip_marginal_profit(
-                ctx.scheme, ctx.graph.tv_edges[((rid,), trip.vehicle)], ctx.net
-            )
+            trip_marginal_profit(ctx.scheme, ctx.graph.tv_edges[((rid,), trip.vehicle)],
+                                 ctx.net, ctx.registry)
             for rid in trip.requests
         ]
         shares = _split_proportional(total_price, standalone, list(trip.requests))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple
+from typing import Mapping, NamedTuple
 
 from .errors import NegativeInputError, ValidationError
 from .network import RoadNetwork
@@ -211,40 +211,36 @@ class Vehicle:
 class Trip:
     """A feasible (request set, vehicle) pairing with its witness route.
 
-    total_distance runs from the vehicle's current position through every
-    stop, so it includes the empty pickup leg.  incremental_distance is the
-    extra distance versus the route the vehicle had already committed to.
+    requests is sorted by id.  incremental_distance is the extra distance
+    versus the route the vehicle had already committed to.  total_delay sums
+    each rider's dropoff time less request time and direct duration.
     """
 
     requests: tuple[str, ...]
     vehicle: str
     route: tuple[Stop, ...]
-    total_distance: float
     incremental_distance: float
-    per_request_delay: dict[str, float]
-    per_request_direct: dict[str, tuple[float, float]]
-    group_size: int = 0
-
-    def __post_init__(self) -> None:
-        self.requests = tuple(sorted(self.requests))
-        if self.group_size == 0:
-            self.group_size = len(self.requests)
+    total_delay: float
+    group_size: int
 
     @property
     def edge_key(self) -> tuple[tuple[str, ...], str]:
         return (self.requests, self.vehicle)
 
 
-def trip_marginal_profit(scheme: PricingScheme, trip: Trip, net: RoadNetwork) -> int:
+def trip_marginal_profit(
+    scheme: PricingScheme, trip: Trip, net: RoadNetwork, registry: Mapping[str, Request]
+) -> int:
     """Extra profit from adding the trip to the vehicle's current plan.
 
     New riders are billed shared when the resulting onboard group has at
-    least two riders; the driver is paid only for the added distance and
-    the corresponding driving time.
+    least two riders, each on the direct trip the registry holds; the driver
+    is paid only for the added distance and the corresponding driving time.
     """
     shared = trip.group_size >= 2
-    fares = sum(
-        rider_fare(scheme, shared, *trip.per_request_direct[r]) for r in trip.requests
-    )
+    fares = 0
+    for rid in trip.requests:
+        r = registry[rid]
+        fares += rider_fare(scheme, shared, r.direct_distance, r.direct_duration)
     duration = trip.incremental_distance / net.speed
     return fares - driver_pay(scheme, trip.incremental_distance, duration)

@@ -8,6 +8,7 @@ are rejected before anything is allocated.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,8 +44,8 @@ class RoadNetwork:
     _pred: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.speed <= 0:
-            raise InvalidDimensionError("speed must be positive")
+        if not 0 < self.speed < math.inf:
+            raise InvalidDimensionError("speed must be finite and positive")
         if len(self.nodes) > MAX_NODES:
             raise TooLargeError(
                 f"network has {len(self.nodes)} nodes; the all-pairs tables "
@@ -59,8 +60,10 @@ class RoadNetwork:
         for u, v, length in self.edges:
             if u not in self._index or v not in self._index:
                 raise DanglingEdgeError(f"edge ({u}, {v}) references undeclared node")
-            if length <= 0:
-                raise InvalidDimensionError(f"edge ({u}, {v}) has non-positive length")
+            if not 0 < length < math.inf:
+                raise InvalidDimensionError(
+                    f"edge ({u}, {v}) length must be finite and positive"
+                )
             key = (self._index[u], self._index[v])
             # parallel edges collapse to the shortest one
             if key not in best or length < best[key]:
@@ -146,8 +149,8 @@ def make_grid(rows: int, cols: int, edge_len: float, speed: float) -> RoadNetwor
     """
     if rows < 1 or cols < 1:
         raise InvalidDimensionError("grid needs at least one row and one column")
-    if edge_len <= 0 or speed <= 0:
-        raise InvalidDimensionError("edge length and speed must be positive")
+    if not (0 < edge_len < math.inf and 0 < speed < math.inf):
+        raise InvalidDimensionError("edge length and speed must be finite and positive")
     if rows * cols > MAX_NODES:
         raise TooLargeError(
             f"grid has {rows * cols} nodes; the all-pairs tables "
@@ -204,8 +207,8 @@ def load_network(path: str, speed: float = 10.0) -> RoadNetwork:
                 length = float(parts[2])
             except ValueError:
                 raise MalformedRowError(lineno, f"bad edge length {parts[2]!r}") from None
-            if length <= 0:
-                raise MalformedRowError(lineno, "edge length must be positive")
+            if not 0 < length < math.inf:
+                raise MalformedRowError(lineno, "edge length must be finite and positive")
             edges.append((parts[0], parts[1], length))
         else:
             raise MalformedRowError(lineno, "data before a section header")

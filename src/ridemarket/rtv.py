@@ -543,22 +543,16 @@ def _make_trip(
     group_base: int,
     registry: Mapping[str, Request],
 ) -> Trip:
-    delays = {
-        r: found.dropoff_times[r]
-        - (registry[r].request_time + registry[r].direct_duration)
-        for r in key
-    }
-    direct = {
-        r: (registry[r].direct_distance, registry[r].direct_duration) for r in key
-    }
     return Trip(
         requests=key,
         vehicle=veh.id,
         route=found.route,
-        total_distance=found.total_distance,
         incremental_distance=found.total_distance - baseline,
-        per_request_delay=delays,
-        per_request_direct=direct,
+        total_delay=sum(
+            found.dropoff_times[r]
+            - (registry[r].request_time + registry[r].direct_duration)
+            for r in key
+        ),
         group_size=group_base + len(key),
     )
 

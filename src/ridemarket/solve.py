@@ -22,6 +22,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from .errors import (
     TooLargeError,
     ValidationError,
 )
-from .model import METERS_PER_MILE, PricingScheme, Trip, trip_marginal_profit
+from .model import METERS_PER_MILE, PricingScheme, Request, Trip, trip_marginal_profit
 from .network import RoadNetwork
 from .rtv import RtvGraph
 
@@ -240,7 +241,7 @@ class AssignmentProblem:
 
     min_delay_penalty   sum of rider delays in minutes + penalty per unserved
     min_vmt_penalty     added route miles + penalty per unserved
-    max_profit          total marginal profit (needs scheme and net)
+    max_profit          total marginal profit (needs scheme, net and registry)
     """
 
     graph: RtvGraph
@@ -248,14 +249,16 @@ class AssignmentProblem:
     penalty: float = 10.0
     scheme: PricingScheme | None = None
     net: RoadNetwork | None = None
+    registry: Mapping[str, Request] | None = None
 
     def __post_init__(self) -> None:
         if self.objective not in OBJECTIVES:
             raise ValidationError(f"unknown objective {self.objective!r}")
         if self.penalty < 0:
             raise ValidationError("penalty must be non-negative")
-        if self.objective == "max_profit" and (self.scheme is None or self.net is None):
-            raise ValidationError("max_profit needs a pricing scheme and a network")
+        profit_inputs = (self.scheme, self.net, self.registry)
+        if self.objective == "max_profit" and None in profit_inputs:
+            raise ValidationError("max_profit needs a scheme, a network and a registry")
 
 
 @dataclass
@@ -293,11 +296,10 @@ class _Compiled:
 
 def _edge_cost_micro(problem: AssignmentProblem, trip: Trip) -> int:
     if problem.objective == "min_delay_penalty":
-        total_delay = sum(trip.per_request_delay.values())
-        return round(total_delay / 60.0 * MICRO)
+        return round(trip.total_delay / 60.0 * MICRO)
     if problem.objective == "min_vmt_penalty":
         return round(trip.incremental_distance / METERS_PER_MILE * MICRO)
-    profit = trip_marginal_profit(problem.scheme, trip, problem.net)
+    profit = trip_marginal_profit(problem.scheme, trip, problem.net, problem.registry)
     return -profit * 1000
 
 

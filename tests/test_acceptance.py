@@ -180,7 +180,8 @@ def test_criterion_01_exact_assignment():
         graph = build_rtv_graph(reqs, vehs, net, 120.0, cons)
         problem = AssignmentProblem(
             graph=graph, objective=OBJECTIVES[k % 3],
-            penalty=cons.unserved_penalty, scheme=scheme, net=net)
+            penalty=cons.unserved_penalty, scheme=scheme, net=net,
+            registry={r.id: r for r in reqs})
         if solve_assignment(problem).objective_micro == \
                 brute_force_assignment(problem).objective_micro:
             exact += 1

@@ -197,6 +197,22 @@ def test_gen_scenario_command(tmp_path, capsys):
     assert (out / "requests.csv").exists()
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--horizon-s", "1e300"),
+    ("--requests", "100000000000000000000"),
+    ("--fleet", "-3"),
+    ("--edge-len-m", "nan"),
+    ("--edge-len-m", "inf"),
+    ("--speed-mps", "inf"),
+])
+def test_gen_scenario_rejects_before_writing(tmp_path, capsys, flag, value):
+    out = tmp_path / "fresh"
+    assert main(["gen-scenario", "--out", str(out), flag, value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_missing_scenario_is_exit_one(tmp_path, capsys):
     assert main(["simulate", "--scenario", str(tmp_path / "nope.json")]) == 1
     assert "error:" in capsys.readouterr().err

@@ -187,6 +187,41 @@ def test_money_balances_and_reruns_are_byte_identical(seed):
             json.dumps(metrics_to_dict(run(sc)), sort_keys=True)
 
 
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_every_request_is_served_or_expires_by_a_legal_path(seed):
+    # each Request object of every simulation in a run, coalition
+    # re-simulations included, goes waiting -> assigned -> onboard -> served
+    # or waiting -> expired, and the run ends with no request open
+    rng = np.random.default_rng(seed)
+    net = make_grid(int(rng.integers(3, 6)), int(rng.integers(3, 6)),
+                    edge_len=float(rng.integers(200, 500)), speed=8.0)
+    nodes = sorted(net.node_set())
+    platforms = ["A", "B", "C"][: int(rng.integers(2, 4))]
+    reqs = _requests(rng, nodes, int(rng.integers(1, 13)), platforms + [""],
+                     spread_s=int(rng.integers(30, 600)))
+    specs = [PlatformSpec(p, int(rng.integers(0, 4))) for p in platforms]
+    set_state = Request.set_state
+    for kind in rtv.STRUCTURE_KINDS:
+        paths: dict[int, tuple[Request, list[str]]] = {}
+
+        def recorded(request, new):
+            paths.setdefault(id(request), (request, []))[1].append(new)
+            set_state(request, new)
+
+        alliance = frozenset(rng.choice(platforms, size=2, replace=False)) \
+            if kind == "cooperative" else frozenset()
+        sc = _scenario(net, reqs, specs, kind, seed=int(rng.integers(0, 1000)),
+                       alliance=alliance, compute_allocations=bool(rng.integers(0, 2)))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Request, "set_state", recorded)
+            m = run(sc)
+        assert m.served + m.expired == m.n_requests == len(reqs)
+        assert {r.id for r, _ in paths.values()} == {r.id for r in reqs}
+        for _, path in paths.values():
+            assert path in (["assigned", "onboard", "served"], ["expired"])
+
+
 def test_single_equals_grand_cooperative(net):
     nodes = sorted(net.node_set())
     rng = np.random.default_rng(19)

@@ -344,7 +344,8 @@ def test_central_trading_assigns_and_prices():
     assert (trades[0].seller, trades[0].buyer) == ("A", "B")
     assert len(assignment.chosen) == 1
     trip = assignment.chosen[0]
-    assert trades[0].info_price == round(0.1 * trip_marginal_profit(ctx.scheme, trip, net))
+    assert trades[0].info_price == round(
+        0.1 * trip_marginal_profit(ctx.scheme, trip, net, ctx.registry))
 
 
 def test_central_trading_skips_unprofitable():

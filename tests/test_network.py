@@ -122,6 +122,24 @@ def test_dangling_edge_and_bad_speed_raise(tmp_path):
         load_network(str(duplicate))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), 0.0, -1.0])
+def test_non_finite_or_non_positive_length_and_speed_raise(bad, tmp_path):
+    # NaN fails no `<= 0` test, so each check must require a finite
+    # positive value rather than reject non-positive ones
+    with pytest.raises(InvalidDimensionError):
+        make_grid(2, 2, edge_len=bad, speed=10.0)
+    with pytest.raises(InvalidDimensionError):
+        make_grid(2, 2, edge_len=100.0, speed=bad)
+    with pytest.raises(InvalidDimensionError):
+        RoadNetwork(nodes=["a", "b"], edges=[("a", "b", bad)], speed=10.0)
+    with pytest.raises(InvalidDimensionError):
+        RoadNetwork(nodes=["a", "b"], edges=[("a", "b", 10.0)], speed=bad)
+    path = tmp_path / "net.csv"
+    path.write_text(f"#nodes\na\nb\n#edges\na,b,10\nb,a,{bad}\n", encoding="utf-8")
+    with pytest.raises(MalformedRowError, match="line 6"):
+        load_network(str(path))
+
+
 def test_unreadable_network_file_raises(tmp_path):
     binary = tmp_path / "net.csv"
     binary.write_bytes(b"\xff\xfe\x00\x81")

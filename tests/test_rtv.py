@@ -314,6 +314,8 @@ def test_trip_enumeration_structural_properties():
         reqs, vehs = _random_instance(rng, net, nodes, int(rng.integers(3, 7)), 3)
         rv = build_rv_graph(reqs, vehs, net, 60.0, cons)
         graph = build_rtv_graph(reqs, vehs, net, 60.0, cons)
+        registry = {r.id: r for r in reqs}
+        veh_by_id = {v.id: v for v in vehs}
         rr = set(rv.rr_edges)
         rvs = set(rv.rv_edges)
         for (key, vid), trip in graph.tv_edges.items():
@@ -335,7 +337,15 @@ def test_trip_enumeration_structural_properties():
                 if stop.kind == "dropoff":
                     assert ("pickup", stop.request) in seen
                 seen.add((stop.kind, stop.request))
-            assert all(d >= -EPS for d in trip.per_request_delay.values())
+            # every rider's delay, recomputed from the route search, is
+            # non-negative and sums in key order to the trip's total
+            found = best_route(veh_by_id[vid], [registry[r] for r in key], registry,
+                               net, cons, 60.0)
+            delays = [found.dropoff_times[r]
+                      - (registry[r].request_time + registry[r].direct_duration)
+                      for r in key]
+            assert all(d >= -EPS for d in delays)
+            assert sum(delays) == trip.total_delay
     assert saw_pool
 
 
@@ -383,10 +393,12 @@ def test_rtv_build_searches_each_route_once(monkeypatch):
         singles = {(key[0], vid): trip for (key, vid), trip in graph.tv_edges.items()
                    if len(key) == 1}
         assert sorted(singles) == list(rv.rv_edges)
+        veh_by_id = {v.id: v for v in vehs}
         for pair, trip in singles.items():
             found = rv.rv_edges[pair]
             assert trip.route is found.route
-            assert trip.total_distance == found.total_distance
+            baseline = rtv.schedule_distance(veh_by_id[pair[1]], net)
+            assert trip.incremental_distance == found.total_distance - baseline
         pooled |= {vid for key, vid in graph.tv_edges if len(key) > 1}
     # shared trips were enumerated for the idle, onboard and assigned vehicles
     assert pooled == {"v0", "v1", "v2"}

@@ -164,7 +164,7 @@ def _random_graph(rng, net, nodes, n_req, n_veh, now=60.0, colocated=False):
                     position=depot or nodes[int(rng.integers(0, len(nodes)))],
                     capacity=4)
             for k in range(n_veh)]
-    return build_rtv_graph(reqs, vehs, net, now, Constraints())
+    return build_rtv_graph(reqs, vehs, net, now, Constraints()), {r.id: r for r in reqs}
 
 
 def test_assignment_matches_brute_force():
@@ -173,12 +173,12 @@ def test_assignment_matches_brute_force():
     scheme = PricingScheme()
     rng = np.random.default_rng(11)
     for trial in range(120):
-        graph = _random_graph(rng, net, nodes,
-                              int(rng.integers(3, 9)), int(rng.integers(2, 6)),
-                              colocated=trial >= 60)
+        graph, registry = _random_graph(rng, net, nodes,
+                                        int(rng.integers(3, 9)), int(rng.integers(2, 6)),
+                                        colocated=trial >= 60)
         problem = AssignmentProblem(
             graph=graph, objective=OBJECTIVES[trial % 3], penalty=10.0,
-            scheme=scheme, net=net,
+            scheme=scheme, net=net, registry=registry,
         )
         got = solve_assignment(problem)
         want = brute_force_assignment(problem)
@@ -242,14 +242,14 @@ def test_assignment_optimum_matches_milp_beyond_oracle_guard():
     nodes = sorted(net.node_set())
     rng = np.random.default_rng(3)
     for trial in range(4):
-        graph = _random_graph(rng, net, nodes,
-                              int(rng.integers(12, 21)), int(rng.integers(6, 11)),
-                              colocated=trial % 2 == 1)
+        graph, registry = _random_graph(rng, net, nodes,
+                                        int(rng.integers(12, 21)), int(rng.integers(6, 11)),
+                                        colocated=trial % 2 == 1)
         assert len(graph.requests) > 8 and len(graph.vehicles) > 5
         for objective in OBJECTIVES:
             problem = AssignmentProblem(
                 graph=graph, objective=objective, penalty=10.0,
-                scheme=PricingScheme(), net=net,
+                scheme=PricingScheme(), net=net, registry=registry,
             )
             assert solve_assignment(problem).objective_micro == \
                 _milp_objective_micro(problem)
@@ -275,11 +275,11 @@ def test_node_lps_are_packing_form_without_phase_one(monkeypatch):
     monkeypatch.setattr(solve, "solve_lp", counted_lp)
     monkeypatch.setattr(solve, "_simplex_iterate", counted_iterate)
     for trial in range(12):
-        graph = _random_graph(rng, net, nodes, int(rng.integers(6, 13)),
-                              int(rng.integers(3, 7)), colocated=trial % 2 == 0)
+        graph, registry = _random_graph(rng, net, nodes, int(rng.integers(6, 13)),
+                                        int(rng.integers(3, 7)), colocated=trial % 2 == 0)
         solve_assignment(AssignmentProblem(
             graph=graph, objective=OBJECTIVES[trial % 3], penalty=10.0,
-            scheme=PricingScheme(), net=net,
+            scheme=PricingScheme(), net=net, registry=registry,
         ))
     assert len(lps) > 12
     for lp in lps:
@@ -297,12 +297,12 @@ def test_root_bound_matches_highs_on_the_xy_form():
     nodes = sorted(net.node_set())
     rng = np.random.default_rng(29)
     for trial in range(20):
-        graph = _random_graph(rng, net, nodes, int(rng.integers(3, 16)),
-                              int(rng.integers(2, 9)), colocated=trial % 2 == 0)
+        graph, registry = _random_graph(rng, net, nodes, int(rng.integers(3, 16)),
+                                        int(rng.integers(2, 9)), colocated=trial % 2 == 0)
         for objective in OBJECTIVES:
             problem = AssignmentProblem(
                 graph=graph, objective=objective, penalty=10.0,
-                scheme=PricingScheme(), net=net,
+                scheme=PricingScheme(), net=net, registry=registry,
             )
             comp = solve._compile(problem)
             if not comp.edges:
@@ -334,8 +334,8 @@ def test_assignment_ignores_input_order(seed, objective, colocated, shuffle):
     net = _PERMUTE_NET
     nodes = sorted(net.node_set())
     rng = np.random.default_rng(seed)
-    graph = _random_graph(rng, net, nodes, int(rng.integers(3, 9)),
-                          int(rng.integers(2, 6)), colocated=colocated)
+    graph, registry = _random_graph(rng, net, nodes, int(rng.integers(3, 9)),
+                                    int(rng.integers(2, 6)), colocated=colocated)
     items = list(graph.tv_edges.items())
     requests, vehicles = list(graph.requests), list(graph.vehicles)
     for seq in (items, requests, vehicles):
@@ -345,7 +345,7 @@ def test_assignment_ignores_input_order(seed, objective, colocated, shuffle):
     def solved(g):
         return solve_assignment(AssignmentProblem(
             graph=g, objective=objective, penalty=10.0,
-            scheme=PricingScheme(), net=net,
+            scheme=PricingScheme(), net=net, registry=registry,
         ))
 
     assert solved(permuted) == solved(graph)
@@ -359,11 +359,11 @@ def test_assignment_zero_penalty_profit():
     nodes = sorted(net.node_set())
     rng = np.random.default_rng(19)
     for _ in range(15):
-        graph = _random_graph(rng, net, nodes, int(rng.integers(3, 7)), 3)
+        graph, registry = _random_graph(rng, net, nodes, int(rng.integers(3, 7)), 3)
         for objective in OBJECTIVES:
             problem = AssignmentProblem(
                 graph=graph, objective=objective, penalty=0.0,
-                scheme=PricingScheme(), net=net,
+                scheme=PricingScheme(), net=net, registry=registry,
             )
             got = solve_assignment(problem)
             want = brute_force_assignment(problem)
@@ -394,7 +394,7 @@ def test_failed_later_node_lp_is_a_solver_error(monkeypatch):
     # the root is a solver fault too, not a subtree to drop
     net = make_grid(5, 5, edge_len=300.0, speed=8.0)
     nodes = sorted(net.node_set())
-    graph = _random_graph(np.random.default_rng(0), net, nodes, 6, 3, colocated=True)
+    graph, _ = _random_graph(np.random.default_rng(0), net, nodes, 6, 3, colocated=True)
     problem = AssignmentProblem(graph=graph)
     real = solve.solve_lp
     calls = []
@@ -443,13 +443,15 @@ def test_assignment_problem_validation():
     with pytest.raises(ValidationError):
         AssignmentProblem(graph=graph, penalty=-1.0)
     with pytest.raises(ValidationError):
-        AssignmentProblem(graph=graph, objective="max_profit")  # needs scheme+net
+        AssignmentProblem(graph=graph, objective="max_profit")  # needs scheme, net, registry
+    with pytest.raises(ValidationError):
+        AssignmentProblem(graph=graph, objective="max_profit", scheme=PricingScheme(), net=net)
 
 
 def test_brute_force_guard():
     net = make_grid(4, 4, edge_len=200.0, speed=10.0)
     nodes = sorted(net.node_set())
     rng = np.random.default_rng(5)
-    graph = _random_graph(rng, net, nodes, 9, 2)
+    graph, _ = _random_graph(rng, net, nodes, 9, 2)
     with pytest.raises(TooLargeError):
         brute_force_assignment(AssignmentProblem(graph=graph))

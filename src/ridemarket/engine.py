@@ -62,6 +62,12 @@ _EPS = 1e-9
 # each, so a larger fleet fails here instead of exhausting memory.
 MAX_FLEET = 100_000
 
+# Decision epochs per episode: the loop steps every interval from 0 past the
+# horizon, so a far horizon or a tiny interval fails here instead of running
+# for days.  The loop allows _DRAIN_EPOCHS beyond the last wait deadline.
+MAX_EPOCHS = 1_000_000
+_DRAIN_EPOCHS = 10_000
+
 
 @dataclass(frozen=True)
 class PlatformSpec:
@@ -142,6 +148,17 @@ class Scenario:
                     raise ValidationError(
                         f"platform {spec.id}: unknown position {node!r}"
                     )
+
+
+def epoch_budget(horizon_s: float, constraints: Constraints) -> int:
+    """Epochs an episode may step through before it must have drained."""
+    epochs = (horizon_s + constraints.max_wait_s) / constraints.interval_s
+    if not epochs < MAX_EPOCHS - _DRAIN_EPOCHS:
+        raise TooLargeError(
+            f"a {horizon_s:g} s horizon in {constraints.interval_s:g} s intervals "
+            f"needs {epochs:.3g} decision epochs; expected at most {MAX_EPOCHS}"
+        )
+    return int(epochs) + _DRAIN_EPOCHS
 
 
 def resolve_scenario(scenario: Scenario) -> tuple[list[Request], list[Vehicle]]:
@@ -463,8 +480,7 @@ class _Simulation:
 
     def run(self) -> EpisodeMetrics:
         dt = self.constraints.interval_s
-        horizon = self.sc.horizon_s
-        max_epochs = int((horizon + self.constraints.max_wait_s) / dt) + 10000
+        max_epochs = epoch_budget(self.sc.horizon_s, self.constraints)
         now = 0.0
         cursor = 0
         for epoch in range(max_epochs):
@@ -555,13 +571,10 @@ def run(scenario: Scenario) -> EpisodeMetrics:
     return run_detailed(scenario).metrics
 
 
-def characteristic_value(scenario: Scenario, coalition) -> int:
-    """Joint profit (fixed point) of the coalition operating alone.
-
-    The coalition's fleets and customers are lifted out of the full
-    scenario, keeping the resolved vehicle placements and demand split,
-    and re-simulated as a single pooled market.
-    """
+def _coalition_scenario(scenario: Scenario, coalition) -> Scenario:
+    """The coalition's fleets and customers lifted out of the full scenario,
+    with its resolved vehicle placements and demand split, as one pooled
+    single market."""
     members = sorted(set(coalition))
     known = {p.id for p in scenario.platforms}
     if not members:
@@ -574,9 +587,9 @@ def characteristic_value(scenario: Scenario, coalition) -> int:
     for pid in members:
         positions = tuple(v.position for v in vehicles if v.platform == pid)
         specs.append(PlatformSpec(id=pid, fleet=len(positions), positions=positions))
-    sub = Scenario(
+    return Scenario(
         net=scenario.net,
-        requests=[r for r in requests if r.platform in set(members)],
+        requests=[r for r in requests if r.platform in members],
         platforms=specs,
         structure=MarketStructure("single"),
         constraints=scenario.constraints,
@@ -587,12 +600,27 @@ def characteristic_value(scenario: Scenario, coalition) -> int:
         name=f"{scenario.name}:{'+'.join(members)}",
         compute_allocations=False,
     )
-    metrics = run(sub)
+
+
+def characteristic_value(scenario: Scenario, coalition) -> int:
+    """Joint profit (fixed point) of the coalition operating alone.
+
+    The coalition's fleets and customers are lifted out of the full
+    scenario, keeping the resolved vehicle placements and demand split,
+    and re-simulated as a single pooled market.
+    """
+    metrics = run(_coalition_scenario(scenario, coalition))
     return metrics.total_fares - metrics.total_driver_pay
 
 
 def build_coalition_game(scenario: Scenario) -> CoalitionGame:
     """Characteristic function over the alliance via re-simulation."""
+    return _coalition_game(scenario, None)
+
+
+def _coalition_game(scenario: Scenario, grand_value: int | None) -> CoalitionGame:
+    """Every coalition of the alliance re-simulated, except the grand
+    coalition when its value is given."""
     members = sorted(
         scenario.structure.alliance or {p.id for p in scenario.platforms}
     )
@@ -601,7 +629,10 @@ def build_coalition_game(scenario: Scenario) -> CoalitionGame:
     values = {}
     for size in range(1, len(members) + 1):
         for combo in itertools.combinations(members, size):
-            values[frozenset(combo)] = characteristic_value(scenario, combo)
+            if size == len(members) and grand_value is not None:
+                values[frozenset(combo)] = grand_value
+            else:
+                values[frozenset(combo)] = characteristic_value(scenario, combo)
     return CoalitionGame(players=tuple(members), values=values)
 
 
@@ -610,7 +641,16 @@ def _allocation_dollars(allocation: Allocation) -> dict[str, float]:
 
 
 def _attach_allocations(scenario: Scenario, metrics: EpisodeMetrics) -> None:
-    game = build_coalition_game(scenario)
+    # An alliance of every platform keeps every trip edge, as single does,
+    # and the grand coalition's sub-scenario resolves the same requests and
+    # vehicles, so re-simulating it would repeat this run.  A partial
+    # alliance is matched together with the outsiders here, which can
+    # break ties differently from the alliance matched alone.
+    everyone = {p.id for p in scenario.platforms}
+    grand_value = None
+    if set(scenario.structure.alliance or everyone) == everyone:
+        grand_value = metrics.total_fares - metrics.total_driver_pay
+    game = _coalition_game(scenario, grand_value)
     metrics.coalition_values = {
         ",".join(sorted(k)): v for k, v in game.values.items()
     }

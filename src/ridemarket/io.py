@@ -17,7 +17,13 @@ from typing import Mapping
 
 import numpy as np
 
-from .engine import EpisodeMetrics, PlatformMetrics, PlatformSpec, Scenario
+from .engine import (
+    EpisodeMetrics,
+    PlatformMetrics,
+    PlatformSpec,
+    Scenario,
+    epoch_budget,
+)
 from .errors import (
     MarketError,
     OutputError,
@@ -157,10 +163,16 @@ def load_requests(path: str | Path) -> list[Request]:
     return requests
 
 
+def _time_text(t: float) -> str:
+    """``%g`` text when it reads back as ``t`` (``600``), else ``repr``."""
+    short = f"{t:g}"
+    return short if float(short) == t else repr(t)
+
+
 def write_requests(requests: list[Request], path: str | Path) -> None:
     lines = [",".join(REQUEST_HEADER)]
     for r in sorted(requests, key=lambda r: (r.request_time, r.id)):
-        time_s = f"{r.request_time:g}"
+        time_s = _time_text(r.request_time)
         lines.append(f"{r.id},{time_s},{r.origin},{r.destination},{r.platform}")
     write_text(path, "\n".join(lines) + "\n")
 
@@ -519,11 +531,10 @@ def gen_scenario(
         raise TooLargeError(f"expected at most {MAX_REQUESTS} requests, got {n_requests}")
     if not 1 <= n_platforms <= 26:
         raise ValidationError("platform count must be in 1..26")
-    # request times are drawn as int64 seconds in [0, int(horizon_s)]
-    if not 0 < horizon_s < 2**63:
-        raise ValidationError(
-            f"horizon must be positive and below 2**63 s, got {horizon_s}"
-        )
+    if not 0 < horizon_s < float("inf"):
+        raise ValidationError(f"horizon must be positive and finite, got {horizon_s}")
+    # the bundle runs with default constraints
+    epoch_budget(horizon_s, Constraints())
     if seed < 0:
         raise ValidationError(f"seed must be non-negative, got {seed}")
     platforms = [PlatformSpec(chr(ord("A") + k), fleet) for k in range(n_platforms)]

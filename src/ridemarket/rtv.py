@@ -582,9 +582,10 @@ def apply_market_structure(
 
     Single keeps everything.  Segmented keeps only same-platform trips
     served by that platform's vehicles.  Cooperative dissolves boundaries
-    within the alliance.  The trading and marketplace structures start from
-    the segmented graph; their cross-platform edges come from the trading
-    or auction stage, not from matching.
+    within the alliance, every platform when none is named.  The trading
+    and marketplace structures start from the segmented graph; their
+    cross-platform edges come from the trading or auction stage, not from
+    matching.
     """
 
     def request_group(rid: str) -> str:
@@ -601,13 +602,14 @@ def apply_market_structure(
             raise UnmappedEntityError(f"vehicle {vid!r} has no platform") from None
         return _group(platform)
 
-    if structure.kind == "single":
-        def _group(platform: str) -> str:
-            return "__pool__"
-    elif structure.kind == "cooperative":
-        alliance = structure.alliance or frozenset(platform_of_vehicle.values())
+    if structure.kind == "cooperative" and structure.alliance:
+        alliance = structure.alliance
         def _group(platform: str) -> str:
             return "__alliance__" if platform in alliance else platform
+    elif structure.kind in ("single", "cooperative"):
+        # the default alliance is every platform, fleetless ones included
+        def _group(platform: str) -> str:
+            return "__pool__"
     else:
         def _group(platform: str) -> str:
             return platform

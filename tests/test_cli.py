@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, seeding precedence, exit codes."""
 import json
+import time
 
 import pytest
 
@@ -199,6 +200,7 @@ def test_gen_scenario_command(tmp_path, capsys):
 
 @pytest.mark.parametrize("flag, value", [
     ("--horizon-s", "1e300"),
+    ("--horizon-s", "1e12"),
     ("--requests", "100000000000000000000"),
     ("--fleet", "-3"),
     ("--edge-len-m", "nan"),
@@ -211,6 +213,19 @@ def test_gen_scenario_rejects_before_writing(tmp_path, capsys, flag, value):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+def test_far_horizon_fails_before_the_first_epoch(bundle, capsys):
+    # 1e12 s in 30 s intervals would step about 3e10 empty epochs
+    doc = json.loads(bundle.read_text())
+    doc["horizon_s"] = 1e12
+    bundle.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    assert main(["simulate", "--scenario", str(bundle)]) == 1
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "decision epochs" in err
 
 
 def test_missing_scenario_is_exit_one(tmp_path, capsys):

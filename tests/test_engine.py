@@ -8,13 +8,17 @@ from hypothesis import given, settings, strategies as st
 
 from ridemarket import rtv
 from ridemarket.engine import (
+    MAX_EPOCHS,
     MAX_FLEET,
     PlatformSpec,
     Scenario,
+    _coalition_scenario,
     build_coalition_game,
     characteristic_value,
+    epoch_budget,
     resolve_scenario,
     run,
+    run_detailed,
 )
 from ridemarket.errors import DrainError, TooLargeError, ValidationError
 from ridemarket.io import metrics_to_dict
@@ -124,6 +128,17 @@ def test_fleet_above_bound_fails_before_allocating():
     assert PlatformSpec("A", MAX_FLEET).fleet == MAX_FLEET
     with pytest.raises(TooLargeError, match=f"at most {MAX_FLEET}, got {10**12}"):
         PlatformSpec("A", 10**12)
+
+
+def test_epoch_budget_is_bounded():
+    c = Constraints()
+    assert epoch_budget(1200.0, c) == 50 + 10_000
+    assert epoch_budget(MAX_EPOCHS * 29.0, c) <= MAX_EPOCHS
+    for horizon_s in (MAX_EPOCHS * 30.0, 1e12, float("inf"), float("nan")):
+        with pytest.raises(TooLargeError, match=f"expected at most {MAX_EPOCHS}"):
+            epoch_budget(horizon_s, c)
+    with pytest.raises(TooLargeError):
+        epoch_budget(600.0, Constraints(interval_s=1e-4))
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +327,80 @@ def test_characteristic_value_of_grand_coalition(net):
     assert grand == m.total_fares - m.total_driver_pay
     assert m.coalition_values["A,B"] == grand
     assert set(m.coalition_values) == {"A", "B", "A,B"}
+
+
+def _outcomes(state):
+    requests = {
+        rid: (r.state, r.platform, r.origin_platform, r.assigned_vehicle,
+              r.pickup_time, r.served_time, r.fare_paid, r.traded)
+        for rid, r in state.requests.items()
+    }
+    vehicles = {
+        vid: (v.platform, v.position, v.odometer, v.schedule, v.assigned, v.onboard)
+        for vid, v in state.vehicles.items()
+    }
+    metrics = metrics_to_dict(state.metrics)
+    # the structure is the scenario's; the name labels the sub-scenario
+    metrics.pop("structure"), metrics.pop("scenario")
+    return requests, vehicles, metrics
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_grand_coalition_rerun_repeats_the_cooperative_run(seed):
+    # an alliance of every platform: its grand coalition's re-simulation is
+    # this very episode, which is why allocations take v(grand) from the run
+    rng = np.random.default_rng(seed)
+    net = make_grid(int(rng.integers(3, 6)), int(rng.integers(3, 6)),
+                    edge_len=float(rng.integers(200, 500)), speed=8.0)
+    nodes = sorted(net.node_set())
+    platforms = ["A", "B", "C"][: int(rng.integers(2, 4))]
+    # blank tags go through the seeded demand split
+    reqs = _requests(rng, nodes, int(rng.integers(1, 13)), platforms + [""],
+                     spread_s=int(rng.integers(30, 600)))
+    specs = []
+    for p in platforms:
+        fleet = int(rng.integers(0, 4))  # a zero fleet now and then
+        positions = tuple(str(n) for n in rng.choice(nodes, size=fleet)) \
+            if rng.integers(0, 2) else None
+        specs.append(PlatformSpec(p, fleet, positions))
+    alliance = frozenset(platforms) if rng.integers(0, 2) else frozenset()
+    sc = _scenario(net, reqs, specs, "cooperative", seed=int(rng.integers(0, 1000)),
+                   alliance=alliance, compute_allocations=False)
+    assert _outcomes(run_detailed(sc)) == \
+        _outcomes(run_detailed(_coalition_scenario(sc, platforms)))
+
+
+def _three_platform_alliance(net, alliance):
+    reqs = _requests(np.random.default_rng(67), sorted(net.node_set()), 14,
+                     ["A", "B", "C", ""])
+    specs = [PlatformSpec("A", 2), PlatformSpec("B", 1), PlatformSpec("C", 2)]
+    return _scenario(net, reqs, specs, "cooperative", seed=71, alliance=alliance)
+
+
+def test_full_alliance_takes_grand_value_from_the_run(net, monkeypatch):
+    sc = _three_platform_alliance(net, frozenset({"A", "B", "C"}))
+    game = build_coalition_game(sc)  # re-simulates all seven coalitions
+    called = []
+    value = characteristic_value
+    monkeypatch.setattr("ridemarket.engine.characteristic_value",
+                        lambda s, c: called.append(tuple(c)) or value(s, c))
+    m = run(sc)
+    assert len(called) == 2**3 - 2 and ("A", "B", "C") not in called
+    assert m.coalition_values == {",".join(sorted(k)): v for k, v in game.values.items()}
+    assert m.coalition_values["A,B,C"] == m.total_fares - m.total_driver_pay
+
+
+def test_partial_alliance_resimulates_its_grand_coalition(net):
+    # C is outside the alliance, so the run matches A, B and C in one
+    # assignment; its lexicographic tie-break can pick a different optimum
+    # for A and B than the two matched alone, so the run's A+B profit is no
+    # stand-in for v({A, B}) and every coalition is re-simulated
+    sc = _three_platform_alliance(net, frozenset({"A", "B"}))
+    m = run(sc)
+    assert m.coalition_values == {
+        ",".join(c): characteristic_value(sc, c) for c in (("A",), ("B",), ("A", "B"))
+    }
 
 
 def test_characteristic_value_solo_uses_own_fleet_only(net):

@@ -44,6 +44,17 @@ def test_request_csv_round_trip(tmp_path):
         [("r0", "0", "8", 0.0, "A"), ("r1", "3", "5", 42.0, "")]
 
 
+def test_request_times_read_back_exactly(tmp_path):
+    path = tmp_path / "requests.csv"
+    times = (423326123457.0, 0.1, 600.0)
+    write_requests([Request(id=f"r{i}", origin="0", destination="8",
+                            request_time=t, platform="A")
+                    for i, t in enumerate(times)], path)
+    assert [r.request_time for r in load_requests(path)] == sorted(times)
+    # integer times below 1e6 keep their short text
+    assert "r2,600,0,8,A" in path.read_text().splitlines()
+
+
 def test_request_csv_rejects_wrong_header(tmp_path):
     path = tmp_path / "requests.csv"
     path.write_text("id,when,origin_node,dest_node,platform\nr0,0,0,8,A\n")

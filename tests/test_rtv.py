@@ -539,6 +539,13 @@ def test_market_structure_filters():
         p_veh,
     )
     assert coop.tv_edges == graph.tv_edges  # grand alliance pools everything
+    # the default alliance is every platform, also one without vehicles
+    no_b = {vid: "A" for vid in p_veh}
+    for alliance in (None, frozenset()):
+        coop = apply_market_structure(
+            graph, MarketStructure(kind="cooperative", alliance=alliance), p_req, no_b
+        )
+        assert coop.tv_edges == graph.tv_edges
 
     for kind in ("bilateral", "central", "marketplace"):
         filtered = apply_market_structure(graph, MarketStructure(kind=kind), p_req, p_veh)

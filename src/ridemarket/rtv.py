@@ -8,7 +8,8 @@ exact too.  An idle vehicle's single has one stop order, computed in
 closed form with ``best_route``'s own float operations; reach bounds on
 shortest paths skip a pair whose pickup misses its deadline, or that
 makes a committed stop miss its own, and an idle vehicle's request pair
-whose second pickup comes too late in either order.  The request-request
+whose second pickup comes too late in either order; idle vehicles with
+the same position and capacity are searched once.  The request-request
 test (``pair_shareable``) is a heuristic probe, not a relaxation: it can
 reject a pair that a real vehicle could serve together, and trip
 enumeration then never tries that pair.  A market structure acts on the
@@ -463,7 +464,11 @@ def enumerate_trips(
     each vehicle's own capacity.  An idle vehicle skips the search for a
     pair when neither pickup order reaches the second pickup by its
     deadline, even on shortest paths from the first pickup time of its
-    single's route.
+    single's route.  Idle twins are enumerated once: an idle vehicle's
+    routes depend only on its position and capacity (``build_rv_graph``
+    gives twins the same singles), so an idle vehicle whose (position,
+    capacity) an earlier one already had gets a copy of that vehicle's
+    trips under its own id, with no route search.
     """
     reqs = sorted(requests, key=lambda r: r.id)
     vehs = sorted(vehicles, key=lambda v: v.id)
@@ -486,16 +491,24 @@ def enumerate_trips(
         if rid in pickup:
             routes_of.setdefault(vid, {})[rid] = found
 
+    # The trips of the first idle vehicle at each (position, capacity).
+    idle_trips: dict[tuple[str, int], list[Trip]] = {}
     for veh in vehs:
+        idle = not veh.onboard and not veh.assigned
+        twin = idle_trips.get((veh.position, veh.capacity)) if idle else None
+        if twin is not None:
+            vid = veh.id
+            for t in twin:
+                tv_edges[(t.requests, vid)] = Trip(
+                    t.requests, vid, t.route, t.incremental_distance,
+                    t.total_delay, t.group_size)
+            continue
         baseline = schedule_distance(veh, net)
         group_base = len(veh.committed())
         routes = routes_of.get(veh.id, {})
         singles = list(routes)
-        for rid in singles:
-            tv_edges[((rid,), veh.id)] = _make_trip(
-                (rid,), veh, routes[rid], baseline, group_base, registry
-            )
-        idle = not veh.onboard and not veh.assigned
+        own = [_make_trip((rid,), veh, routes[rid], baseline, group_base, registry)
+               for rid in singles]
         smaller = {(rid,) for rid in singles}
         for size in range(2, min(MAX_ROUTE_STOPS // 2, len(singles)) + 1):
             candidates = [
@@ -524,9 +537,11 @@ def enumerate_trips(
                 if found is None:
                     continue
                 smaller.add(key)
-                tv_edges[(key, veh.id)] = _make_trip(
-                    key, veh, found, baseline, group_base, registry
-                )
+                own.append(_make_trip(key, veh, found, baseline, group_base, registry))
+        for t in own:
+            tv_edges[(t.requests, t.vehicle)] = t
+        if idle:
+            idle_trips[(veh.position, veh.capacity)] = own
 
     return RtvGraph(
         requests=[r.id for r in reqs],
@@ -588,19 +603,11 @@ def apply_market_structure(
     matching.
     """
 
-    def request_group(rid: str) -> str:
+    def platform_of(of: Mapping[str, str], kind: str, eid: str) -> str:
         try:
-            platform = platform_of_request[rid]
+            return of[eid]
         except KeyError:
-            raise UnmappedEntityError(f"request {rid!r} has no platform") from None
-        return _group(platform)
-
-    def vehicle_group(vid: str) -> str:
-        try:
-            platform = platform_of_vehicle[vid]
-        except KeyError:
-            raise UnmappedEntityError(f"vehicle {vid!r} has no platform") from None
-        return _group(platform)
+            raise UnmappedEntityError(f"{kind} {eid!r} has no platform") from None
 
     if structure.kind == "cooperative" and structure.alliance:
         alliance = structure.alliance
@@ -614,10 +621,22 @@ def apply_market_structure(
         def _group(platform: str) -> str:
             return platform
 
+    # Per call: the one group of a trip key's requests (None when they span
+    # several), and each vehicle's group, looked up where the edge loop
+    # first needs them, so an unmapped id raises at the same edge.
+    key_group: dict[tuple[str, ...], str | None] = {}
+    vehicle_group: dict[str, str] = {}
     tv = {}
     for (key, vid), trip in graph.tv_edges.items():
-        groups = {request_group(r) for r in key}
-        if len(groups) == 1 and vehicle_group(vid) in groups:
+        if key not in key_group:
+            groups = {_group(platform_of(platform_of_request, "request", r)) for r in key}
+            key_group[key] = groups.pop() if len(groups) == 1 else None
+        group = key_group[key]
+        if group is None:
+            continue
+        if vid not in vehicle_group:
+            vehicle_group[vid] = _group(platform_of(platform_of_vehicle, "vehicle", vid))
+        if vehicle_group[vid] == group:
             tv[(key, vid)] = trip
     return RtvGraph(
         requests=list(graph.requests),

@@ -8,14 +8,18 @@ runs phase 1 only when a row needs an artificial column (``>=`` and
 it in a best-bound branch and bound over integer micro-unit costs, which
 makes optimal values exactly comparable and lets ties be broken
 deterministically: lowest cost, then the lexicographically smallest
-chosen edge set, with edges ordered by their (trip, vehicle) key.  Its
-node LPs are in packing form: the unserved indicators are substituted
-out, one column per free edge remains, every row reads ``<= 1``, and so
-x = 0 is a feasible start and no node LP runs phase 1.  Each assignment
-solves its root relaxation once: it is the root node of the branch and
-bound, and its reduced costs fix out every edge that lies in no optimum
-before the tie-break scan, which also skips edges that clash with its
-committed set.
+chosen edge set, with edges ordered by their (trip, vehicle) key.
+Vehicles with identical trips at identical costs are twins, and each twin
+class is solved as one vehicle of its size: node LPs have one column per
+free edge of the class's lowest-id vehicle.  They are in packing form:
+the unserved indicators are substituted out, a request row reads
+``<= 1`` and a class row ``<= k`` less its fixed-in edges, k the class
+size, and so x = 0 is a feasible start and no node LP runs phase 1.  Each assignment solves its
+root relaxation once: it is the root node of the branch and bound, and
+its reduced costs fix out every class edge that lies in no optimum before
+the tie-break scan.  The scan walks the original edges, hands each
+class's trips to its members in id order, and skips edges that clash
+with its committed set.
 """
 from __future__ import annotations
 
@@ -280,13 +284,27 @@ class Assignment:
 
 @dataclass
 class _Compiled:
+    """An assignment problem over edges in sorted (trip, vehicle) order.
+
+    Vehicles with identical (trip key, cost) lists are twins; each twin
+    class is numbered in the order of its lowest vehicle id, which
+    represents it.  ``edge_member`` is the rank of an edge's vehicle in its
+    class by id, and ``edge_rep`` the class representative's edge with the
+    same trip, which precedes it in the sorted order.  Node LPs and the
+    branch and bound work on representative edges, ``reps``.
+    """
+
     edges: list[Trip]
     costs: list[int]          # micro-units per edge
     penalty_micro: int
     requests: list[str]
     vehicles: list[str]
     edge_requests: list[frozenset[int]]
-    edge_vehicle: list[int]
+    edge_class: list[int]
+    edge_member: list[int]
+    edge_rep: list[int]
+    class_size: list[int]
+    reps: list[int]
     scale: float = 1.0
 
     def __post_init__(self) -> None:
@@ -307,15 +325,44 @@ def _compile(problem: AssignmentProblem) -> _Compiled:
     graph = problem.graph
     edges = graph.edges_sorted()
     req_index = {r: i for i, r in enumerate(graph.requests)}
-    veh_index = {v: i for i, v in enumerate(graph.vehicles)}
+    costs, edge_requests = [], []
+    signature: dict[str, list] = {}  # vehicle id -> its trip keys and costs
+    key = served = None
+    for t in edges:
+        if t.requests != key:  # the edges of one trip are adjacent
+            key = t.requests
+            served = frozenset(req_index[r] for r in key)
+        cost = _edge_cost_micro(problem, t)
+        costs.append(cost)
+        edge_requests.append(served)
+        signature.setdefault(t.vehicle, []).extend((key, cost))
+    classes: dict[tuple, list[str]] = {}
+    for vid in sorted(signature):
+        classes.setdefault(tuple(signature[vid]), []).append(vid)
+    place = {vid: (c, j) for c, members in enumerate(classes.values())
+             for j, vid in enumerate(members)}
+    edge_class, edge_member, edge_rep, reps = [], [], [], []
+    latest = [0] * len(classes)  # each class's latest representative edge
+    for e, t in enumerate(edges):
+        c, j = place[t.vehicle]
+        if j == 0:
+            latest[c] = e
+            reps.append(e)
+        edge_class.append(c)
+        edge_member.append(j)
+        edge_rep.append(latest[c])
     return _Compiled(
         edges=edges,
-        costs=[_edge_cost_micro(problem, t) for t in edges],
+        costs=costs,
         penalty_micro=round(problem.penalty * MICRO),
         requests=list(graph.requests),
         vehicles=list(graph.vehicles),
-        edge_requests=[frozenset(req_index[r] for r in t.requests) for t in edges],
-        edge_vehicle=[veh_index[t.vehicle] for t in edges],
+        edge_requests=edge_requests,
+        edge_class=edge_class,
+        edge_member=edge_member,
+        edge_rep=edge_rep,
+        class_size=[len(members) for members in classes.values()],
+        reps=reps,
     )
 
 
@@ -340,45 +387,53 @@ def _solve_node(
     fixed_in: frozenset[int],
     fixed_out: frozenset[int],
 ) -> _Relaxation:
-    """Solve one node's relaxation in packing form.
+    """Solve one node's relaxation in packing form over twin classes.
 
-    Fixed-in edges, which never clash with each other, contribute their
-    costs and knock out their vehicle and requests; fixed-out edges simply
-    drop.  Each open request's unserved indicator is substituted out,
-    ``y_r = 1 - sum of x_e over the free edges serving r``, so there is one
-    column per free edge, costed ``c_e - penalty * |R_e|``, and the
-    constant ``penalty * (open requests)`` joins the bound in exact
-    integers.  Every row is ``<= 1``: one per request that a free edge
-    serves, in index order, then one per vehicle that a free edge uses.
-    So x = 0 is feasible and the slack basis starts the simplex without a
-    phase 1, and the LP is bounded, since every column lies in a vehicle
-    row; any other status is a solver fault.  The request rows come first
-    so that request slacks take the lower column indices: the ratio test
-    breaks ties by lowest basic index, and on the benchmark problems the
-    opposite order needs 1.5 to 3 times as many node LPs.
+    A node fixes representative edges, each standing for its trip on some
+    member of its class.  Fixed-in edges, which never clash with each
+    other, contribute their costs, take one unit of their class and knock
+    out their requests; fixed-out edges simply drop.  Each open request's
+    unserved indicator is substituted out, ``y_r = 1 - sum of x_e over the
+    free edges serving r``, so there is one column per free representative
+    edge, costed ``c_e - penalty * |R_e|``, and the constant
+    ``penalty * (open requests)`` joins the bound in exact integers.  The
+    rows are one ``<= 1`` per request that a free edge serves, in index
+    order, then one per class that a free edge uses, in class order,
+    bounded by the class size less its fixed-in edges, a positive
+    integer.  So x = 0 is feasible and the slack basis starts the simplex
+    without a phase 1, and the LP is bounded, since every column lies in a
+    class row; any other status is a solver fault.  The request rows come
+    first so that request slacks take the lower column indices: the ratio
+    test breaks ties by lowest basic index, and on the benchmark problems
+    the opposite order needs 1.5 to 3 times as many node LPs.  Its value
+    is the unaggregated relaxation's: spread a class column evenly over
+    the members, or sum the members' columns.
     """
-    blocked = {comp.edge_vehicle[e] for e in fixed_in}
+    room = list(comp.class_size)
+    for e in fixed_in:
+        room[comp.edge_class[e]] -= 1
     covered = set().union(*(comp.edge_requests[e] for e in fixed_in))
     free = [
-        e for e in range(len(comp.edges))
+        e for e in comp.reps
         if e not in fixed_in and e not in fixed_out
-        and comp.edge_vehicle[e] not in blocked
+        and room[comp.edge_class[e]]
         and not (comp.edge_requests[e] & covered)
     ]
     served = sorted(set().union(*(comp.edge_requests[e] for e in free)))
-    used = sorted({comp.edge_vehicle[e] for e in free})
+    used = sorted({comp.edge_class[e] for e in free})
     request_row = {r: k for k, r in enumerate(served)}
-    vehicle_row = {v: len(served) + k for k, v in enumerate(used)}
+    class_row = {c: len(served) + k for k, c in enumerate(used)}
     A = np.zeros((len(served) + len(used), len(free)))
     for i, e in enumerate(free):
-        A[vehicle_row[comp.edge_vehicle[e]], i] = 1.0
+        A[class_row[comp.edge_class[e]], i] = 1.0
         for r in comp.edge_requests[e]:
             A[request_row[r], i] = 1.0
     c = np.array(
         [comp.costs[e] - comp.penalty_micro * len(comp.edge_requests[e]) for e in free],
         dtype=float,
     ) / comp.scale
-    res = solve_lp(LinearProgram(c=c, rows=[(a, "<=", 1.0) for a in A]))
+    b = [1] * len(served) + [room[c] for c in used]
+    res = solve_lp(LinearProgram(c=c, rows=[(a, "<=", bi) for a, bi in zip(A, b)]))
     if res.status != OPTIMAL:
         raise SolverError(f"assignment relaxation reported {res.status}")
     constant = sum(comp.costs[e] for e in fixed_in) + comp.penalty_micro * (
@@ -400,6 +455,8 @@ def _branch_and_bound(
     target: int | None = None,
 ) -> tuple[int | None, frozenset[int] | None]:
     """Exact minimum of the integer micro-cost under the root's fixings.
+
+    Returns the value and a set of representative edges attaining it.
 
     With ``target`` given, stops as soon as a solution at or below the
     target is found, certifying whether the target is attainable.  The
@@ -450,47 +507,78 @@ def _lex_min_optimum(
 ) -> frozenset[int]:
     """Smallest optimal edge set in sorted-tuple order.
 
-    Scans edges in index order, keeping an optimal witness consistent
-    with all decisions.  A committed prefix that already attains the
-    optimum beats every extension, so the scan stops there.  Before the
-    scan, the root relaxation's reduced costs fix out every edge they
-    prove to lie in no optimum; during it, an edge that shares a vehicle
-    or a request with the committed set is skipped without an LP.  Each
-    remaining candidate outside the witness gets a branch and bound with
-    it forced in.  Runs on every solve: when the optimum is unique no
-    edge outside the witness can be forced in, so the witness comes back
-    unchanged.
+    Scans the original edges in index order, keeping an optimal class
+    solution (a set of representative edges, like ``witness``) consistent
+    with all decisions, and returns the original edges it accepted.  A
+    committed prefix that already attains the optimum beats every
+    extension, so the scan stops there.  Before the scan, the root
+    relaxation's reduced costs fix out every representative edge they
+    prove to lie in no optimum; during it, an edge that shares a request
+    with the committed set is skipped without an LP.  Of a class
+    v1 < ... < vk with v1..vr already used, the scan handles only edges of
+    v(r+1), and tests or accepts (T, v(r+1)) as the representative edge
+    (T, C).  Each remaining candidate outside the current solution gets a
+    branch and bound with it forced in.  Runs on every solve: when the
+    optimum is unique no edge outside it can be forced in, so the witness
+    comes back unchanged.
+
+    Why this is exact:
+
+    * Swap argument.  Take twins v < w and any optimum.  If it gives w a
+      trip smaller than v's, or uses w while v is unused, swapping their
+      trips gives another optimum, and the smallest edge that differs
+      between the two, (T, v), lies in the swapped set.  So the lex-min
+      optimum hands each class's trips to its members in id order: v1
+      the smallest, and only a prefix v1..vr in use.
+    * Forcing an edge.  Let the committed set use v1..vr of class C.
+      Forcing (T, v(r+1)) in, with every earlier edge decided, is
+      attainable exactly when forcing the class edge (T, C) in is: any
+      class solution that contains it and avoids the rejected class edges
+      has no trip below T on C outside the committed set (each such trip
+      was rejected, or clashes with it), so it can be handed out with
+      the committed trips on v1..vr, T on v(r+1), and the rest above.
+      Conversely an original optimum that uses (T, v(r+1)) sums to a class
+      solution.  The scan reaches (T, v(r+1)) before every (T, vj) with
+      j > r + 1, and forcing (T, vj) gives the same answer by the symmetry
+      that swaps vj and v(r+1), both unused; so those edges are skipped,
+      as are the edges of v1..vr, which are used.
+    * Fixing.  Every original solution sums to a class solution of equal
+      cost, and the class LP's value is the unaggregated relaxation's, so
+      reduced-cost fixing on the class LP removes only class edges that
+      lie in no optimum.
     """
     fout = {
         e for i, e in enumerate(root.free)
         if root.x[i] < 1e-9 and root.bound + root.reduced[i] >= value + 0.5
     }
-    fin: set[int] = set()
-    blocked: set[int] = set()
+    fin: set[int] = set()          # representative edges
+    accepted: list[int] = []       # the original edges they stand for
+    used = [0] * len(comp.class_size)
     covered: set[int] = set()
     current = witness
     for e in range(len(comp.edges)):
-        if e not in current and (
-            e in fout
-            or comp.edge_vehicle[e] in blocked
+        rep = comp.edge_rep[e]
+        if (
+            comp.edge_member[e] != used[comp.edge_class[e]]
             or comp.edge_requests[e] & covered
+            or (rep in fout and rep not in current)
         ):
             continue
         if _exact_cost(comp, frozenset(fin)) == value:
-            return frozenset(fin)
-        if e not in current:
-            trial = _solve_node(comp, frozenset(fin | {e}), frozenset(fout))
+            return frozenset(accepted)
+        if rep not in current:
+            trial = _solve_node(comp, frozenset(fin | {rep}), frozenset(fout))
             val, found = _branch_and_bound(comp, trial, target=value)
             if val is None or val > value:
-                fout.add(e)
+                fout.add(rep)
                 continue
             current = found
-        fin.add(e)
-        blocked.add(comp.edge_vehicle[e])
+        fin.add(rep)
+        accepted.append(e)
+        used[comp.edge_class[e]] += 1
         covered |= comp.edge_requests[e]
-    if _exact_cost(comp, frozenset(fin)) == value:
-        return frozenset(fin)
-    return current
+    # every edge is decided, so the accepted set is the lex-min optimum
+    return frozenset(accepted)
 
 
 def _finish(comp: _Compiled, chosen_idx: frozenset[int]) -> Assignment:
@@ -532,9 +620,10 @@ def brute_force_assignment(problem: AssignmentProblem) -> Assignment:
     edge_mask = [
         sum(1 << r for r in comp.edge_requests[e]) for e in range(len(comp.edges))
     ]
+    veh_index = {v: i for i, v in enumerate(comp.vehicles)}
     by_vehicle: list[list[int]] = [[] for _ in range(V)]
-    for e in range(len(comp.edges)):
-        by_vehicle[comp.edge_vehicle[e]].append(e)
+    for e, t in enumerate(comp.edges):
+        by_vehicle[veh_index[t.vehicle]].append(e)
 
     full = 1 << R
     INF = float("inf")

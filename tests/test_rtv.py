@@ -442,10 +442,14 @@ def test_bounds_skip_only_infeasible_searches(data):
     cons = Constraints(max_pickup_s=float(rng.choice([60.0, 150.0, 300.0])))
     now = 60.0
     reqs, vehs = _random_instance(rng, net, nodes, int(rng.integers(1, 8)),
-                                  int(rng.integers(1, 5)))
+                                  int(rng.integers(1, 7)))
     committed = []
     for r in reqs:  # some released after now, so a vehicle may wait
         r.request_time = float(rng.integers(0, 120))
+    if rng.random() < 0.5:  # on one or two depots: idle twins copy their trips
+        depots = [nodes[int(rng.integers(0, len(nodes)))] for _ in range(rng.integers(1, 3))]
+        for veh in vehs:
+            veh.position = depots[int(rng.integers(0, len(depots)))]
     for k, veh in enumerate(vehs):  # idle, carrying a rider, or on its way to one
         veh.capacity = int(rng.integers(0, 5))
         kind = int(rng.integers(0, 3))
@@ -550,6 +554,25 @@ def test_market_structure_filters():
     for kind in ("bilateral", "central", "marketplace"):
         filtered = apply_market_structure(graph, MarketStructure(kind=kind), p_req, p_veh)
         assert set(filtered.tv_edges) == set(seg.tv_edges)
+
+    # an unmapped id raises at the first edge that needs it: every request
+    # of each edge, then the vehicle of a trip whose requests share a group
+    def first_unmapped(p_req, p_veh, same_group):
+        for key, vid in graph.tv_edges:
+            for rid in key:
+                if rid not in p_req:
+                    return rid
+            if same_group(key) and vid not in p_veh:
+                return vid
+
+    for kind, same_group in (("single", lambda key: True),
+                             ("segmented", lambda key: len({p_req[r] for r in key}) == 1)):
+        for r_gone, v_gone in itertools.product(sorted(p_req), sorted(p_veh)):
+            some_req = {r: p for r, p in p_req.items() if r != r_gone}
+            some_veh = {v: p for v, p in p_veh.items() if v != v_gone}
+            want = first_unmapped(some_req, some_veh, same_group)
+            with pytest.raises(UnmappedEntityError, match=f"'{want}' has no platform"):
+                apply_market_structure(graph, MarketStructure(kind=kind), some_req, some_veh)
 
 
 def test_unknown_structure_kind_rejected():

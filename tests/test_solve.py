@@ -1,4 +1,6 @@
 """LP simplex and assignment branch-and-bound against independent oracles."""
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +14,7 @@ from ridemarket.errors import (
     TooLargeError,
     ValidationError,
 )
-from ridemarket.model import Request, Vehicle, PricingScheme, fill_direct
+from ridemarket.model import DROPOFF, PricingScheme, Request, Stop, Vehicle, fill_direct
 from ridemarket.network import make_grid
 from ridemarket.rtv import Constraints, RtvGraph, build_rtv_graph
 from ridemarket.solve import (
@@ -167,6 +169,35 @@ def _random_graph(rng, net, nodes, n_req, n_veh, now=60.0, colocated=False):
     return build_rtv_graph(reqs, vehs, net, now, Constraints()), {r.id: r for r in reqs}
 
 
+def _twin_fleet_graph(rng, net, nodes, n_req, n_veh, now=60.0):
+    """A graph whose twin classes have mixed sizes: vehicles on one to three
+    depots, each with capacity 2 or 4, up to two of them carrying a rider
+    (and so rarely anyone's twin), with ids shuffled across the fleet."""
+    reqs = []
+    for i in range(n_req):
+        o, d = rng.choice(len(nodes), size=2, replace=False)
+        reqs.append(Request(id=f"r{i}", origin=nodes[o], destination=nodes[d],
+                            request_time=float(rng.integers(0, int(now))), platform="A"))
+    reqs = fill_direct(net, reqs)
+    depots = [nodes[int(k)] for k in rng.choice(len(nodes), size=int(rng.integers(1, 4)))]
+    ids = [f"v{k}" for k in rng.permutation(n_veh)]
+    busy = int(rng.integers(0, 3))
+    vehs, riders = [], []
+    for k, vid in enumerate(ids):
+        veh = Vehicle(id=vid, platform="A", position=depots[int(rng.integers(0, len(depots)))],
+                      capacity=int(rng.choice([2, 4])))
+        if k < busy:
+            d = [n for n in nodes if n != veh.position][int(rng.integers(0, len(nodes) - 1))]
+            riders.append(Request(id=f"o{k}", origin=veh.position, destination=d,
+                                  request_time=0.0, platform="A", pickup_time=now - 10.0))
+            veh.onboard.add(riders[-1].id)
+            veh.schedule = [Stop(d, riders[-1].id, DROPOFF)]
+        vehs.append(veh)
+    registry = {r.id: r for r in fill_direct(net, riders)}
+    graph = build_rtv_graph(reqs, vehs, net, now, Constraints(), registry=registry)
+    return graph, {**registry, **{r.id: r for r in reqs}}
+
+
 def test_assignment_matches_brute_force():
     net = make_grid(5, 5, edge_len=300.0, speed=8.0)
     nodes = sorted(net.node_set())
@@ -255,9 +286,70 @@ def test_assignment_optimum_matches_milp_beyond_oracle_guard():
                 _milp_objective_micro(problem)
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_mixed_twin_classes_match_brute_force(seed):
+    # classes of every size from 1 to the fleet: the class LP and the scan
+    # that hands each class's trips out by id give the oracle's answer, and
+    # the class root bound is the unaggregated relaxation's
+    net = _PERMUTE_NET
+    nodes = sorted(net.node_set())
+    rng = np.random.default_rng(seed)
+    graph, registry = _twin_fleet_graph(rng, net, nodes, int(rng.integers(3, 9)),
+                                        int(rng.integers(2, 6)))
+    for objective in OBJECTIVES:
+        problem = AssignmentProblem(
+            graph=graph, objective=objective, penalty=10.0,
+            scheme=PricingScheme(), net=net, registry=registry,
+        )
+        got = solve_assignment(problem)
+        want = brute_force_assignment(problem)
+        assert got.objective_micro == want.objective_micro
+        assert [(t.requests, t.vehicle) for t in got.chosen] == \
+            [(t.requests, t.vehicle) for t in want.chosen]
+        _assert_root_bound_matches_highs(problem)
+
+
+def test_colocated_max_profit_graph_solves_in_a_few_node_lps(monkeypatch):
+    # 19 requests and 10 vehicles on one node (the 4th graph of the milp
+    # test's loop, drawn from default_rng(7)): before twin classes the
+    # branch and bound explored every symmetric copy, 13,527 node LPs in
+    # about a minute, for this same answer
+    net = make_grid(5, 5, edge_len=300.0, speed=8.0)
+    nodes = sorted(net.node_set())
+    rng = np.random.default_rng(7)
+    for trial in range(4):
+        graph, registry = _random_graph(rng, net, nodes, int(rng.integers(12, 21)),
+                                        int(rng.integers(6, 11)), colocated=trial % 2 == 1)
+    assert (len(graph.requests), len(graph.vehicles), len(graph.tv_edges)) == (19, 10, 1820)
+    problem = AssignmentProblem(graph=graph, objective="max_profit", penalty=10.0,
+                                scheme=PricingScheme(), net=net, registry=registry)
+    real = solve.solve_lp
+    calls = []
+
+    def counted(lp):
+        calls.append(lp)
+        return real(lp)
+
+    monkeypatch.setattr(solve, "solve_lp", counted)
+    start = time.perf_counter()
+    got = solve_assignment(problem)
+    assert time.perf_counter() - start < 2.0
+    assert len(calls) < 100
+    assert got.objective_micro == _milp_objective_micro(problem) == -104_930_000
+    assert [(t.requests, t.vehicle) for t in got.chosen] == [
+        (("r0", "r10"), "v0"), (("r1",), "v1"), (("r11", "r13", "r6", "r8"), "v2"),
+        (("r12", "r14", "r18"), "v3"), (("r15", "r5"), "v4"),
+        (("r16", "r17", "r3", "r9"), "v5"), (("r2",), "v6"), (("r4",), "v7"),
+        (("r7",), "v8"),
+    ]
+
+
 def test_node_lps_are_packing_form_without_phase_one(monkeypatch):
-    # every node LP row reads <= 1 and touches a free edge, so the slack
-    # basis is feasible and each LP is one simplex pass
+    # every node LP row reads <= b with b a positive integer and touches a
+    # free edge, so the slack basis is feasible and each LP is one simplex
+    # pass; request rows have b = 1 and class rows b = the class's unused
+    # members
     net = make_grid(5, 5, edge_len=300.0, speed=8.0)
     nodes = sorted(net.node_set())
     rng = np.random.default_rng(23)
@@ -282,40 +374,59 @@ def test_node_lps_are_packing_form_without_phase_one(monkeypatch):
             scheme=PricingScheme(), net=net, registry=registry,
         ))
     assert len(lps) > 12
+    class_bounds = []
     for lp in lps:
-        for a, rel, b in lp.rows:
-            assert (rel, b) == ("<=", 1.0)
-            assert np.any(a != 0.0)
+        assert all(rel == "<=" for _, rel, _ in lp.rows)
+        if not lp.rows:  # every request covered: no free edge is left
+            continue
+        A = np.array([a for a, _, _ in lp.rows])
+        b = np.array([b for _, _, b in lp.rows])
+        assert np.all(np.any(A != 0.0, axis=1))
+        # the class rows are the shortest suffix holding each column once
+        k = max(k for k in range(len(A) + 1) if np.all(A[k:].sum(axis=0) == 1.0))
+        assert 0 < k < len(A)
+        assert np.all(b[:k] == 1.0)
+        assert np.all((b[k:] >= 1.0) & (b[k:] == np.round(b[k:])))
+        class_bounds.extend(b[k:])
+    assert max(class_bounds) > 1  # the co-located fleets have twins
     assert passes == list(range(1, len(lps) + 1))
 
 
-def test_root_bound_matches_highs_on_the_xy_form():
-    # the packing-form root bound equals the textbook relaxation's optimum.
+def _assert_root_bound_matches_highs(problem):
     # HiGHS gets the micro-unit costs unscaled: scaled to order one, its
     # 1e-7 tolerances would allow errors of a micro-unit
+    comp = solve._compile(problem)
+    if not comp.edges:
+        return
+    root = solve._solve_node(comp, frozenset(), frozenset())
+    _, costs, penalty, A, V, R = _xy_form(problem)
+    ref = linprog(
+        np.array(costs + [penalty] * R, dtype=float),
+        A_ub=A[:V], b_ub=np.ones(V), A_eq=A[V:], b_eq=np.ones(R),
+        bounds=(0, None), method="highs-ds",
+    )
+    assert ref.status == 0
+    assert abs(root.bound - ref.fun) < 1e-3
+
+
+def test_root_bound_matches_highs_on_the_xy_form():
+    # the packing-form root bound, one column per twin class's edge, equals
+    # the textbook relaxation's optimum with one column per vehicle's edge
     net = make_grid(5, 5, edge_len=300.0, speed=8.0)
     nodes = sorted(net.node_set())
     rng = np.random.default_rng(29)
-    for trial in range(20):
-        graph, registry = _random_graph(rng, net, nodes, int(rng.integers(3, 16)),
-                                        int(rng.integers(2, 9)), colocated=trial % 2 == 0)
+    for trial in range(30):
+        if trial < 20:
+            graph, registry = _random_graph(rng, net, nodes, int(rng.integers(3, 16)),
+                                            int(rng.integers(2, 9)), colocated=trial % 2 == 0)
+        else:
+            graph, registry = _twin_fleet_graph(rng, net, nodes, int(rng.integers(3, 16)),
+                                                int(rng.integers(2, 9)))
         for objective in OBJECTIVES:
-            problem = AssignmentProblem(
+            _assert_root_bound_matches_highs(AssignmentProblem(
                 graph=graph, objective=objective, penalty=10.0,
                 scheme=PricingScheme(), net=net, registry=registry,
-            )
-            comp = solve._compile(problem)
-            if not comp.edges:
-                continue
-            root = solve._solve_node(comp, frozenset(), frozenset())
-            _, costs, penalty, A, V, R = _xy_form(problem)
-            ref = linprog(
-                np.array(costs + [penalty] * R, dtype=float),
-                A_ub=A[:V], b_ub=np.ones(V), A_eq=A[V:], b_eq=np.ones(R),
-                bounds=(0, None), method="highs-ds",
-            )
-            assert ref.status == 0
-            assert abs(root.bound - ref.fun) < 1e-3
+            ))
 
 
 _PERMUTE_NET = make_grid(5, 5, edge_len=300.0, speed=8.0)

@@ -106,7 +106,6 @@ from .rtv import (
     Constraints,
     MarketStructure,
     RtvGraph,
-    RvGraph,
     STRUCTURE_KINDS,
     apply_market_structure,
     best_route,

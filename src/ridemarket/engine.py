@@ -9,6 +9,7 @@ requests are served or expired and every vehicle is idle.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field, replace
 
 from .errors import DrainError, MarketError, TooLargeError, ValidationError
@@ -134,6 +135,8 @@ class Scenario:
                 if node not in nodes:
                     raise ValidationError(f"request {r.id}: unknown node {node!r}")
             latest = max(latest, r.request_time)
+        if not abs(self.horizon_s) < math.inf:  # NaN compares False
+            raise ValidationError("horizon_s must be finite")
         if self.horizon_s <= 0:
             self.horizon_s = latest
         elif self.horizon_s + _EPS < latest:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 from typing import Mapping
 
@@ -50,15 +51,8 @@ _GRID_KEYS = {"rows", "cols", "edge_len_m", "speed_mps"}
 _FILE_NET_KEYS = {"path", "speed_mps"}
 _PLATFORM_KEYS = {"id", "fleet", "positions"}
 _STRUCTURE_KEYS = {"kind", "alliance"}
-_CONSTRAINT_KEYS = {
-    "detour_factor", "max_wait_s", "max_pickup_s",
-    "unserved_penalty", "gamma", "interval_s",
-}
-_PRICING_KEYS = {
-    "ded_base", "ded_per_mile", "ded_per_min", "ded_min_fare",
-    "shr_base", "shr_per_mile", "shr_per_min", "shr_min_fare",
-    "pay_per_mile", "pay_per_min",
-}
+_CONSTRAINT_KEYS = {f.name for f in fields(Constraints)}
+_PRICING_KEYS = {f.name for f in fields(PricingScheme)}
 _GAME_KEYS = {"players", "v", "costs", "revenues"}
 
 

@@ -9,7 +9,6 @@ trip graph.
 from __future__ import annotations
 
 import itertools
-import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
@@ -31,7 +30,6 @@ from .network import RoadNetwork
 from .rtv import RtvGraph
 from .solve import Assignment, AssignmentProblem, LinearProgram, solve_assignment, solve_lp
 
-log = logging.getLogger(__name__)
 
 MAX_PLAYERS = 12
 
@@ -185,7 +183,7 @@ def contribution_weights(
 
     The cost coefficient is overall net revenue over total cost; the
     revenue coefficient is net revenue over profit, which coincides with
-    net revenue here and therefore equals one (flagged in the log).
+    net revenue here and therefore equals one.
     """
     if set(costs) != set(revenues):
         raise ValidationError("costs and revenues must cover the same players")
@@ -197,9 +195,8 @@ def contribution_weights(
     if net <= 0:
         raise ZeroDenominatorError("total net revenue must be positive")
     theta_cost = net / total_cost
-    theta_revenue = net / net  # profit equals net revenue in this accounting
-    if theta_revenue == 1.0:
-        log.debug("revenue coefficient degenerates to 1; weights lean on demand share")
+    # net revenue over profit: the two are equal in this accounting
+    theta_revenue = 1.0
     denom = theta_cost * total_cost + theta_revenue * total_revenue
     if denom <= 0:
         raise ZeroDenominatorError("weight denominator must be positive")

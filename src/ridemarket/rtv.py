@@ -1,19 +1,19 @@
-"""Shareability graphs: request-vehicle, request-request and trip level.
+"""Shareability graphs: request-vehicle and trip level.
 
-The construction follows the usual two-stage pattern: a coarse pairwise
-graph first, then exhaustive trip enumeration that only considers request
-sets whose subsets were already feasible.  The request-vehicle edges are
-exact: ``best_route`` is the only stop-order search, and what skips it is
-exact too.  An idle vehicle's single has one stop order, computed in
-closed form with ``best_route``'s own float operations; reach bounds on
-shortest paths skip a pair whose pickup misses its deadline, or that
-makes a committed stop miss its own, and an idle vehicle's request pair
-whose second pickup comes too late in either order; idle vehicles with
-the same position and capacity are searched once.  The request-request
-test (``pair_shareable``) is a heuristic probe, not a relaxation: it can
-reject a pair that a real vehicle could serve together, and trip
-enumeration then never tries that pair.  A market structure acts on the
-finished graph purely as a subgraph filter.
+The construction follows the usual two-stage pattern: the feasible
+request-vehicle pairs first, then exhaustive trip enumeration that only
+considers request sets whose subsets were already feasible.  The
+request-vehicle edges are exact: ``best_route`` is the only stop-order
+search, and what skips it is exact too.  An idle vehicle's single has one
+stop order, computed in closed form with ``best_route``'s own float
+operations; reach bounds on shortest paths skip a pair whose pickup misses
+its deadline, or that makes a committed stop miss its own, and an idle
+vehicle's request pair whose second pickup comes too late in either order;
+idle vehicles with the same position and capacity are searched once.  Trip
+enumeration also tests each request pair it tries with ``pair_shareable``,
+a heuristic probe, not a relaxation: it can reject a pair that a real
+vehicle could serve together.  A market structure acts on the finished
+graph purely as a subgraph filter.
 
 The engine builds the graph once per decision stage (bilateral once more
 after its match).  The auction, matching and central trading solve
@@ -21,10 +21,9 @@ restrictions of it (``RtvGraph.restrict``), equal to the subset's build.
 """
 from __future__ import annotations
 
-import itertools
 import operator
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from dataclasses import dataclass, field, fields
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -75,6 +74,9 @@ class Constraints:
     interval_s: float = 30.0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            if not abs(getattr(self, f.name)) < _INF:  # NaN compares False
+                raise ValidationError(f"constraint {f.name} must be finite")
         if self.detour_factor < 1.0:
             raise ValidationError("detour factor below 1 forbids even direct rides")
         if self.max_wait_s < 0 or self.max_pickup_s < 0:
@@ -107,15 +109,6 @@ class RouteResult:
     total_distance: float
     pickup_times: dict[str, float]
     dropoff_times: dict[str, float]
-
-
-@dataclass
-class RvGraph:
-    """Pairwise shareability: request-request edges, and the route of each
-    feasible (request, vehicle) pair in sorted key order."""
-
-    rr_edges: list[tuple[str, str]]
-    rv_edges: dict[tuple[str, str], RouteResult]
 
 
 @dataclass
@@ -196,21 +189,14 @@ def best_route(
     # the ride start: ``aux`` for a rider already onboard, else the
     # arrival at the pickup.
     recs: list[tuple] = []
-    for rid in vehicle.onboard:
-        req = registry[rid]
-        ride_start = req.pickup_time if req.pickup_time is not None else now
-        recs.append((rid, DROPOFF, req.destination,
-                     chi * req.direct_duration + EPS, ride_start))
-    for rid in vehicle.assigned:
-        req = registry[rid]
-        deadline = (
-            req.pickup_deadline
-            if req.pickup_deadline is not None
-            else pickup_deadline(req, now, constraints)
-        )
-        recs.append((rid, PICKUP, req.origin, deadline + EPS, req.request_time))
-        recs.append((rid, DROPOFF, req.destination,
-                     chi * req.direct_duration + EPS, None))
+    for req, onboard, at in _commitments(vehicle, registry, constraints, now):
+        if onboard:
+            recs.append((req.id, DROPOFF, req.destination,
+                         chi * req.direct_duration + EPS, at))
+        else:
+            recs.append((req.id, PICKUP, req.origin, at + EPS, req.request_time))
+            recs.append((req.id, DROPOFF, req.destination,
+                         chi * req.direct_duration + EPS, None))
     for req in new_requests:
         deadline = pickup_deadline(req, now, constraints)
         recs.append((req.id, PICKUP, req.origin, deadline + EPS, req.request_time))
@@ -326,8 +312,9 @@ def build_rv_graph(
     now: float,
     constraints: Constraints,
     registry: Mapping[str, Request] | None = None,
-) -> RvGraph:
-    """Pairwise feasibility graph over waiting requests and vehicles.
+) -> dict[tuple[str, str], RouteResult]:
+    """The route of each feasible (request id, vehicle id) pair, keyed in
+    sorted order.
 
     When any vehicle already carries commitments, ``registry`` must also
     cover those riders so their stops can be re-planned.
@@ -396,11 +383,7 @@ def build_rv_graph(
                 found = best_route(veh, [req], registry, net, constraints, now)
                 if found is not None:
                     rv[(rid, veh.id)] = found
-    rr: list[tuple[str, str]] = []
-    for a, b in itertools.combinations(reqs, 2):
-        if pair_shareable(a, b, net, constraints):
-            rr.append(tuple(sorted((a.id, b.id))))
-    return RvGraph(rr_edges=sorted(rr), rv_edges=rv)
+    return rv
 
 
 def _committed_stops(
@@ -424,29 +407,41 @@ def _committed_stops(
     flat = net.flat_distances()
     n_nodes = len(net.nodes)
     slack = EPS + REACH_SLACK
-    due = []
-    for rid in vehicle.onboard:
-        req = registry[rid]
-        ride_start = req.pickup_time if req.pickup_time is not None else now
-        due.append((req.destination,
-                    ride_start + constraints.detour_factor * req.direct_duration))
-    for rid in vehicle.assigned:
-        req = registry[rid]
-        deadline = (
-            req.pickup_deadline
-            if req.pickup_deadline is not None
-            else pickup_deadline(req, now, constraints)
-        )
-        due.append((req.origin, deadline))
     out = []
-    for node, deadline in due:
+    for req, onboard, at in _commitments(vehicle, registry, constraints, now):
+        if onboard:
+            node = req.destination
+            deadline = at + constraints.detour_factor * req.direct_duration
+        else:
+            node, deadline = req.origin, at
         s = net.node_index(node)
         out.append((s, s * n_nodes, flat[base + s], deadline + slack))
     return out
 
 
+def _commitments(
+    vehicle: Vehicle,
+    registry: Mapping[str, Request],
+    constraints: Constraints,
+    now: float,
+) -> Iterator[tuple[Request, bool, float]]:
+    """Each committed rider as ``(request, onboard, at)``: ``at`` is an
+    onboard rider's ride start (its ``pickup_time``, else ``now``) or an
+    assigned rider's stored ``pickup_deadline``, else ``pickup_deadline``."""
+    for rid in vehicle.onboard:
+        req = registry[rid]
+        yield req, True, req.pickup_time if req.pickup_time is not None else now
+    for rid in vehicle.assigned:
+        req = registry[rid]
+        yield req, False, (
+            req.pickup_deadline
+            if req.pickup_deadline is not None
+            else pickup_deadline(req, now, constraints)
+        )
+
+
 def enumerate_trips(
-    rv: RvGraph,
+    rv: Mapping[tuple[str, str], RouteResult],
     vehicles: Iterable[Vehicle],
     requests: Iterable[Request],
     net: RoadNetwork,
@@ -454,26 +449,26 @@ def enumerate_trips(
     now: float,
     registry: Mapping[str, Request] | None = None,
 ) -> RtvGraph:
-    """Exhaustive trip enumeration over the pairwise graph.
+    """Exhaustive trip enumeration from the routes ``build_rv_graph`` gives.
 
     A request set of size k is only tried for a vehicle when all of its
     size-(k-1) subsets were feasible for that vehicle (and a pair only when
-    it is shareable), which is a valid pruning because dropping a rider
-    from a feasible route stays feasible.
-    Trips stop at MAX_ROUTE_STOPS // 2 requests; ``best_route`` enforces
-    each vehicle's own capacity.  An idle vehicle skips the search for a
-    pair when neither pickup order reaches the second pickup by its
-    deadline, even on shortest paths from the first pickup time of its
-    single's route.  Idle twins are enumerated once: an idle vehicle's
-    routes depend only on its position and capacity (``build_rv_graph``
-    gives twins the same singles), so an idle vehicle whose (position,
-    capacity) an earlier one already had gets a copy of that vehicle's
-    trips under its own id, with no route search.
+    ``pair_shareable``, asked once per pair and call, accepts it), which is
+    a valid pruning because dropping a rider from a feasible route stays
+    feasible.  Trips stop at MAX_ROUTE_STOPS // 2 requests; ``best_route``
+    enforces each vehicle's own capacity.  An idle vehicle skips a pair
+    when neither pickup order reaches the second pickup by its deadline,
+    even on shortest paths from the first pickup time of its single's
+    route.  Idle twins are enumerated once: an idle vehicle's routes
+    depend only on its position and capacity (``build_rv_graph`` gives
+    twins the same singles), so an idle vehicle whose (position, capacity)
+    an earlier one already had gets a copy of that vehicle's trips under
+    its own id, with no route search.
     """
     reqs = sorted(requests, key=lambda r: r.id)
     vehs = sorted(vehicles, key=lambda v: v.id)
     registry = {**(registry or {}), **{r.id: r for r in reqs}}
-    rr = set(rv.rr_edges)
+    shareable: dict[tuple[str, ...], bool] = {}  # pair_shareable per probed pair
     tv_edges: dict[tuple[tuple[str, ...], str], Trip] = {}
     flat = net.flat_distances()
     n_nodes = len(net.nodes)
@@ -485,9 +480,9 @@ def enumerate_trips(
                pickup_deadline(r, now, constraints) + (EPS + REACH_SLACK))
         for r in reqs
     }
-    # rv_edges is in sorted key order, so each vehicle's singles are too.
+    # rv is in sorted key order, so each vehicle's singles are too.
     routes_of: dict[str, dict[str, RouteResult]] = {}
-    for (rid, vid), found in rv.rv_edges.items():
+    for (rid, vid), found in rv.items():
         if rid in pickup:
             routes_of.setdefault(vid, {})[rid] = found
 
@@ -516,20 +511,25 @@ def enumerate_trips(
                 for t in sorted(smaller)
                 for rid in singles
                 if rid > t[-1]
-                and (size > 2 or (t[0], rid) in rr)
                 and all(t[:i] + t[i + 1:] + (rid,) in smaller for i in range(size - 1))
             ]
             smaller = set()
             for key in candidates:
-                if idle and size == 2:
+                if size == 2:
                     a, b = key
                     o_a, release_a, late_a = pickup[a]
                     o_b, release_b, late_b = pickup[b]
-                    if (max(routes[a].pickup_times[a] + flat[o_a * n_nodes + o_b] / speed,
-                            release_b) > late_b
+                    if idle and (
+                            max(routes[a].pickup_times[a] + flat[o_a * n_nodes + o_b] / speed,
+                                release_b) > late_b
                             and max(routes[b].pickup_times[b]
                                     + flat[o_b * n_nodes + o_a] / speed,
                                     release_a) > late_a):
+                        continue
+                    if key not in shareable:
+                        shareable[key] = pair_shareable(registry[a], registry[b],
+                                                        net, constraints)
+                    if not shareable[key]:
                         continue
                 found = best_route(
                     veh, [registry[r] for r in key], registry, net, constraints, now
@@ -580,7 +580,7 @@ def build_rtv_graph(
     constraints: Constraints,
     registry: Mapping[str, Request] | None = None,
 ) -> RtvGraph:
-    """Convenience: pairwise graph then trip enumeration in one call."""
+    """Convenience: request-vehicle routes then trip enumeration in one call."""
     reqs = list(requests)
     vehs = list(vehicles)
     rv = build_rv_graph(reqs, vehs, net, now, constraints, registry=registry)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -258,8 +259,8 @@ class AssignmentProblem:
     def __post_init__(self) -> None:
         if self.objective not in OBJECTIVES:
             raise ValidationError(f"unknown objective {self.objective!r}")
-        if self.penalty < 0:
-            raise ValidationError("penalty must be non-negative")
+        if not 0 <= self.penalty < math.inf:  # NaN compares False
+            raise ValidationError("penalty must be finite and non-negative")
         profit_inputs = (self.scheme, self.net, self.registry)
         if self.objective == "max_profit" and None in profit_inputs:
             raise ValidationError("max_profit needs a scheme, a network and a registry")

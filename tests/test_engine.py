@@ -124,6 +124,13 @@ def test_scenario_validation(net):
                   alliance=frozenset({"A", "Z"}))
 
 
+@pytest.mark.parametrize("horizon_s", [float("nan"), float("inf"), float("-inf")])
+def test_scenario_rejects_non_finite_horizon(net, horizon_s):
+    req = Request(id="r0", origin="0", destination="1", request_time=0.0, platform="A")
+    with pytest.raises(ValidationError, match="horizon_s must be finite"):
+        _scenario(net, [req], [PlatformSpec("A", 1)], "single", horizon_s=horizon_s)
+
+
 def test_fleet_above_bound_fails_before_allocating():
     assert PlatformSpec("A", MAX_FLEET).fleet == MAX_FLEET
     with pytest.raises(TooLargeError, match=f"at most {MAX_FLEET}, got {10**12}"):

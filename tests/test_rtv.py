@@ -229,7 +229,7 @@ def test_reach_bound_keeps_exactly_the_routable_pairs(data):
                 if searched[key] is not None]
     # RouteResult equality is exact: the closed form for idle vehicles
     # gives bit-identical times and distances
-    assert list(rv.rv_edges.items()) == routable
+    assert list(rv.items()) == routable
 
 
 def test_reach_bound_keeps_pickup_on_its_deadline():
@@ -240,7 +240,7 @@ def test_reach_bound_keeps_pickup_on_its_deadline():
         req = fill_direct(net, [Request(id="r0", origin="2", destination="15",
                                         request_time=release, platform="A")])
         rv = build_rv_graph(req, [veh], net, 300.0, cons)
-        assert list(rv.rv_edges) == ([("r0", "v0")] if kept else [])
+        assert list(rv) == ([("r0", "v0")] if kept else [])
 
 
 def test_reach_bounds_keep_routes_within_eps_of_a_deadline():
@@ -274,8 +274,8 @@ def test_reach_bounds_keep_routes_within_eps_of_a_deadline():
     registry = {r.id: r for r in committed}
     rv = build_rv_graph(reqs, vehs, net, now, cons, registry=registry)
     everyone = {**registry, **{r.id: r for r in reqs}}
-    assert ("r0", "v0") in rv.rv_edges and ("r1", "v1") in rv.rv_edges
-    for (rid, vid), found in rv.rv_edges.items():
+    assert ("r0", "v0") in rv and ("r1", "v1") in rv
+    for (rid, vid), found in rv.items():
         veh = vehs[int(vid[1:])]
         assert found == best_route(veh, [everyone[rid]], everyone, net, cons, now)
     graph = build_rtv_graph(reqs, vehs, net, now, cons, registry=registry)
@@ -316,8 +316,7 @@ def test_trip_enumeration_structural_properties():
         graph = build_rtv_graph(reqs, vehs, net, 60.0, cons)
         registry = {r.id: r for r in reqs}
         veh_by_id = {v.id: v for v in vehs}
-        rr = set(rv.rr_edges)
-        rvs = set(rv.rv_edges)
+        rvs = set(rv)
         for (key, vid), trip in graph.tv_edges.items():
             assert trip.requests == key
             assert trip.vehicle == vid
@@ -326,7 +325,7 @@ def test_trip_enumeration_structural_properties():
             else:
                 saw_pool = True
                 for a, b in itertools.combinations(key, 2):
-                    assert tuple(sorted((a, b))) in rr
+                    assert pair_shareable(registry[a], registry[b], net, cons)
                 # closure: dropping any rider leaves a feasible trip
                 for r in key:
                     sub = tuple(sorted(set(key) - {r}))
@@ -392,16 +391,57 @@ def test_rtv_build_searches_each_route_once(monkeypatch):
         (rv,) = built
         singles = {(key[0], vid): trip for (key, vid), trip in graph.tv_edges.items()
                    if len(key) == 1}
-        assert sorted(singles) == list(rv.rv_edges)
+        assert sorted(singles) == list(rv)
         veh_by_id = {v.id: v for v in vehs}
         for pair, trip in singles.items():
-            found = rv.rv_edges[pair]
+            found = rv[pair]
             assert trip.route is found.route
             baseline = rtv.schedule_distance(veh_by_id[pair[1]], net)
             assert trip.incremental_distance == found.total_distance - baseline
         pooled |= {vid for key, vid in graph.tv_edges if len(key) > 1}
     # shared trips were enumerated for the idle, onboard and assigned vehicles
     assert pooled == {"v0", "v1", "v2"}
+
+
+def test_rtv_build_probes_only_pairs_it_tries(monkeypatch):
+    # trip enumeration asks pair_shareable about a pair only when some
+    # vehicle has both requests as singles, and at most once per build
+    net = make_grid(5, 5, edge_len=220.0, speed=9.0)
+    nodes = sorted(net.node_set())
+    cons = Constraints(max_pickup_s=150.0)
+    rng = np.random.default_rng(9)
+    now = 60.0
+    probed: Counter = Counter()
+    probe = rtv.pair_shareable
+
+    def counted_probe(first, second, *args, **kwargs):
+        probed[frozenset((first.id, second.id))] += 1
+        return probe(first, second, *args, **kwargs)
+
+    monkeypatch.setattr(rtv, "pair_shareable", counted_probe)
+    skipped = 0
+    for _ in range(12):
+        reqs, vehs = _random_instance(rng, net, nodes, 7, 3)
+        onboard = _rider(rng, nodes, "o0", request_time=0.0, pickup_time=now - 20.0)
+        assigned = _rider(rng, nodes, "a0", request_time=now - 30.0,
+                          pickup_deadline=now + 240.0)
+        committed = fill_direct(net, [onboard, assigned])
+        vehs[1].onboard.add("o0")
+        vehs[1].schedule = [Stop(onboard.destination, "o0", DROPOFF)]
+        vehs[2].assigned.add("a0")
+        vehs[2].schedule = [Stop(assigned.origin, "a0", PICKUP),
+                            Stop(assigned.destination, "a0", DROPOFF)]
+        probed.clear()
+        graph = build_rtv_graph(reqs, vehs, net, now, cons,
+                                registry={r.id: r for r in committed})
+        assert not probed or max(probed.values()) == 1
+        singles = {vid: {key[0] for key, v in graph.tv_edges if v == vid and len(key) == 1}
+                   for vid in graph.vehicles}
+        for pair in probed:
+            assert any(pair <= ids for ids in singles.values())
+        skipped += len(reqs) * (len(reqs) - 1) // 2 - len(probed)
+    # some pairs were never probed, as no vehicle could serve both alone
+    assert skipped > 0
 
 
 def _unbounded_trips(reqs, vehs, net, cons, now, registry):
@@ -573,6 +613,14 @@ def test_market_structure_filters():
             want = first_unmapped(some_req, some_veh, same_group)
             with pytest.raises(UnmappedEntityError, match=f"'{want}' has no platform"):
                 apply_market_structure(graph, MarketStructure(kind=kind), some_req, some_veh)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("name", ["detour_factor", "max_wait_s", "max_pickup_s",
+                                  "unserved_penalty", "gamma", "interval_s"])
+def test_constraints_reject_non_finite_fields(name, value):
+    with pytest.raises(ValidationError, match=f"constraint {name} must be finite"):
+        Constraints(**{name: value})
 
 
 def test_unknown_structure_kind_rejected():

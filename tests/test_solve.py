@@ -559,6 +559,14 @@ def test_assignment_problem_validation():
         AssignmentProblem(graph=graph, objective="max_profit", scheme=PricingScheme(), net=net)
 
 
+@pytest.mark.parametrize("penalty", [float("nan"), float("inf")])
+def test_assignment_problem_rejects_non_finite_penalty(penalty):
+    graph = build_rtv_graph([], [], make_grid(2, 2, edge_len=200.0, speed=10.0), 0.0,
+                            Constraints())
+    with pytest.raises(ValidationError, match="penalty must be finite"):
+        AssignmentProblem(graph=graph, penalty=penalty)
+
+
 def test_brute_force_guard():
     net = make_grid(4, 4, edge_len=200.0, speed=10.0)
     nodes = sorted(net.node_set())

@@ -18,29 +18,15 @@ from .engine import (
     run_detailed,
 )
 from .errors import (
-    DanglingEdgeError,
-    DimensionMismatchError,
     DrainError,
-    EmptyCoalitionError,
-    InvalidDimensionError,
-    InvalidGammaError,
-    MalformedRowError,
     MarketError,
-    MissingFileError,
-    NegativeInputError,
-    NonpositiveStandaloneError,
     OutputError,
     PivotLimitError,
     ScenarioParseError,
     SolverError,
     TooLargeError,
-    UnknownKeyError,
-    UnknownNodeError,
-    UnmappedEntityError,
     UnreachableError,
     ValidationError,
-    ZeroDenominatorError,
-    ZeroWeightError,
 )
 from .io import (
     gen_scenario,
@@ -99,7 +85,6 @@ from .network import (
     RoadNetwork,
     load_network,
     make_grid,
-    shortest_path,
     write_network,
 )
 from .rtv import (

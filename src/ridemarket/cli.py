@@ -76,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_.add_argument("--scenario", required=True)
     cmp_.add_argument(
         "--structures",
-        default="single,segmented,bilateral,central,cooperative,marketplace",
+        default=",".join(STRUCTURE_KINDS),
         help="comma-separated market structures, in output order",
     )
     cmp_.add_argument("--out", help="write results here instead of stdout")

@@ -264,7 +264,6 @@ class EpisodeMetrics:
 class _Run:
     """One continuous service run: idle to schedule-empty."""
 
-    started: float
     distance: float = 0.0
     riders: set[str] = field(default_factory=set)
 
@@ -328,7 +327,7 @@ class _Simulation:
         for trip in assignment.chosen:
             vehicle = self.veh_by_id[trip.vehicle]
             if self.runs[vehicle.id] is None:
-                self.runs[vehicle.id] = _Run(started=now)
+                self.runs[vehicle.id] = _Run()
             vehicle.schedule = list(trip.route)
             for rid in trip.requests:
                 req = self.registry[rid]

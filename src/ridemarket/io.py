@@ -30,7 +30,6 @@ from .errors import (
     OutputError,
     ScenarioParseError,
     TooLargeError,
-    UnknownKeyError,
     ValidationError,
 )
 from .mechanisms import AuctionAward, CoalitionGame, TradeRecord
@@ -61,7 +60,7 @@ def _check_keys(obj: Mapping, allowed: set, where: str) -> None:
         raise ValidationError(f"{where}: expected an object")
     unknown = sorted(set(obj) - allowed)
     if unknown:
-        raise UnknownKeyError(f"{where}: unknown key(s) {unknown}")
+        raise ValidationError(f"{where}: unknown key(s) {unknown}")
 
 
 _REQUIRED = object()

@@ -11,21 +11,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
+from math import factorial, isfinite
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-from .errors import (
-    EmptyCoalitionError,
-    InvalidGammaError,
-    NegativeInputError,
-    NonpositiveStandaloneError,
-    ValidationError,
-    ZeroDenominatorError,
-    ZeroWeightError,
-)
-from .model import PricingScheme, Request, Vehicle, trip_marginal_profit
+from .errors import ValidationError
+from .model import WAITING, PricingScheme, Request, Vehicle, trip_marginal_profit
 from .network import RoadNetwork
 from .rtv import RtvGraph
 from .solve import Assignment, AssignmentProblem, LinearProgram, solve_assignment, solve_lp
@@ -72,7 +64,7 @@ class CoalitionGame:
     def value(self, coalition: Iterable[str]) -> float:
         s = frozenset(coalition)
         if not s:
-            raise EmptyCoalitionError("the empty coalition has no value")
+            raise ValidationError("the empty coalition has no value")
         if not s <= set(self.players):
             raise ValidationError(f"unknown players {sorted(s - set(self.players))}")
         return self.values[s]
@@ -172,7 +164,7 @@ def epm_allocate(game: CoalitionGame) -> tuple[Allocation, float] | None:
     singles = {p: float(game.value([p])) for p in game.players}
     bad = [p for p, v in singles.items() if v <= 0]
     if bad:
-        raise NonpositiveStandaloneError(f"non-positive standalone value for {bad}")
+        raise ValidationError(f"non-positive standalone value for {bad}")
     return _core_allocation(game, singles, dict.fromkeys(game.players, 0.0))
 
 
@@ -189,17 +181,17 @@ def contribution_weights(
         raise ValidationError("costs and revenues must cover the same players")
     total_cost = float(sum(costs.values()))
     total_revenue = float(sum(revenues.values()))
+    if not (isfinite(total_cost) and isfinite(total_revenue)):
+        raise ValidationError("costs and revenues must be finite")
     net = total_revenue - total_cost
     if total_cost <= 0:
-        raise ZeroDenominatorError("total cost must be positive")
+        raise ValidationError("total cost must be positive")
     if net <= 0:
-        raise ZeroDenominatorError("total net revenue must be positive")
+        raise ValidationError("total net revenue must be positive")
     theta_cost = net / total_cost
     # net revenue over profit: the two are equal in this accounting
     theta_revenue = 1.0
     denom = theta_cost * total_cost + theta_revenue * total_revenue
-    if denom <= 0:
-        raise ZeroDenominatorError("weight denominator must be positive")
     return {
         p: (theta_cost * float(costs[p]) + theta_revenue * float(revenues[p])) / denom
         for p in sorted(costs)
@@ -215,10 +207,13 @@ def contribution_allocate(
     """
     missing = [p for p in game.players if p not in weights]
     if missing:
-        raise ZeroWeightError(f"no weight for players {missing}")
+        raise ValidationError(f"no weight for players {missing}")
+    nonfinite = [p for p in game.players if not isfinite(weights[p])]
+    if nonfinite:
+        raise ValidationError(f"non-finite weight for {nonfinite}")
     bad = [p for p in game.players if weights[p] <= 0]
     if bad:
-        raise ZeroWeightError(f"non-positive weight for {bad}")
+        raise ValidationError(f"non-positive weight for {bad}")
     singles = {p: float(game.value([p])) for p in game.players}
     return _core_allocation(game, weights, singles)
 
@@ -247,12 +242,12 @@ def run_single_item_auction(bids: list[Bid], gamma: float) -> AuctionOutcome | N
     every bid is zero.
     """
     if not 0.0 <= gamma <= 1.0:
-        raise InvalidGammaError(f"gamma must lie in [0, 1], got {gamma}")
+        raise ValidationError(f"gamma must lie in [0, 1], got {gamma}")
     if not bids:
         return None
     for b in bids:
         if b.amount < 0:
-            raise NegativeInputError(f"negative bid from {b.platform}")
+            raise ValidationError(f"negative bid from {b.platform}")
     if all(b.amount == 0 for b in bids):
         return None
     top = max(b.amount for b in bids)
@@ -404,7 +399,7 @@ class TradeRecord:
         if self.seller == self.buyer:
             raise ValidationError("a platform cannot trade with itself")
         if self.info_price < 0:
-            raise NegativeInputError("information price must be non-negative")
+            raise ValidationError("information price must be non-negative")
 
 
 def _split_proportional(total: int, weights: list[int], tags: list[str]) -> list[int]:
@@ -446,7 +441,7 @@ def central_trading_epoch(
     payments through.
     """
     if not 0.0 <= gamma <= 1.0:
-        raise InvalidGammaError(f"gamma must lie in [0, 1], got {gamma}")
+        raise ValidationError(f"gamma must lie in [0, 1], got {gamma}")
     assignment = _max_profit_assignment(requests, vehicles, ctx)
     platform_of_vehicle = {v.id: v.platform for v in vehicles}
     trades: list[TradeRecord] = []
@@ -495,7 +490,7 @@ def bilateral_trading_round(
     at most once per episode.
     """
     if not 0.0 <= gamma <= 1.0:
-        raise InvalidGammaError(f"gamma must lie in [0, 1], got {gamma}")
+        raise ValidationError(f"gamma must lie in [0, 1], got {gamma}")
     ordered = sorted(states, key=lambda s: s.id)
     pairs = list(itertools.combinations(range(len(ordered)), 2))
     trades: list[TradeRecord] = []
@@ -504,7 +499,7 @@ def bilateral_trading_round(
         candidates = sorted(left.pool + right.pool, key=lambda r: r.id)
         for req_idx in rng.permutation(len(candidates)):
             request = candidates[req_idx]
-            if request.traded or request.state != "waiting":
+            if request.traded or request.state != WAITING:
                 continue
             if request.platform == left.id:
                 seller, buyer = left, right

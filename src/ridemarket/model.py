@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Mapping, NamedTuple
 
-from .errors import NegativeInputError, ValidationError
+from .errors import ValidationError
 from .network import RoadNetwork
 
 FP_PER_DOLLAR = 1000
@@ -78,7 +78,7 @@ class PricingScheme:
     def __post_init__(self) -> None:
         for name in self.__dataclass_fields__:
             if getattr(self, name) < 0:
-                raise NegativeInputError(f"pricing field {name} must be non-negative")
+                raise ValidationError(f"pricing field {name} must be non-negative")
 
     @classmethod
     def from_dollars(cls, **overrides: float) -> "PricingScheme":
@@ -91,7 +91,7 @@ class PricingScheme:
 
 def _check_leg(distance_m: float, duration_s: float) -> None:
     if distance_m < 0 or duration_s < 0:
-        raise NegativeInputError("distance and duration must be non-negative")
+        raise ValidationError("distance and duration must be non-negative")
 
 
 def dedicated_fare(scheme: PricingScheme, distance_m: float, duration_s: float) -> int:
@@ -155,9 +155,9 @@ class Request:
 
     def __post_init__(self) -> None:
         if self.origin == self.destination:
-            raise NegativeInputError(f"request {self.id}: origin equals destination")
+            raise ValidationError(f"request {self.id}: origin equals destination")
         if not 0 <= self.request_time < math.inf:
-            raise NegativeInputError(
+            raise ValidationError(
                 f"request {self.id}: request time must be finite and non-negative"
             )
         if not self.origin_platform:

@@ -16,13 +16,10 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from .errors import (
-    DanglingEdgeError,
-    InvalidDimensionError,
-    MalformedRowError,
-    MissingFileError,
+    ScenarioParseError,
     TooLargeError,
-    UnknownNodeError,
     UnreachableError,
+    ValidationError,
 )
 
 Edge = tuple[str, str, float]
@@ -45,23 +42,23 @@ class RoadNetwork:
 
     def __post_init__(self) -> None:
         if not 0 < self.speed < math.inf:
-            raise InvalidDimensionError("speed must be finite and positive")
+            raise ValidationError("speed must be finite and positive")
         if len(self.nodes) > MAX_NODES:
             raise TooLargeError(
                 f"network has {len(self.nodes)} nodes; the all-pairs tables "
                 f"allow at most {MAX_NODES}"
             )
         if len(set(self.nodes)) != len(self.nodes):
-            raise MalformedRowError(0, "duplicate node id")
+            raise ValidationError("duplicate node id")
         self._index = {n: i for i, n in enumerate(self.nodes)}
         n = len(self.nodes)
         rows, cols, data = [], [], []
         best: dict[tuple[int, int], float] = {}
         for u, v, length in self.edges:
             if u not in self._index or v not in self._index:
-                raise DanglingEdgeError(f"edge ({u}, {v}) references undeclared node")
+                raise ValidationError(f"edge ({u}, {v}) references undeclared node")
             if not 0 < length < math.inf:
-                raise InvalidDimensionError(
+                raise ValidationError(
                     f"edge ({u}, {v}) length must be finite and positive"
                 )
             key = (self._index[u], self._index[v])
@@ -85,7 +82,7 @@ class RoadNetwork:
         try:
             return self._index[node]
         except KeyError:
-            raise UnknownNodeError(f"unknown node {node!r}") from None
+            raise ValidationError(f"unknown node {node!r}") from None
 
     def distance(self, src: str, dst: str) -> float:
         """Shortest-path distance in meters; raises if disconnected."""
@@ -120,9 +117,6 @@ class RoadNetwork:
         """
         return memoryview(self._dist.reshape(-1))
 
-    def reachable(self, src: str, dst: str) -> bool:
-        return not np.isinf(self._dist[self.node_index(src), self.node_index(dst)])
-
     def path(self, src: str, dst: str) -> list[str]:
         """Node sequence of one shortest path from src to dst."""
         i, j = self.node_index(src), self.node_index(dst)
@@ -136,21 +130,15 @@ class RoadNetwork:
         return [self.nodes[k] for k in reversed(seq)]
 
 
-def shortest_path(net: RoadNetwork, src: str, dst: str) -> tuple[float, float, list[str]]:
-    """Return (distance_m, duration_s, node_path) for the shortest route."""
-    dist = net.distance(src, dst)
-    return dist, dist / net.speed, net.path(src, dst)
-
-
 def make_grid(rows: int, cols: int, edge_len: float, speed: float) -> RoadNetwork:
     """Build a rows x cols lattice with bidirectional edges of equal length.
 
     Node ids are row-major decimal strings: node (r, c) is str(r * cols + c).
     """
     if rows < 1 or cols < 1:
-        raise InvalidDimensionError("grid needs at least one row and one column")
+        raise ValidationError("grid needs at least one row and one column")
     if not (0 < edge_len < math.inf and 0 < speed < math.inf):
-        raise InvalidDimensionError("edge length and speed must be finite and positive")
+        raise ValidationError("edge length and speed must be finite and positive")
     if rows * cols > MAX_NODES:
         raise TooLargeError(
             f"grid has {rows * cols} nodes; the all-pairs tables "
@@ -182,7 +170,7 @@ def load_network(path: str, speed: float = 10.0) -> RoadNetwork:
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
     except (OSError, UnicodeError) as exc:
-        raise MissingFileError(f"cannot read network file {path}: {exc}") from None
+        raise ScenarioParseError(f"cannot read network file {path}: {exc}") from None
     nodes: list[str] = []
     edges: list[Edge] = []
     section = None
@@ -193,25 +181,29 @@ def load_network(path: str, speed: float = 10.0) -> RoadNetwork:
         if line.startswith("#"):
             section = line.lstrip("#").strip().lower()
             if section not in ("nodes", "edges"):
-                raise MalformedRowError(lineno, f"unknown section {line!r}")
+                raise ScenarioParseError(f"line {lineno}: unknown section {line!r}")
             continue
         if section == "nodes":
             if "," in line:
-                raise MalformedRowError(lineno, "node rows hold a single id")
+                raise ScenarioParseError(f"line {lineno}: node rows hold a single id")
             nodes.append(line)
         elif section == "edges":
             parts = [p.strip() for p in line.split(",")]
             if len(parts) != 3:
-                raise MalformedRowError(lineno, "edge rows are from,to,length_m")
+                raise ScenarioParseError(f"line {lineno}: edge rows are from,to,length_m")
             try:
                 length = float(parts[2])
             except ValueError:
-                raise MalformedRowError(lineno, f"bad edge length {parts[2]!r}") from None
+                raise ScenarioParseError(
+                    f"line {lineno}: bad edge length {parts[2]!r}"
+                ) from None
             if not 0 < length < math.inf:
-                raise MalformedRowError(lineno, "edge length must be finite and positive")
+                raise ScenarioParseError(
+                    f"line {lineno}: edge length must be finite and positive"
+                )
             edges.append((parts[0], parts[1], length))
         else:
-            raise MalformedRowError(lineno, "data before a section header")
+            raise ScenarioParseError(f"line {lineno}: data before a section header")
     return RoadNetwork(nodes=nodes, edges=edges, speed=float(speed))
 
 

@@ -27,7 +27,7 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .errors import UnmappedEntityError, ValidationError
+from .errors import ValidationError
 from .model import (
     DROPOFF,
     PICKUP,
@@ -141,7 +141,7 @@ class RtvGraph:
         unknown = sorted(requests.difference(self.requests)) + sorted(
             vehicles.difference(self.vehicles))
         if unknown:
-            raise UnmappedEntityError(f"{unknown} not in the trip graph")
+            raise ValidationError(f"{unknown} not in the trip graph")
         return RtvGraph(
             requests=sorted(requests),
             vehicles=sorted(vehicles),
@@ -607,7 +607,7 @@ def apply_market_structure(
         try:
             return of[eid]
         except KeyError:
-            raise UnmappedEntityError(f"{kind} {eid!r} has no platform") from None
+            raise ValidationError(f"{kind} {eid!r} has no platform") from None
 
     if structure.kind == "cooperative" and structure.alliance:
         alliance = structure.alliance

@@ -32,7 +32,6 @@ from typing import Mapping
 import numpy as np
 
 from .errors import (
-    DimensionMismatchError,
     PivotLimitError,
     SolverError,
     TooLargeError,
@@ -72,12 +71,12 @@ class LinearProgram:
         for a, rel, b in self.rows:
             a = np.asarray(a, dtype=float)
             if a.shape != (n,):
-                raise DimensionMismatchError(
+                raise ValidationError(
                     f"constraint row has {a.shape[0] if a.ndim == 1 else '?'} "
                     f"coefficients, expected {n}"
                 )
             if rel not in ("<=", ">=", "="):
-                raise DimensionMismatchError(f"unknown relation {rel!r}")
+                raise ValidationError(f"unknown relation {rel!r}")
             checked.append((a, rel, float(b)))
         self.rows = checked
 

@@ -5,11 +5,7 @@ import numpy as np
 import pytest
 
 from ridemarket.engine import PlatformSpec, Scenario, run
-from ridemarket.errors import (
-    ScenarioParseError,
-    UnknownKeyError,
-    ValidationError,
-)
+from ridemarket.errors import ScenarioParseError, ValidationError
 from ridemarket.io import (
     gen_scenario,
     load_requests,
@@ -127,7 +123,7 @@ def test_scenario_document_rejects_unknown_keys(tmp_path):
     doc = json.loads(doc_path.read_text())
     doc["constraints"] = {"gama": 0.2}  # misspelled knob must not pass silently
     doc_path.write_text(json.dumps(doc))
-    with pytest.raises(UnknownKeyError, match="gama"):
+    with pytest.raises(ValidationError, match=r"unknown key\(s\) \['gama'\]$"):
         load_scenario(doc_path)
 
 

@@ -1,24 +1,20 @@
 """Cooperative game allocations, sealed-bid auction and trading rounds."""
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from ridemarket.errors import (
-    EmptyCoalitionError,
-    NonpositiveStandaloneError,
-    ValidationError,
-    ZeroDenominatorError,
-    ZeroWeightError,
-)
+from ridemarket.errors import ValidationError
 from ridemarket.mechanisms import (
     Allocation,
     Bid,
     CoalitionGame,
     MatchingContext,
     PlatformState,
+    TradeRecord,
     _split_proportional,
     bilateral_trading_round,
     central_trading_epoch,
@@ -31,7 +27,14 @@ from ridemarket.mechanisms import (
     run_single_item_auction,
     shapley,
 )
-from ridemarket.model import PricingScheme, Request, Vehicle, fill_direct, trip_marginal_profit
+from ridemarket.model import (
+    PricingScheme,
+    Request,
+    Vehicle,
+    dedicated_fare,
+    fill_direct,
+    trip_marginal_profit,
+)
 from ridemarket.network import make_grid
 from ridemarket.rtv import Constraints, build_rtv_graph
 
@@ -97,7 +100,7 @@ def test_game_rejects_values_for_unknown_players():
 
 def test_empty_coalition_rejected():
     g = _game("ab", {"a": 1, "b": 2, "ab": 4})
-    with pytest.raises(EmptyCoalitionError):
+    with pytest.raises(ValidationError, match="^the empty coalition has no value$"):
         g.value(frozenset())
 
 
@@ -184,7 +187,8 @@ def test_epm_majority_game_core_empty():
 
 def test_epm_rejects_nonpositive_standalone():
     g = _game("12", {"1": 0, "2": 20, "12": 36})
-    with pytest.raises(NonpositiveStandaloneError):
+    with pytest.raises(ValidationError,
+                       match=r"^non-positive standalone value for \['1'\]$"):
         epm_allocate(g)
 
 
@@ -196,9 +200,9 @@ def test_contribution_weights_worked_example():
 
 
 def test_contribution_weights_guard_zero_denominators():
-    with pytest.raises(ZeroDenominatorError):
+    with pytest.raises(ValidationError, match="^total cost must be positive$"):
         contribution_weights(costs={"1": 0.0, "2": 0.0}, revenues={"1": 1.0, "2": 1.0})
-    with pytest.raises(ZeroDenominatorError):
+    with pytest.raises(ValidationError, match="^total net revenue must be positive$"):
         contribution_weights(costs={"1": 1.0, "2": 1.0}, revenues={"1": 1.0, "2": 1.0})
 
 
@@ -212,8 +216,32 @@ def test_contribution_allocate_equal_weights():
 
 def test_contribution_allocate_rejects_zero_weight():
     g = _game("12", {"1": 10, "2": 20, "12": 36})
-    with pytest.raises(ZeroWeightError):
+    with pytest.raises(ValidationError, match=r"^non-positive weight for \['1'\]$"):
         contribution_allocate(g, {"1": 0.0, "2": 1.0})
+
+
+@pytest.mark.parametrize(("weights", "bad"), [
+    ({"A": math.nan, "B": math.nan}, "['A', 'B']"),
+    ({"A": math.inf, "B": 1.0}, "['A']"),
+    ({"A": 1.0, "B": -math.inf}, "['B']"),
+], ids=["nan", "inf", "minus-inf"])
+def test_contribution_allocate_rejects_non_finite_weights(weights, bad):
+    # NaN passes a `<= 0` test and an infinite weight gives an allocation,
+    # so each weight must be checked finite as well as positive
+    g = _game("AB", {"A": 10, "B": 20, "AB": 36})
+    with pytest.raises(ValidationError, match=f"^non-finite weight for {re.escape(bad)}$"):
+        contribution_allocate(g, weights)
+
+
+@pytest.mark.parametrize(("costs", "revenues"), [
+    ({"A": 1.0, "B": 1.0}, {"A": math.inf, "B": 5.0}),
+    ({"A": 1.0, "B": 1.0}, {"A": 5.0, "B": math.nan}),
+    ({"A": math.nan, "B": 1.0}, {"A": 5.0, "B": 5.0}),
+    ({"A": math.inf, "B": -math.inf}, {"A": 5.0, "B": 5.0}),
+], ids=["inf-revenue", "nan-revenue", "nan-cost", "opposite-inf-costs"])
+def test_contribution_weights_reject_non_finite_inputs(costs, revenues):
+    with pytest.raises(ValidationError, match="^costs and revenues must be finite$"):
+        contribution_weights(costs, revenues)
 
 
 def test_lp_allocations_stay_in_core():
@@ -379,3 +407,33 @@ def test_marketplace_awards_to_highest_value_platform():
     assert award.platform == "A"  # shorter deadhead wins
     assert award.payment >= 0
     assert near.pool == [req] and far.pool == []
+
+
+# ---------------------------------------------------------------------------
+# input checks
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(("call", "message"), [
+    (lambda ctx: run_single_item_auction([Bid("0", 1)], -0.5),
+     "gamma must lie in [0, 1], got -0.5"),
+    (lambda ctx: central_trading_epoch([], [], 1.5, ctx),
+     "gamma must lie in [0, 1], got 1.5"),
+    (lambda ctx: bilateral_trading_round([], math.nan, np.random.default_rng(0), ctx),
+     "gamma must lie in [0, 1], got nan"),
+    (lambda ctx: run_single_item_auction([Bid("0", 5), Bid("1", -1)], 0.1),
+     "negative bid from 1"),
+    (lambda ctx: TradeRecord(epoch=0, request="r0", seller="A", buyer="B", info_price=-1),
+     "information price must be non-negative"),
+    (lambda ctx: Request(id="r9", origin="3", destination="3", request_time=0.0,
+                         platform="A"),
+     "request r9: origin equals destination"),
+    (lambda ctx: PricingScheme(shr_base=-1), "pricing field shr_base must be non-negative"),
+    (lambda ctx: dedicated_fare(PricingScheme(), -1.0, 60.0),
+     "distance and duration must be non-negative"),
+], ids=["auction-gamma", "central-gamma", "bilateral-gamma", "negative-bid",
+        "negative-info-price", "origin-is-destination", "negative-pricing-field",
+        "negative-fare-distance"])
+def test_bad_inputs_raise_validation_error(call, message):
+    _, _, _, ctx = _trade_setup()
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        call(ctx)

@@ -5,20 +5,16 @@ import numpy as np
 import pytest
 
 from ridemarket.errors import (
-    DanglingEdgeError,
-    InvalidDimensionError,
-    MalformedRowError,
-    MissingFileError,
+    ScenarioParseError,
     TooLargeError,
-    UnknownNodeError,
     UnreachableError,
+    ValidationError,
 )
 from ridemarket.network import (
     MAX_NODES,
     RoadNetwork,
     load_network,
     make_grid,
-    shortest_path,
     write_network,
 )
 
@@ -62,9 +58,9 @@ def test_triangle_inequality():
 
 def test_unknown_node_raises():
     net = make_grid(2, 2, edge_len=100.0, speed=10.0)
-    with pytest.raises(UnknownNodeError):
+    with pytest.raises(ValidationError, match="unknown node 'nope'"):
         net.distance("0", "nope")
-    with pytest.raises(UnknownNodeError):
+    with pytest.raises(ValidationError, match="unknown node 'nope'"):
         net.path("nope", "0")
 
 
@@ -74,8 +70,9 @@ def test_unreachable_node_raises():
         edges=[("a", "b", 50.0), ("b", "a", 50.0)],
         speed=10.0,
     )
-    assert not net.reachable("a", "c")
-    with pytest.raises(UnreachableError):
+    with pytest.raises(UnreachableError, match="no path from 'a' to 'c'"):
+        net.distance("a", "c")
+    with pytest.raises(UnreachableError, match="no path from 'a' to 'c'"):
         net.path("a", "c")
     assert net.distance_or_inf("a", "c") == float("inf")
     inf = float("inf")
@@ -107,18 +104,21 @@ def test_network_above_node_bound_fails_before_allocating():
 
 
 def test_dangling_edge_and_bad_speed_raise(tmp_path):
-    with pytest.raises(DanglingEdgeError):
+    dangling_msg = r"^edge \(a, b\) references undeclared node$"
+    with pytest.raises(ValidationError, match=dangling_msg):
         RoadNetwork(nodes=["a"], edges=[("a", "b", 10.0)], speed=5.0)
-    with pytest.raises(InvalidDimensionError):
+    with pytest.raises(ValidationError, match="edge length and speed must be finite"):
         make_grid(2, 2, edge_len=100.0, speed=0.0)
+    with pytest.raises(ValidationError, match="^duplicate node id$"):
+        RoadNetwork(nodes=["a", "b", "a"], edges=[], speed=5.0)
     # the same checks reached through the file reader
     dangling = tmp_path / "dangling.csv"
     dangling.write_text("#nodes\na\n#edges\na,b,10\n", encoding="utf-8")
-    with pytest.raises(DanglingEdgeError):
+    with pytest.raises(ValidationError, match=dangling_msg):
         load_network(str(dangling))
     duplicate = tmp_path / "duplicate.csv"
     duplicate.write_text("#nodes\na\nb\na\n#edges\na,b,10\n", encoding="utf-8")
-    with pytest.raises(MalformedRowError, match="duplicate node id"):
+    with pytest.raises(ValidationError, match="^duplicate node id$"):
         load_network(str(duplicate))
 
 
@@ -126,17 +126,20 @@ def test_dangling_edge_and_bad_speed_raise(tmp_path):
 def test_non_finite_or_non_positive_length_and_speed_raise(bad, tmp_path):
     # NaN fails no `<= 0` test, so each check must require a finite
     # positive value rather than reject non-positive ones
-    with pytest.raises(InvalidDimensionError):
+    grid_msg = "^edge length and speed must be finite and positive$"
+    with pytest.raises(ValidationError, match=grid_msg):
         make_grid(2, 2, edge_len=bad, speed=10.0)
-    with pytest.raises(InvalidDimensionError):
+    with pytest.raises(ValidationError, match=grid_msg):
         make_grid(2, 2, edge_len=100.0, speed=bad)
-    with pytest.raises(InvalidDimensionError):
+    with pytest.raises(ValidationError,
+                       match=r"^edge \(a, b\) length must be finite and positive$"):
         RoadNetwork(nodes=["a", "b"], edges=[("a", "b", bad)], speed=10.0)
-    with pytest.raises(InvalidDimensionError):
+    with pytest.raises(ValidationError, match="^speed must be finite and positive$"):
         RoadNetwork(nodes=["a", "b"], edges=[("a", "b", 10.0)], speed=bad)
     path = tmp_path / "net.csv"
     path.write_text(f"#nodes\na\nb\n#edges\na,b,10\nb,a,{bad}\n", encoding="utf-8")
-    with pytest.raises(MalformedRowError, match="line 6"):
+    want = "^line 6: edge length must be finite and positive$"
+    with pytest.raises(ScenarioParseError, match=want):
         load_network(str(path))
 
 
@@ -144,7 +147,7 @@ def test_unreadable_network_file_raises(tmp_path):
     binary = tmp_path / "net.csv"
     binary.write_bytes(b"\xff\xfe\x00\x81")
     for path in (tmp_path / "missing.csv", tmp_path, binary):
-        with pytest.raises(MissingFileError, match="cannot read network file"):
+        with pytest.raises(ScenarioParseError, match="^cannot read network file "):
             load_network(str(path))
 
 
@@ -155,15 +158,14 @@ def test_directed_edges_respected():
         speed=10.0,
     )
     assert net.distance("a", "b") == pytest.approx(30.0)
-    assert not net.reachable("b", "a")
+    assert net.distance_or_inf("b", "a") == float("inf")
 
 
-def test_shortest_path_helper():
+def test_grid_distance_duration_and_path():
     net = make_grid(3, 3, edge_len=200.0, speed=10.0)
-    dist, dur, nodes = shortest_path(net, "0", "2")
-    assert dist == pytest.approx(400.0)
-    assert dur == pytest.approx(40.0)
-    assert nodes == ["0", "1", "2"]
+    assert net.distance("0", "2") == pytest.approx(400.0)
+    assert net.travel_time("0", "2") == pytest.approx(40.0)
+    assert net.path("0", "2") == ["0", "1", "2"]
 
 
 def test_file_round_trip(tmp_path):

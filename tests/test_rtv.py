@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ridemarket import rtv
-from ridemarket.errors import UnmappedEntityError, ValidationError
+from ridemarket.errors import ValidationError
 from ridemarket.model import DROPOFF, PICKUP, Request, Stop, Vehicle, fill_direct
 from ridemarket.network import make_grid
 from ridemarket.rtv import (
@@ -551,9 +551,9 @@ def test_restriction_equals_the_build_over_the_subset(data):
         assert part.requests == want.requests
         assert part.vehicles == want.vehicles
         assert list(part.tv_edges.items()) == list(want.tv_edges.items())
-    with pytest.raises(UnmappedEntityError, match="r99"):
+    with pytest.raises(ValidationError, match=r"^\['r99'\] not in the trip graph$"):
         whole.restrict(["r99"], whole.vehicles)
-    with pytest.raises(UnmappedEntityError, match="v99"):
+    with pytest.raises(ValidationError, match=r"^\['v99'\] not in the trip graph$"):
         whole.restrict(whole.requests, ["v99"])
 
 
@@ -611,7 +611,7 @@ def test_market_structure_filters():
             some_req = {r: p for r, p in p_req.items() if r != r_gone}
             some_veh = {v: p for v, p in p_veh.items() if v != v_gone}
             want = first_unmapped(some_req, some_veh, same_group)
-            with pytest.raises(UnmappedEntityError, match=f"'{want}' has no platform"):
+            with pytest.raises(ValidationError, match=f"'{want}' has no platform$"):
                 apply_market_structure(graph, MarketStructure(kind=kind), some_req, some_veh)
 
 

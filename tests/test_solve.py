@@ -8,7 +8,6 @@ from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
 from ridemarket import solve
 from ridemarket.errors import (
-    DimensionMismatchError,
     PivotLimitError,
     SolverError,
     TooLargeError,
@@ -79,9 +78,10 @@ def test_lp_equality():
 
 
 def test_lp_dimension_validation():
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(ValidationError,
+                       match="^constraint row has 1 coefficients, expected 2$"):
         LinearProgram(c=[1.0, 2.0], rows=[(np.array([1.0]), "<=", 1.0)])
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(ValidationError, match="^unknown relation '<>'$"):
         LinearProgram(c=[1.0], rows=[(np.array([1.0]), "<>", 1.0)])
 
 

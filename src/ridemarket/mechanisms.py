@@ -9,6 +9,7 @@ trip graph.
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial, isfinite
@@ -20,7 +21,14 @@ from .errors import ValidationError
 from .model import WAITING, PricingScheme, Request, Vehicle, trip_marginal_profit
 from .network import RoadNetwork
 from .rtv import RtvGraph
-from .solve import Assignment, AssignmentProblem, LinearProgram, solve_assignment, solve_lp
+from .solve import (
+    OPTIMAL,
+    Assignment,
+    AssignmentProblem,
+    LinearProgram,
+    solve_assignment,
+    solve_lp,
+)
 
 
 MAX_PLAYERS = 12
@@ -56,6 +64,9 @@ class CoalitionGame:
             for combo in itertools.combinations(sorted(base), size):
                 if frozenset(combo) not in self.values:
                     raise ValidationError(f"missing coalition value for {combo}")
+                # compared, as math.isfinite overflows on huge ints; NaN compares False
+                if not abs(self.values[frozenset(combo)]) <= sys.float_info.max:
+                    raise ValidationError(f"non-finite coalition value for {combo}")
 
     @property
     def n(self) -> int:
@@ -131,25 +142,20 @@ def _core_allocation(
     """
     width = 1 + game.n
     x_at = {p: 1 + i for i, p in enumerate(game.players)}
-    rows: list[tuple[np.ndarray, str, float]] = []
-    for i, j in itertools.permutations(game.players, 2):
-        a = np.zeros(width)
-        a[0] = 1.0
-        a[x_at[i]] = -1.0 / d[i]
-        a[x_at[j]] = 1.0 / d[j]
-        rows.append((a, ">=", o[j] / d[j] - o[i] / d[i]))
-    for size in range(1, game.n):
-        for combo in itertools.combinations(game.players, size):
-            a = np.zeros(width)
-            for p in combo:
-                a[x_at[p]] = 1.0
-            rows.append((a, ">=", float(game.value(combo))))
-    a = np.zeros(width)
-    for p in game.players:
-        a[x_at[p]] = 1.0
-    rows.append((a, "=", float(game.grand_value())))
-    res = solve_lp(LinearProgram(c=np.eye(width)[0], rows=rows))
-    if res.status != "optimal":
+    pairs = list(itertools.permutations(game.players, 2))
+    coalitions = [combo for size in range(1, game.n + 1)
+                  for combo in itertools.combinations(game.players, size)]
+    A = np.zeros((len(pairs) + len(coalitions), width))
+    b = []
+    for k, (i, j) in enumerate(pairs):
+        A[k, [0, x_at[i], x_at[j]]] = 1.0, -1.0 / d[i], 1.0 / d[j]
+        b.append(o[j] / d[j] - o[i] / d[i])
+    for k, combo in enumerate(coalitions, start=len(pairs)):
+        A[k, [x_at[p] for p in combo]] = 1.0
+        b.append(game.value(combo))
+    rel = [">="] * (len(A) - 1) + ["="]  # the last row is the grand coalition
+    res = solve_lp(LinearProgram(c=np.eye(width)[0], A=A, b=b, rel=rel))
+    if res.status != OPTIMAL:
         return None
     amounts = {p: float(res.x[x_at[p]]) for p in game.players}
     return Allocation(amounts), float(res.value)

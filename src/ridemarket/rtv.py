@@ -22,7 +22,7 @@ restrictions of it (``RtvGraph.restrict``), equal to the subset's build.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np

@@ -1,10 +1,13 @@
 """Exact optimization: LP simplex, trip assignment ILP, brute-force oracle.
 
-The LP solver is a dense tableau simplex.  It prices with Dantzig's rule
-and falls back to Bland's rule permanently once the objective stalls, so
-it is fast in the typical case and still terminates on every input.  It
-runs phase 1 only when a row needs an artificial column (``>=`` and
-``=`` rows, as in the core-allocation LP).  The assignment solver wraps
+The LP solver is a dense tableau simplex over a matrix-form program
+``(c, A, b, rel)``: minimize c@x subject to A@x rel b and x >= 0.  It
+prices with Dantzig's rule and falls back to Bland's rule permanently
+once the objective stalls, so it is fast in the typical case and still
+terminates on every input.  It runs phase 1 only when a row needs an
+artificial column (``>=`` and ``=`` rows, as in the core-allocation LP);
+phase 2 runs on the tableau with the artificial columns deleted and any
+redundant rows dropped.  The assignment solver wraps
 it in a best-bound branch and bound over integer micro-unit costs, which
 makes optimal values exactly comparable and lets ties be broken
 deterministically: lowest cost, then the lexicographically smallest
@@ -59,26 +62,32 @@ UNBOUNDED = "unbounded"
 
 @dataclass
 class LinearProgram:
-    """min c@x subject to rows (a, rel, b) with rel in {'<=', '>=', '='} and x >= 0."""
+    """min c@x subject to A@x rel b, row by row, and x >= 0.
+
+    ``A`` is an (m, n) matrix, ``b`` its m right-hand sides and ``rel`` one
+    relation per row, each '<=', '>=' or '='.
+    """
 
     c: np.ndarray
-    rows: list[tuple[np.ndarray, str, float]]
+    A: np.ndarray
+    b: np.ndarray
+    rel: list[str]
 
     def __post_init__(self) -> None:
         self.c = np.asarray(self.c, dtype=float)
-        n = self.c.shape[0]
-        checked = []
-        for a, rel, b in self.rows:
-            a = np.asarray(a, dtype=float)
-            if a.shape != (n,):
-                raise ValidationError(
-                    f"constraint row has {a.shape[0] if a.ndim == 1 else '?'} "
-                    f"coefficients, expected {n}"
-                )
+        self.A = np.asarray(self.A, dtype=float)
+        self.b = np.asarray(self.b, dtype=float)
+        m, n = len(self.rel), self.c.shape[0]
+        if self.A.shape != (m, n) or self.b.shape != (m,):
+            raise ValidationError(
+                f"constraint matrix {self.A.shape} and right-hand side "
+                f"{self.b.shape} do not fit {m} relations over {n} variables"
+            )
+        if not all(np.isfinite(v).all() for v in (self.c, self.A, self.b)):
+            raise ValidationError("LP coefficients must be finite")
+        for rel in self.rel:
             if rel not in ("<=", ">=", "="):
                 raise ValidationError(f"unknown relation {rel!r}")
-            checked.append((a, rel, float(b)))
-        self.rows = checked
 
 
 @dataclass
@@ -99,24 +108,20 @@ def _pivot(T: np.ndarray, z: np.ndarray, basis: list[int], row: int, col: int) -
     basis[row] = col
 
 
-def _simplex_iterate(
-    T: np.ndarray,
-    z: np.ndarray,
-    basis: list[int],
-    allowed: np.ndarray,
-) -> str:
-    """Pivot to optimality or unboundedness.
+def _simplex_iterate(T: np.ndarray, z: np.ndarray, basis: list[int]) -> str:
+    """Pivot to optimality or unboundedness; every column of T may enter.
 
-    Dantzig pricing until the objective stops improving for a stretch,
-    then Bland's rule for guaranteed termination.  Ties are resolved by
-    lowest column index entering and lowest basic index leaving, so the
-    pivot sequence is deterministic.
+    Phase 2 gets a tableau whose artificial columns are already deleted,
+    so no column needs masking out.  Dantzig pricing until the objective
+    stops improving for a stretch, then Bland's rule for guaranteed
+    termination.  Ties are resolved by lowest column index entering and
+    lowest basic index leaving, so the pivot sequence is deterministic.
     """
     bland = False
     stall = 0
     last = z[-1]
     for _ in range(_MAX_PIVOTS):
-        negative = np.where(allowed & (z[:-1] < -_SIMPLEX_TOL))[0]
+        negative = np.flatnonzero(z[:-1] < -_SIMPLEX_TOL)
         if negative.size == 0:
             return OPTIMAL
         if bland:
@@ -145,77 +150,57 @@ def _simplex_iterate(
 
 
 def solve_lp(lp: LinearProgram) -> LpResult:
-    """Primal simplex, with a phase 1 when a row needs an artificial column."""
-    n = lp.c.shape[0]
-    m = len(lp.rows)
-    A = np.array([a for a, _, _ in lp.rows], dtype=float).reshape(m, n)
-    b = np.array([r for _, _, r in lp.rows], dtype=float)
-    rels = [rel for _, rel, _ in lp.rows]
-    for i in range(m):
-        if b[i] < 0:
-            A[i] = -A[i]
-            b[i] = -b[i]
-            rels[i] = {"<=": ">=", ">=": "<=", "=": "="}[rels[i]]
+    """Primal simplex, with a phase 1 when a row needs an artificial column.
 
-    n_slack = sum(1 for r in rels if r in ("<=", ">="))
-    n_art = sum(1 for r in rels if r in (">=", "="))
-    width = n + n_slack + n_art
+    Rows with a negative right-hand side are negated first.  The tableau
+    holds the structural columns, then one slack per inequality, then one
+    artificial per '>=' or '=' row.  Phase 2 runs on it with the
+    artificial columns deleted.  The argument is not modified.
+    """
+    m, n = lp.A.shape
+    sign = np.where(lp.b < 0, -1.0, 1.0)
+    rels = [{"<=": ">=", ">=": "<="}.get(r, r) if sg < 0 else r for r, sg in zip(lp.rel, sign)]
+    n_slack = sum(1 for r in rels if r != "=")
+    first_art = n + n_slack
+    width = first_art + sum(1 for r in rels if r != "<=")
     T = np.zeros((m, width + 1))
-    T[:, :n] = A
-    T[:, -1] = b
+    T[:, :n] = lp.A * sign[:, None]
+    T[:, -1] = lp.b * sign
     basis = [0] * m
     s = n
-    a_col = n + n_slack
-    art_cols = []
+    a_col = first_art
     for i, rel in enumerate(rels):
-        if rel == "<=":
-            T[i, s] = 1.0
+        if rel != "=":
+            T[i, s] = 1.0 if rel == "<=" else -1.0
             basis[i] = s
             s += 1
-        elif rel == ">=":
-            T[i, s] = -1.0
-            s += 1
+        if rel != "<=":
             T[i, a_col] = 1.0
             basis[i] = a_col
-            art_cols.append(a_col)
-            a_col += 1
-        else:
-            T[i, a_col] = 1.0
-            basis[i] = a_col
-            art_cols.append(a_col)
             a_col += 1
 
-    art_mask = np.zeros(width, dtype=bool)
-    art_mask[art_cols] = True
-
-    if art_cols:
+    if width > first_art:
         z1 = np.zeros(width + 1)
-        z1[art_cols] = 1.0
+        z1[first_art:width] = 1.0
         for i in range(m):
-            if basis[i] in art_cols:
+            if basis[i] >= first_art:
                 z1 -= T[i]
-        status = _simplex_iterate(T, z1, basis, np.ones(width, dtype=bool))
+        status = _simplex_iterate(T, z1, basis)
         if status != OPTIMAL:  # phase 1 is always bounded below by 0
             raise SolverError("phase 1 reported unbounded")
-        if -z1[-1] > 1e-7 * (1.0 + abs(b).max()):
+        if -z1[-1] > 1e-7 * (1.0 + abs(lp.b).max()):
             return LpResult(INFEASIBLE)
-        # drive leftover artificials out of the basis
-        drop_rows = []
+        # drive leftover artificials out of the basis; a row that keeps one
+        # has no other nonzero entry, so it is redundant and goes
         for i in range(m):
-            if basis[i] in art_cols:
-                pivots = [
-                    j for j in range(width)
-                    if not art_mask[j] and abs(T[i, j]) > _SIMPLEX_TOL
-                ]
-                if pivots:
-                    _pivot(T, z1, basis, i, pivots[0])
-                else:
-                    drop_rows.append(i)
-        if drop_rows:
-            keep = [i for i in range(m) if i not in drop_rows]
-            T = T[keep]
-            basis = [basis[i] for i in keep]
-            m = len(keep)
+            if basis[i] >= first_art:
+                pivots = np.flatnonzero(abs(T[i, :first_art]) > _SIMPLEX_TOL)
+                if pivots.size:
+                    _pivot(T, z1, basis, i, int(pivots[0]))
+        keep = [i for i in range(m) if basis[i] < first_art]
+        T = np.delete(T[keep], np.s_[first_art:width], axis=1)
+        basis = [basis[i] for i in keep]
+        m, width = len(keep), first_art
 
     c_full = np.zeros(width + 1)
     c_full[:n] = lp.c
@@ -223,7 +208,7 @@ def solve_lp(lp: LinearProgram) -> LpResult:
     for i in range(m):
         if c_full[basis[i]] != 0.0:
             z -= c_full[basis[i]] * T[i]
-    status = _simplex_iterate(T, z, basis, ~art_mask)
+    status = _simplex_iterate(T, z, basis)
     if status == UNBOUNDED:
         return LpResult(UNBOUNDED)
 
@@ -433,7 +418,7 @@ def _solve_node(
         dtype=float,
     ) / comp.scale
     b = [1] * len(served) + [room[c] for c in used]
-    res = solve_lp(LinearProgram(c=c, rows=[(a, "<=", bi) for a, bi in zip(A, b)]))
+    res = solve_lp(LinearProgram(c=c, A=A, b=b, rel=["<="] * len(b)))
     if res.status != OPTIMAL:
         raise SolverError(f"assignment relaxation reported {res.status}")
     constant = sum(comp.costs[e] for e in fixed_in) + comp.penalty_micro * (

@@ -456,14 +456,13 @@ def test_criterion_09_determinism(sweep, tmp_path):
 def test_criterion_10_lp_kernel():
     opt = solve_lp(LinearProgram(
         c=np.array([-1.0, -1.0]),
-        rows=[(np.array([1.0, 1.0]), "<=", 4.0),
-              (np.array([1.0, 0.0]), "<=", 2.0),
-              (np.array([0.0, 1.0]), "<=", 2.0)]))
+        A=np.array([[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]]),
+        b=np.array([4.0, 2.0, 2.0]), rel=["<=", "<=", "<="]))
     infeasible = solve_lp(LinearProgram(
         c=np.array([1.0]),
-        rows=[(np.array([1.0]), ">=", 1.0), (np.array([1.0]), "<=", 0.0)]))
+        A=np.array([[1.0], [1.0]]), b=np.array([1.0, 0.0]), rel=[">=", "<="]))
     unbounded = solve_lp(LinearProgram(
-        c=np.array([-1.0]), rows=[(np.array([1.0]), ">=", 0.0)]))
+        c=np.array([-1.0]), A=np.array([[1.0]]), b=np.array([0.0]), rel=[">="]))
     trio = (opt.status == "optimal" and abs(opt.value + 4.0) <= 1e-9
             and np.allclose(opt.x, [2.0, 2.0], atol=1e-9)
             and infeasible.status == "infeasible"

@@ -1,7 +1,6 @@
 """File formats: request tables, scenario documents, results, game files."""
 import json
 
-import numpy as np
 import pytest
 
 from ridemarket.engine import PlatformSpec, Scenario, run

@@ -98,6 +98,19 @@ def test_game_rejects_values_for_unknown_players():
         _game("a", {"a": 1, "az": 2})
 
 
+@pytest.mark.parametrize(("coalition", "value"), [
+    ("AB", math.nan), ("A", math.inf), ("B", -math.inf), ("AB", 10**400),
+], ids=["nan", "inf", "minus-inf", "huge-int"])
+def test_game_rejects_non_finite_values(coalition, value):
+    # caught here, where the coalition can be named: unchecked, these fail
+    # deep in the core LP or in shapley's Fraction conversion
+    values = {frozenset("A"): 10.0, frozenset("B"): 20.0, frozenset("AB"): 36.0}
+    values[frozenset(coalition)] = value
+    with pytest.raises(ValidationError, match=(
+            "^non-finite coalition value for " + re.escape(str(tuple(coalition))) + "$")):
+        CoalitionGame(players=("A", "B"), values=values)
+
+
 def test_empty_coalition_rejected():
     g = _game("ab", {"a": 1, "b": 2, "ab": 4})
     with pytest.raises(ValidationError, match="^the empty coalition has no value$"):

@@ -38,11 +38,9 @@ def test_lp_known_optimum():
     # min -x - 2y s.t. x + y <= 4, x <= 3, y <= 2 -> (2, 2), value -6
     lp = LinearProgram(
         c=[-1.0, -2.0],
-        rows=[
-            (np.array([1.0, 1.0]), "<=", 4.0),
-            (np.array([1.0, 0.0]), "<=", 3.0),
-            (np.array([0.0, 1.0]), "<=", 2.0),
-        ],
+        A=[[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]],
+        b=[4.0, 3.0, 2.0],
+        rel=["<=", "<=", "<="],
     )
     res = solve_lp(lp)
     assert res.status == OPTIMAL
@@ -51,38 +49,75 @@ def test_lp_known_optimum():
 
 
 def test_lp_infeasible():
-    lp = LinearProgram(
-        c=[1.0],
-        rows=[
-            (np.array([1.0]), ">=", 2.0),
-            (np.array([1.0]), "<=", 1.0),
-        ],
-    )
+    lp = LinearProgram(c=[1.0], A=[[1.0], [1.0]], b=[2.0, 1.0], rel=[">=", "<="])
     assert solve_lp(lp).status == INFEASIBLE
 
 
 def test_lp_unbounded():
-    lp = LinearProgram(c=[-1.0], rows=[(np.array([-1.0]), "<=", 0.0)])
+    lp = LinearProgram(c=[-1.0], A=[[-1.0]], b=[0.0], rel=["<="])
     assert solve_lp(lp).status == UNBOUNDED
 
 
 def test_lp_equality():
     # min x + y s.t. x + y = 3, x, y >= 0
-    lp = LinearProgram(
-        c=[1.0, 1.0],
-        rows=[(np.array([1.0, 1.0]), "=", 3.0)],
-    )
+    lp = LinearProgram(c=[1.0, 1.0], A=[[1.0, 1.0]], b=[3.0], rel=["="])
     res = solve_lp(lp)
     assert res.status == OPTIMAL
     assert res.value == pytest.approx(3.0, abs=1e-9)
 
 
+@pytest.mark.parametrize(("c", "A", "b"), [
+    ([1.0, 2.0], [[1.0, 1.0], [2.0, 2.0]], [3.0, 6.0]),
+    ([2.0, 1.0], [[1.0, 2.0], [1.0, 2.0]], [4.0, 4.0]),
+    ([1.0, -1.0], [[1.0, 1.0], [-1.0, -1.0]], [2.0, -2.0]),
+], ids=["scaled", "duplicated", "negated"])
+def test_lp_redundant_equality_rows_match_scipy(c, A, b):
+    # phase 1 leaves an artificial basic on the second row, which has no
+    # other nonzero entry left; that row is dropped before phase 2
+    res = solve_lp(LinearProgram(c=c, A=A, b=b, rel=["=", "="]))
+    ref = linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs")
+    assert res.status == OPTIMAL and ref.status == 0
+    assert res.value == pytest.approx(ref.fun, abs=1e-9)
+    assert np.allclose(np.array(A) @ res.x, b, atol=1e-9)
+
+
+def test_lp_leaves_its_argument_unchanged():
+    # a negative right-hand side flips its row and >= and = rows add
+    # artificial columns, all in the tableau: solving twice gives one answer
+    lp = LinearProgram(c=[1.0, 2.0], A=[[1.0, 1.0], [-1.0, 0.0], [1.0, -1.0]],
+                       b=[2.0, -0.5, -1.0], rel=["=", "<=", ">="])
+    before = [lp.c.copy(), lp.A.copy(), lp.b.copy()]
+    first, second = solve_lp(lp), solve_lp(lp)
+    assert all(np.array_equal(x, y) for x, y in zip(before, [lp.c, lp.A, lp.b]))
+    assert lp.rel == ["=", "<=", ">="]
+    assert first.status == OPTIMAL and first.value == pytest.approx(2.0, abs=1e-9)
+    assert np.array_equal(first.x, second.x)
+
+
 def test_lp_dimension_validation():
-    with pytest.raises(ValidationError,
-                       match="^constraint row has 1 coefficients, expected 2$"):
-        LinearProgram(c=[1.0, 2.0], rows=[(np.array([1.0]), "<=", 1.0)])
+    with pytest.raises(ValidationError, match=(
+            r"^constraint matrix \(1, 1\) and right-hand side \(1,\) "
+            r"do not fit 1 relations over 2 variables$")):
+        LinearProgram(c=[1.0, 2.0], A=[[1.0]], b=[1.0], rel=["<="])
+    with pytest.raises(ValidationError, match=r"do not fit 2 relations over 1 variables$"):
+        LinearProgram(c=[1.0], A=[[1.0]], b=[1.0], rel=["<=", "<="])
+    with pytest.raises(ValidationError, match=r"right-hand side \(2,\) do not fit"):
+        LinearProgram(c=[1.0], A=[[1.0]], b=[1.0, 2.0], rel=["<="])
+    with pytest.raises(ValidationError, match=r"^constraint matrix \(1,\) and"):
+        LinearProgram(c=[1.0], A=[1.0], b=[1.0], rel=["<="])
     with pytest.raises(ValidationError, match="^unknown relation '<>'$"):
-        LinearProgram(c=[1.0], rows=[(np.array([1.0]), "<>", 1.0)])
+        LinearProgram(c=[1.0], A=[[1.0]], b=[1.0], rel=["<>"])
+
+
+@pytest.mark.parametrize("field", ["c", "A", "b"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_lp_rejects_non_finite_coefficients(field, bad):
+    # unchecked, a NaN right-hand side fails in the ratio test and an
+    # infinite coefficient can return an infeasible point as optimal
+    lp = {"c": [1.0], "A": [[1.0]], "b": [1.0], "rel": [">="]}
+    lp[field] = np.full(np.shape(lp[field]), bad)
+    with pytest.raises(ValidationError, match="^LP coefficients must be finite$"):
+        LinearProgram(**lp)
 
 
 def test_lp_cross_check_against_scipy():
@@ -91,20 +126,20 @@ def test_lp_cross_check_against_scipy():
         n = int(rng.integers(1, 8))
         m = int(rng.integers(0, 10))
         c = rng.normal(size=n) * rng.choice([0.1, 1, 10])
-        rows, A_ub, b_ub, A_eq, b_eq = [], [], [], [], []
+        A, bs, rels, A_ub, b_ub, A_eq, b_eq = [], [], [], [], [], [], []
         for _ in range(m):
             a = rng.normal(size=n)
             a[rng.random(n) < 0.3] = 0.0
             b = float(rng.normal() * 3)
             rel = rng.choice(["<=", ">=", "="], p=[0.5, 0.3, 0.2])
-            rows.append((a, rel, b))
+            A.append(a); bs.append(b); rels.append(rel)
             if rel == "<=":
                 A_ub.append(a); b_ub.append(b)
             elif rel == ">=":
                 A_ub.append(-a); b_ub.append(-b)
             else:
                 A_eq.append(a); b_eq.append(b)
-        res = solve_lp(LinearProgram(c=c, rows=rows))
+        res = solve_lp(LinearProgram(c=c, A=np.reshape(A, (m, n)), b=bs, rel=rels))
         ref = linprog(
             c,
             A_ub=np.array(A_ub) if A_ub else None,
@@ -128,11 +163,13 @@ def _beale_lp():
     # classic Beale-style degenerate instance
     return LinearProgram(
         c=[-0.75, 150.0, -0.02, 6.0],
-        rows=[
-            (np.array([0.25, -60.0, -0.04, 9.0]), "<=", 0.0),
-            (np.array([0.5, -90.0, -0.02, 3.0]), "<=", 0.0),
-            (np.array([0.0, 0.0, 1.0, 0.0]), "<=", 1.0),
+        A=[
+            [0.25, -60.0, -0.04, 9.0],
+            [0.5, -90.0, -0.02, 3.0],
+            [0.0, 0.0, 1.0, 0.0],
         ],
+        b=[0.0, 0.0, 1.0],
+        rel=["<=", "<=", "<="],
     )
 
 
@@ -376,11 +413,10 @@ def test_node_lps_are_packing_form_without_phase_one(monkeypatch):
     assert len(lps) > 12
     class_bounds = []
     for lp in lps:
-        assert all(rel == "<=" for _, rel, _ in lp.rows)
-        if not lp.rows:  # every request covered: no free edge is left
+        assert all(rel == "<=" for rel in lp.rel)
+        if not lp.rel:  # every request covered: no free edge is left
             continue
-        A = np.array([a for a, _, _ in lp.rows])
-        b = np.array([b for _, _, b in lp.rows])
+        A, b = lp.A, lp.b
         assert np.all(np.any(A != 0.0, axis=1))
         # the class rows are the shortest suffix holding each column once
         k = max(k for k in range(len(A) + 1) if np.all(A[k:].sum(axis=0) == 1.0))

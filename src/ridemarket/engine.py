@@ -643,15 +643,16 @@ def _allocation_dollars(allocation: Allocation) -> dict[str, float]:
 
 
 def _attach_allocations(scenario: Scenario, metrics: EpisodeMetrics) -> None:
-    # An alliance of every platform keeps every trip edge, as single does,
-    # and the grand coalition's sub-scenario resolves the same requests and
-    # vehicles, so re-simulating it would repeat this run.  A partial
-    # alliance is matched together with the outsiders here, which can
-    # break ties differently from the alliance matched alone.
-    everyone = {p.id for p in scenario.platforms}
-    grand_value = None
-    if set(scenario.structure.alliance or everyone) == everyone:
-        grand_value = metrics.total_fares - metrics.total_driver_pay
+    # Each cooperative stage graph splits into the alliance and each
+    # outsider platform, and the tie-break decomposes over such groups
+    # (solve._lex_min_optimum), so the alliance evolved here exactly as
+    # its grand coalition's re-simulation would: v(alliance) is the
+    # members' profit in this run.
+    members = scenario.structure.alliance or metrics.per_platform
+    grand_value = sum(
+        metrics.per_platform[p].revenue - metrics.per_platform[p].driver_cost
+        for p in members
+    )
     game = _coalition_game(scenario, grand_value)
     metrics.coalition_values = {
         ",".join(sorted(k)): v for k, v in game.values.items()

@@ -211,7 +211,7 @@ def load_scenario(path: str | Path) -> Scenario:
             PlatformSpec(
                 id=_field(spec, "id", where, str),
                 fleet=_field(spec, "fleet", where, int),
-                positions=tuple(str(n) for n in positions) if positions else None,
+                positions=None if positions is None else tuple(str(n) for n in positions),
             )
         )
 
@@ -305,59 +305,89 @@ def metrics_to_dict(m: EpisodeMetrics) -> dict:
     }
 
 
+def _nullable(obj: Mapping, key: str, where: str, kind: type):
+    """``_field`` of a key that is written as null when it has no value."""
+    return None if obj.get(key) is None else _field(obj, key, where, kind)
+
+
+def _records(obj: Mapping, key: str, where: str) -> list[tuple[str, Mapping]]:
+    """The objects of an optional list field, each with its own label."""
+    out = []
+    for i, entry in enumerate(_field(obj, key, where, list, [])):
+        label = f"{where}.{key}[{i}]"
+        if not isinstance(entry, Mapping):
+            raise ValidationError(f"{label}: expected an object")
+        out.append((label, entry))
+    return out
+
+
 def metrics_from_dict(doc: Mapping) -> EpisodeMetrics:
-    """Inverse of metrics_to_dict, restoring fixed-point money."""
-    platforms = {
-        pid: PlatformMetrics(
-            revenue=dollars(p["revenue"]),
-            driver_cost=dollars(p["driver_cost"]),
-            info_paid=dollars(p["info_paid"]),
-            info_received=dollars(p["info_received"]),
-            trips=int(p["trips"]),
-            vehicles_used=int(p["vehicles_used"]),
-            contributed_fares=dollars(p["contributed_fares"]),
+    """Inverse of metrics_to_dict, restoring fixed-point money.
+
+    Every field is read through ``_field``, so a malformed document fails
+    with a ValidationError that names its key.
+    """
+    if not isinstance(doc, Mapping):
+        raise ValidationError("results: expected an object")
+
+    def money(obj: Mapping, key: str, where: str) -> int:
+        return dollars(_field(obj, key, where, float))
+
+    raw = _field(doc, "platforms", "results", dict)
+    platforms = {}
+    for pid in raw:
+        p = _field(raw, pid, "results.platforms", dict)
+        where = f"results.platforms.{pid}"
+        platforms[pid] = PlatformMetrics(
+            revenue=money(p, "revenue", where),
+            driver_cost=money(p, "driver_cost", where),
+            info_paid=money(p, "info_paid", where),
+            info_received=money(p, "info_received", where),
+            trips=_field(p, "trips", where, int),
+            vehicles_used=_field(p, "vehicles_used", where, int),
+            contributed_fares=money(p, "contributed_fares", where),
         )
-        for pid, p in doc["platforms"].items()
-    }
     trades = [
         TradeRecord(
-            epoch=int(t["epoch"]), request=t["request"], seller=t["seller"],
-            buyer=t["buyer"], info_price=dollars(t["info_price"]),
+            epoch=_field(t, "epoch", where, int), request=_field(t, "request", where, str),
+            seller=_field(t, "seller", where, str), buyer=_field(t, "buyer", where, str),
+            info_price=money(t, "info_price", where),
         )
-        for t in doc.get("trades", [])
+        for where, t in _records(doc, "trades", "results")
     ]
     awards = [
         AuctionAward(
-            epoch=int(a["epoch"]), request=a["request"],
-            platform=a["platform"], payment=dollars(a["payment"]),
+            epoch=_field(a, "epoch", where, int), request=_field(a, "request", where, str),
+            platform=_field(a, "platform", where, str),
+            payment=money(a, "payment", where),
         )
-        for a in doc.get("auctions", [])
+        for where, a in _records(doc, "auctions", "results")
     ]
-    values = doc.get("coalition_values")
+    values = _nullable(doc, "coalition_values", "results", dict)
     return EpisodeMetrics(
-        scenario=doc["scenario"],
-        structure=doc["structure"],
-        objective=doc["objective"],
-        seed=int(doc["seed"]),
-        n_requests=int(doc["n_requests"]),
-        served=int(doc["served"]),
-        expired=int(doc["expired"]),
-        total_vmt_miles=float(doc["total_vmt_miles"]),
-        pct_unsatisfied=float(doc["pct_unsatisfied"]),
-        avg_wait_s=float(doc["avg_wait_s"]),
-        total_trips=int(doc["total_trips"]),
-        n_trades=int(doc["n_trades"]),
-        total_fares=dollars(doc["total_fares"]),
-        total_driver_pay=dollars(doc["total_driver_pay"]),
-        total_profit=dollars(doc["total_profit"]),
-        broker_balance=dollars(doc["broker_balance"]),
+        scenario=_field(doc, "scenario", "results", str),
+        structure=_field(doc, "structure", "results", str),
+        objective=_field(doc, "objective", "results", str),
+        seed=_field(doc, "seed", "results", int),
+        n_requests=_field(doc, "n_requests", "results", int),
+        served=_field(doc, "served", "results", int),
+        expired=_field(doc, "expired", "results", int),
+        total_vmt_miles=_field(doc, "total_vmt_miles", "results", float),
+        pct_unsatisfied=_field(doc, "pct_unsatisfied", "results", float),
+        avg_wait_s=_field(doc, "avg_wait_s", "results", float),
+        total_trips=_field(doc, "total_trips", "results", int),
+        n_trades=_field(doc, "n_trades", "results", int),
+        total_fares=money(doc, "total_fares", "results"),
+        total_driver_pay=money(doc, "total_driver_pay", "results"),
+        total_profit=money(doc, "total_profit", "results"),
+        broker_balance=money(doc, "broker_balance", "results"),
         per_platform=platforms,
         trade_log=trades,
         auction_log=awards,
-        allocations=doc.get("allocations"),
-        coalition_values=(
-            {k: dollars(v) for k, v in values.items()} if values is not None else None
-        ),
+        allocations=_nullable(doc, "allocations", "results", dict),
+        coalition_values=None if values is None else {
+            k: money(values, k, "results.coalition_values") for k in values
+        },
     )
 
 

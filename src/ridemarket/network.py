@@ -16,6 +16,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from .errors import (
+    OutputError,
     ScenarioParseError,
     TooLargeError,
     UnreachableError,
@@ -208,11 +209,14 @@ def load_network(path: str, speed: float = 10.0) -> RoadNetwork:
 
 
 def write_network(net: RoadNetwork, path: str) -> None:
-    """Serialize a network to the CSV section format read by load_network."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("#nodes\n")
-        for n in net.nodes:
-            fh.write(f"{n}\n")
-        fh.write("#edges\n")
-        for u, v, length in net.edges:
-            fh.write(f"{u},{v},{length}\n")
+    """Serialize a network to the CSV section format read by load_network.
+
+    A file that cannot be written is an OutputError.
+    """
+    lines = ["#nodes", *(f"{n}" for n in net.nodes),
+             "#edges", *(f"{u},{v},{length}" for u, v, length in net.edges)]
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise OutputError(f"cannot write {path}: {exc}") from exc

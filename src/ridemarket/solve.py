@@ -10,8 +10,10 @@ phase 2 runs on the tableau with the artificial columns deleted and any
 redundant rows dropped.  The assignment solver wraps
 it in a best-bound branch and bound over integer micro-unit costs, which
 makes optimal values exactly comparable and lets ties be broken
-deterministically: lowest cost, then the lexicographically smallest
-chosen edge set, with edges ordered by their (trip, vehicle) key.
+deterministically: lowest cost, then, of two optima, the one that holds
+the smallest edge of their symmetric difference, with edges ordered by
+their (trip, vehicle) key.  This rule decomposes: over groups that share
+no request and no vehicle, the winner is the union of the groups' winners.
 Vehicles with identical trips at identical costs are twins, and each twin
 class is solved as one vehicle of its size: node LPs have one column per
 free edge of the class's lowest-id vehicle.  They are in packing form:
@@ -490,14 +492,19 @@ def _branch_and_bound(
 def _lex_min_optimum(
     comp: _Compiled, value: int, witness: frozenset[int], root: _Relaxation
 ) -> frozenset[int]:
-    """Smallest optimal edge set in sorted-tuple order.
+    """The optimum that wins the tie-break over every other optimum.
+
+    The rule: of two optima, the one that holds the smallest edge of
+    their symmetric difference wins.  Equivalently, the winner has the
+    lexicographically largest 0/1 incidence vector in edge order.
 
     Scans the original edges in index order, keeping an optimal class
     solution (a set of representative edges, like ``witness``) consistent
-    with all decisions, and returns the original edges it accepted.  A
-    committed prefix that already attains the optimum beats every
-    extension, so the scan stops there.  Before the scan, the root
-    relaxation's reduced costs fix out every representative edge they
+    with all decisions, and returns the original edges it accepted.  An
+    edge is accepted exactly when some optimum holds it together with
+    every accepted edge and no rejected one, which builds the winner edge
+    by edge; the scan always runs to the last edge.  Before the scan, the
+    root relaxation's reduced costs fix out every representative edge they
     prove to lie in no optimum; during it, an edge that shares a request
     with the committed set is skipped without an LP.  Of a class
     v1 < ... < vk with v1..vr already used, the scan handles only edges of
@@ -512,9 +519,9 @@ def _lex_min_optimum(
     * Swap argument.  Take twins v < w and any optimum.  If it gives w a
       trip smaller than v's, or uses w while v is unused, swapping their
       trips gives another optimum, and the smallest edge that differs
-      between the two, (T, v), lies in the swapped set.  So the lex-min
-      optimum hands each class's trips to its members in id order: v1
-      the smallest, and only a prefix v1..vr in use.
+      between the two, (T, v), lies in the swapped set, so that set
+      wins.  So the winner hands each class's trips to its members in id order:
+      v1 the smallest, and only a prefix v1..vr in use.
     * Forcing an edge.  Let the committed set use v1..vr of class C.
       Forcing (T, v(r+1)) in, with every earlier edge decided, is
       attainable exactly when forcing the class edge (T, C) in is: any
@@ -531,6 +538,20 @@ def _lex_min_optimum(
       cost, and the class LP's value is the unaggregated relaxation's, so
       reduced-cost fixing on the class LP removes only class edges that
       lie in no optimum.
+
+    Why the rule decomposes: let the graph be the union of groups A and B
+    that share no request and no vehicle, so no twin class spans both.
+    The cost is the sum of the groups' costs, the penalty of each
+    unserved request included, so the optima of the union are exactly the
+    unions of an optimum of A with one of B.  Let S_A and S_B win in
+    their groups, and T_A | T_B be any other optimum of the union.  The
+    smallest edge of the symmetric difference of S_A | S_B and T_A | T_B
+    is the smallest edge of one group's symmetric difference, say A's,
+    and it lies in S_A since S_A wins.  So the winner of the union is the
+    union of the groups' winners, and each group is matched exactly as it
+    would be alone.  A cooperative stage graph splits into the alliance
+    and each outsider platform, and a segmented one into the platforms,
+    so each group evolves in the run as it would in a run of its own.
     """
     fout = {
         e for i, e in enumerate(root.free)
@@ -549,8 +570,6 @@ def _lex_min_optimum(
             or (rep in fout and rep not in current)
         ):
             continue
-        if _exact_cost(comp, frozenset(fin)) == value:
-            return frozenset(accepted)
         if rep not in current:
             trial = _solve_node(comp, frozenset(fin | {rep}), frozenset(fout))
             val, found = _branch_and_bound(comp, trial, target=value)
@@ -562,7 +581,6 @@ def _lex_min_optimum(
         accepted.append(e)
         used[comp.edge_class[e]] += 1
         covered |= comp.edge_requests[e]
-    # every edge is decided, so the accepted set is the lex-min optimum
     return frozenset(accepted)
 
 
@@ -628,14 +646,13 @@ def brute_force_assignment(problem: AssignmentProblem) -> Assignment:
             h[k][mask] = best
     best_val = h[0][0]
 
-    solutions: list[tuple[tuple[int, ...], frozenset[int]]] = []
+    solutions: list[frozenset[int]] = []
 
     def walk(k: int, mask: int, acc: int, chosen: list[int]) -> None:
         if acc + h[k][mask] != best_val:
             return
         if k == V:
-            idx = frozenset(chosen)
-            solutions.append((tuple(sorted(idx)), idx))
+            solutions.append(frozenset(chosen))
             return
         if acc + h[k + 1][mask] == best_val:
             walk(k + 1, mask, acc, chosen)
@@ -647,5 +664,6 @@ def brute_force_assignment(problem: AssignmentProblem) -> Assignment:
                 walk(k + 1, mask | edge_mask[e], nxt, chosen + [e])
 
     walk(0, 0, 0, [])
-    winner = min(solutions)[1]
+    # the first edge where two optima differ belongs to the winner
+    winner = max(solutions, key=lambda idx: [e in idx for e in range(len(comp.edges))])
     return _finish(comp, winner)

@@ -45,10 +45,11 @@ def _requests(rng, nodes, n, platforms, spread_s=300):
 
 
 def _scenario(net, reqs, specs, kind, seed=0, alliance=frozenset(), **kw):
+    kw.setdefault("constraints", Constraints())
     return Scenario(
         net=net, requests=list(reqs), platforms=list(specs),
         structure=MarketStructure(kind=kind, alliance=alliance),
-        constraints=Constraints(), pricing=PricingScheme(), seed=seed, **kw,
+        pricing=PricingScheme(), seed=seed, **kw,
     )
 
 
@@ -352,30 +353,91 @@ def _outcomes(state):
     return requests, vehicles, metrics
 
 
+def _random_market(rng, tied=False):
+    """A small grid, two or three platforms, their demand and fleets.
+
+    A tied market has quarter-mile blocks, at least four requests and a
+    vehicle on every platform; under ``_tied_keywords`` its optimal
+    matchings tie often.
+    """
+    block = METERS_PER_MILE / 4 if tied else float(rng.integers(200, 500))
+    net = make_grid(int(rng.integers(3, 6)), int(rng.integers(3, 6)),
+                    edge_len=block, speed=8.0)
+    nodes = sorted(net.node_set())
+    platforms = ["A", "B", "C"][: int(rng.integers(2, 4))]
+    # blank tags go through the seeded demand split
+    reqs = _requests(rng, nodes, int(rng.integers(4 if tied else 1, 13)), platforms + [""],
+                     spread_s=int(rng.integers(30, 600)))
+    specs = []
+    for p in platforms:
+        fleet = int(rng.integers(int(tied), 4))  # untied, a zero fleet now and then
+        positions = tuple(str(n) for n in rng.choice(nodes, size=fleet)) \
+            if rng.integers(0, 2) else None
+        specs.append(PlatformSpec(p, fleet, positions))
+    return net, platforms, reqs, specs
+
+
+def _tied_keywords(rng):
+    # an unserved penalty of whole blocks: under min_vmt_penalty many trips
+    # add exactly their riders' penalty and tie with leaving them unserved
+    return {"objective": "min_vmt_penalty",
+            "constraints": Constraints(unserved_penalty=int(rng.integers(1, 9)) / 4)}
+
+
+def _member_outcomes(state, members):
+    """The members' requests, vehicles and ledgers at the end of a run."""
+    requests, vehicles, metrics = _outcomes(state)
+    return (
+        {rid: o for rid, o in requests.items() if state.requests[rid].platform in members},
+        {vid: o for vid, o in vehicles.items() if o[0] in members},
+        {p: metrics["platforms"][p] for p in members},
+    )
+
+
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_grand_coalition_rerun_repeats_the_cooperative_run(seed):
     # an alliance of every platform: its grand coalition's re-simulation is
-    # this very episode, which is why allocations take v(grand) from the run
+    # this very episode
     rng = np.random.default_rng(seed)
-    net = make_grid(int(rng.integers(3, 6)), int(rng.integers(3, 6)),
-                    edge_len=float(rng.integers(200, 500)), speed=8.0)
-    nodes = sorted(net.node_set())
-    platforms = ["A", "B", "C"][: int(rng.integers(2, 4))]
-    # blank tags go through the seeded demand split
-    reqs = _requests(rng, nodes, int(rng.integers(1, 13)), platforms + [""],
-                     spread_s=int(rng.integers(30, 600)))
-    specs = []
-    for p in platforms:
-        fleet = int(rng.integers(0, 4))  # a zero fleet now and then
-        positions = tuple(str(n) for n in rng.choice(nodes, size=fleet)) \
-            if rng.integers(0, 2) else None
-        specs.append(PlatformSpec(p, fleet, positions))
+    net, platforms, reqs, specs = _random_market(rng)
     alliance = frozenset(platforms) if rng.integers(0, 2) else frozenset()
     sc = _scenario(net, reqs, specs, "cooperative", seed=int(rng.integers(0, 1000)),
                    alliance=alliance, compute_allocations=False)
     assert _outcomes(run_detailed(sc)) == \
         _outcomes(run_detailed(_coalition_scenario(sc, platforms)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_partial_alliance_evolves_as_its_coalition_alone(seed):
+    # the outsiders are matched beside the alliance but never with it, and
+    # the tie-break decomposes over such groups, so the members end the run
+    # as their grand coalition's re-simulation does; this is why
+    # allocations take v(alliance) from the run
+    rng = np.random.default_rng(seed)
+    net, platforms, reqs, specs = _random_market(rng, tied=True)
+    size = int(rng.integers(1, len(platforms)))
+    alliance = frozenset(str(p) for p in rng.choice(platforms, size=size, replace=False))
+    sc = _scenario(net, reqs, specs, "cooperative", seed=int(rng.integers(0, 1000)),
+                   alliance=alliance, compute_allocations=False, **_tied_keywords(rng))
+    assert _member_outcomes(run_detailed(sc), alliance) == \
+        _member_outcomes(run_detailed(_coalition_scenario(sc, alliance)), alliance)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_segmented_run_is_each_platform_alone(seed):
+    # a segmented stage graph splits into the platforms, so each platform's
+    # requests, vehicles and ledger end the run as in a run of its own
+    rng = np.random.default_rng(seed)
+    net, platforms, reqs, specs = _random_market(rng, tied=True)
+    sc = _scenario(net, reqs, specs, "segmented", seed=int(rng.integers(0, 1000)),
+                   **_tied_keywords(rng))
+    state = run_detailed(sc)
+    for p in platforms:
+        assert _member_outcomes(state, {p}) == \
+            _member_outcomes(run_detailed(_coalition_scenario(sc, [p])), {p})
 
 
 def _three_platform_alliance(net, alliance):
@@ -398,16 +460,24 @@ def test_full_alliance_takes_grand_value_from_the_run(net, monkeypatch):
     assert m.coalition_values["A,B,C"] == m.total_fares - m.total_driver_pay
 
 
-def test_partial_alliance_resimulates_its_grand_coalition(net):
+def test_partial_alliance_takes_its_value_from_the_run(net, monkeypatch):
     # C is outside the alliance, so the run matches A, B and C in one
-    # assignment; its lexicographic tie-break can pick a different optimum
-    # for A and B than the two matched alone, so the run's A+B profit is no
-    # stand-in for v({A, B}) and every coalition is re-simulated
+    # assignment; the tie-break decomposes over the disjoint groups {A, B}
+    # and {C}, so the run's A+B profit is v({A, B}) and only the proper
+    # coalitions are re-simulated
     sc = _three_platform_alliance(net, frozenset({"A", "B"}))
-    m = run(sc)
-    assert m.coalition_values == {
+    expected = {
         ",".join(c): characteristic_value(sc, c) for c in (("A",), ("B",), ("A", "B"))
     }
+    called = []
+    value = characteristic_value
+    monkeypatch.setattr("ridemarket.engine.characteristic_value",
+                        lambda s, c: called.append(tuple(c)) or value(s, c))
+    m = run(sc)
+    assert sorted(called) == [("A",), ("B",)]
+    assert m.coalition_values == expected
+    assert m.coalition_values["A,B"] == sum(
+        m.per_platform[p].revenue - m.per_platform[p].driver_cost for p in ("A", "B"))
 
 
 def test_characteristic_value_solo_uses_own_fleet_only(net):

@@ -1,5 +1,6 @@
 """File formats: request tables, scenario documents, results, game files."""
 import json
+import re
 
 import pytest
 
@@ -143,6 +144,21 @@ def test_scenario_document_custom_blocks(tmp_path):
     assert sc.objective == "min_vmt_penalty"
 
 
+@pytest.mark.parametrize("fleet", [0, 2])
+def test_empty_positions_list_is_checked_against_the_fleet(tmp_path, fleet):
+    # an empty list names no position; it is not an absent key, which would
+    # draw random positions
+    doc_path = gen_scenario(tmp_path / "demo", n_requests=3, seed=0)
+    doc = json.loads(doc_path.read_text())
+    doc["platforms"] = [{"id": "A", "fleet": fleet, "positions": []}]
+    doc_path.write_text(json.dumps(doc))
+    if fleet:
+        with pytest.raises(ValidationError, match="platform A: 0 positions for fleet of 2"):
+            load_scenario(doc_path)
+    else:
+        assert load_scenario(doc_path).platforms == [PlatformSpec("A", 0, positions=())]
+
+
 def _tiny_metrics():
     net = make_grid(4, 4, edge_len=300.0, speed=10.0)
     reqs = [Request(id="r0", origin="0", destination="15", request_time=0.0, platform="A")]
@@ -167,6 +183,22 @@ def test_results_json_round_trip(tmp_path):
 def test_results_dict_round_trip():
     m = _tiny_metrics()
     assert metrics_to_dict(metrics_from_dict(metrics_to_dict(m))) == metrics_to_dict(m)
+
+
+@pytest.mark.parametrize(("doc", "message"), [
+    ({}, "results: missing required key 'platforms'"),
+    ([1], "results: expected an object"),
+    ({"platforms": 3}, "results.platforms: expected an object, got 3"),
+    ({"platforms": {"A": []}}, "results.platforms.A: expected an object, got []"),
+    ({"platforms": {"A": {"revenue": "1"}}},
+     'results.platforms.A.revenue: expected a finite number, got "1"'),
+    ({"platforms": {}, "trades": [2]}, "results.trades[0]: expected an object"),
+])
+def test_malformed_results_are_validation_errors(tmp_path, doc, message):
+    path = tmp_path / "out.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        read_results(path)
 
 
 def test_results_csv_has_per_platform_profit(tmp_path):

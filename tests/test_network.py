@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ridemarket.errors import (
+    OutputError,
     ScenarioParseError,
     TooLargeError,
     UnreachableError,
@@ -179,3 +180,10 @@ def test_file_round_trip(tmp_path):
     for _ in range(30):
         a, b = rng.choice(nodes, size=2, replace=False)
         assert back.distance(a, b) == pytest.approx(net.distance(a, b))
+
+
+def test_unwritable_network_path_is_an_output_error(tmp_path):
+    net = make_grid(2, 2, edge_len=100.0, speed=9.0)
+    for path in (tmp_path / "missing" / "net.csv", tmp_path):
+        with pytest.raises(OutputError, match="^cannot write "):
+            write_network(net, str(path))

@@ -13,7 +13,16 @@ from ridemarket.errors import (
     TooLargeError,
     ValidationError,
 )
-from ridemarket.model import DROPOFF, PricingScheme, Request, Stop, Vehicle, fill_direct
+from ridemarket.model import (
+    DROPOFF,
+    METERS_PER_MILE,
+    PricingScheme,
+    Request,
+    Stop,
+    Trip,
+    Vehicle,
+    fill_direct,
+)
 from ridemarket.network import make_grid
 from ridemarket.rtv import Constraints, RtvGraph, build_rtv_graph
 from ridemarket.solve import (
@@ -500,8 +509,9 @@ def test_assignment_ignores_input_order(seed, objective, colocated, shuffle):
 
 def test_assignment_zero_penalty_profit():
     # with no unserved penalty the solver only serves requests that pay; a
-    # zero-cost trip ties with leaving its riders unserved, and the empty
-    # set wins the tie
+    # zero-cost trip ties with leaving its riders unserved, and the optimum
+    # that holds the trip wins the tie unless the trip clashes with an
+    # earlier accepted edge
     net = make_grid(5, 5, edge_len=300.0, speed=8.0)
     nodes = sorted(net.node_set())
     rng = np.random.default_rng(19)
@@ -534,6 +544,97 @@ def test_assignment_tie_breaks_to_smallest_edge_set():
     assert (("r0",), "v0") in graph.tv_edges and (("r0",), "v1") in graph.tv_edges
     got = solve_assignment(AssignmentProblem(graph=graph))
     assert [(t.requests, t.vehicle) for t in got.chosen] == [(("r0",), "v0")]
+
+
+def _miles_graph(edges):
+    """A hand-built trip graph from (requests, vehicle, added miles) edges."""
+    tv = {
+        (tuple(reqs), vid): Trip(requests=tuple(reqs), vehicle=vid, route=(),
+                                 incremental_distance=miles * METERS_PER_MILE,
+                                 total_delay=0.0, group_size=len(reqs))
+        for reqs, vid, miles in edges
+    }
+    return RtvGraph(requests=sorted({r for reqs, _, _ in edges for r in reqs}),
+                    vehicles=sorted({vid for _, vid, _ in edges}), tv_edges=tv)
+
+
+def _chosen_keys(assignment):
+    return [t.edge_key for t in assignment.chosen]
+
+
+def test_zero_marginal_edge_after_an_optimal_prefix_is_taken():
+    # r1 on v1 costs exactly its 10-mile penalty, so {r0/v0} and
+    # {r0/v0, r1/v1} both cost 11 miles; the second holds the smallest
+    # edge of their difference and wins
+    problem = AssignmentProblem(
+        graph=_miles_graph([(("r0",), "v0", 1), (("r1",), "v1", 10)]),
+        objective="min_vmt_penalty", penalty=10.0,
+    )
+    for got in (solve_assignment(problem), brute_force_assignment(problem)):
+        assert _chosen_keys(got) == [(("r0",), "v0"), (("r1",), "v1")]
+        assert got.unserved == []
+        assert got.objective_micro == 11_000_000
+
+
+def _solve_groups(edges, groups):
+    """The union's solve, each group's solve, and the union's oracle."""
+    problem = AssignmentProblem(graph=_miles_graph(edges),
+                                objective="min_vmt_penalty", penalty=10.0)
+    parts = [
+        solve_assignment(AssignmentProblem(
+            graph=_miles_graph([e for e in edges if e[1] in vehicles]),
+            objective="min_vmt_penalty", penalty=10.0))
+        for vehicles in groups
+    ]
+    return solve_assignment(problem), parts, brute_force_assignment(problem)
+
+
+def test_union_of_disjoint_groups_is_solved_as_each_group_alone():
+    # group A is the zero-marginal pair above; a prefix rule would pick
+    # r0/v0 alone in A but r0/v0 and r1/v1 beside group B's r2/v2
+    edges = [(("r0",), "v0", 1), (("r1",), "v1", 10), (("r2",), "v2", 1)]
+    union, parts, oracle = _solve_groups(edges, [{"v0", "v1"}, {"v2"}])
+    assert _chosen_keys(union) == [(("r0",), "v0"), (("r1",), "v1"), (("r2",), "v2")]
+    assert [_chosen_keys(p) for p in parts] == \
+        [[(("r0",), "v0"), (("r1",), "v1")], [(("r2",), "v2")]]
+    assert _chosen_keys(oracle) == _chosen_keys(union)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_disjoint_groups_decompose(data):
+    # two groups that share no request and no vehicle, with ids interleaved
+    # so their edges alternate in the sorted order; an added-miles cost is
+    # drawn around the trip's penalty, so zero-marginal edges are common,
+    # and a vehicle may copy an earlier one's edges, making twins
+    n_req = data.draw(st.integers(2, 8))
+    n_veh = data.draw(st.integers(2, 5))
+    req_group = data.draw(st.lists(st.integers(0, 1), min_size=n_req, max_size=n_req))
+    veh_group = data.draw(st.lists(st.integers(0, 1), min_size=n_veh, max_size=n_veh))
+    edges, lists = [], {}
+    for j, g in enumerate(veh_group):
+        vid = f"v{j}"
+        twin = [k for k in lists if veh_group[k] == g]
+        if twin and data.draw(st.booleans()):
+            lists[j] = lists[data.draw(st.sampled_from(twin))]
+        else:
+            mine = [f"r{i}" for i, h in enumerate(req_group) if h == g]
+            keys = [(r,) for r in mine] + [
+                (a, b) for k, a in enumerate(mine) for b in mine[k + 1:]]
+            lists[j] = [
+                (key, 10 * len(key) + data.draw(st.sampled_from([-3, -1, 0, 0, 0, 2])))
+                for key in keys if data.draw(st.booleans())
+            ]
+        edges += [(key, vid, miles) for key, miles in lists[j]]
+    groups = [{f"v{j}" for j, h in enumerate(veh_group) if h == g} for g in (0, 1)]
+    groups = [vs for vs in groups if any(e[1] in vs for e in edges)]
+    if not groups:
+        return
+    union, parts, oracle = _solve_groups(edges, groups)
+    assert _chosen_keys(union) == sorted(k for p in parts for k in _chosen_keys(p))
+    assert union.objective_micro == sum(p.objective_micro for p in parts)
+    assert _chosen_keys(oracle) == _chosen_keys(union)
+    assert oracle.objective_micro == union.objective_micro
 
 
 def test_failed_later_node_lp_is_a_solver_error(monkeypatch):

@@ -92,12 +92,14 @@ from .rtv import (
     MarketStructure,
     RtvGraph,
     STRUCTURE_KINDS,
+    StopTable,
     apply_market_structure,
     best_route,
     build_rtv_graph,
     build_rv_graph,
     enumerate_trips,
     pair_shareable,
+    stop_table,
 )
 from .seeding import SUBSTREAMS, substream
 from .solve import (

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .errors import DrainError, MarketError, TooLargeError, ValidationError
 from .mechanisms import (
@@ -41,6 +41,7 @@ from .model import (
     Request,
     Vehicle,
     driver_pay,
+    fill_direct,
     miles,
     rider_fare,
     to_dollars,
@@ -79,6 +80,9 @@ class PlatformSpec:
     positions: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
+        if isinstance(self.fleet, bool) or not isinstance(self.fleet, int):
+            raise ValidationError(
+                f"platform {self.id}: fleet must be an integer, got {self.fleet!r}")
         if self.fleet < 0:
             raise ValidationError(f"platform {self.id}: negative fleet")
         if self.fleet > MAX_FLEET:
@@ -172,23 +176,11 @@ def resolve_scenario(scenario: Scenario) -> tuple[list[Request], list[Vehicle]]:
     initial fleet (explicit positions, or uniform draws from the placement
     stream, taken per platform in sorted id order).
     """
-    net = scenario.net
-    requests = [
-        replace(
-            r,
-            direct_distance=net.distance(r.origin, r.destination),
-            direct_duration=net.travel_time(r.origin, r.destination),
-            state=WAITING,
-            pickup_time=None,
-            origin_platform=r.platform,
-            assigned_vehicle=None,
-            pickup_deadline=None,
-            served_time=None,
-            fare_paid=None,
-            traded=False,
-        )
-        for r in sorted(scenario.requests, key=lambda r: r.id)
-    ]
+    requests = fill_direct(scenario.net, sorted(scenario.requests, key=lambda r: r.id))
+    for r in requests:  # fill_direct's fresh copies start their lifecycle
+        r.state, r.pickup_time, r.origin_platform = WAITING, None, r.platform
+        r.assigned_vehicle = r.pickup_deadline = r.served_time = r.fare_paid = None
+        r.traded = False
     pids = sorted(p.id for p in scenario.platforms)
     untagged = [r for r in requests if not r.platform]
     if untagged:

@@ -10,6 +10,7 @@ JSON type fails with a ValidationError that names its key.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import sys
 from dataclasses import fields
@@ -162,12 +163,19 @@ def _time_text(t: float) -> str:
     return short if float(short) == t else repr(t)
 
 
+def _csv_text(rows) -> str:
+    """CSV text; only a field holding a comma, a quote or a line break is quoted."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
 def write_requests(requests: list[Request], path: str | Path) -> None:
-    lines = [",".join(REQUEST_HEADER)]
-    for r in sorted(requests, key=lambda r: (r.request_time, r.id)):
-        time_s = _time_text(r.request_time)
-        lines.append(f"{r.id},{time_s},{r.origin},{r.destination},{r.platform}")
-    write_text(path, "\n".join(lines) + "\n")
+    rows = [REQUEST_HEADER] + [
+        [r.id, _time_text(r.request_time), r.origin, r.destination, r.platform]
+        for r in sorted(requests, key=lambda r: (r.request_time, r.id))
+    ]
+    write_text(path, _csv_text(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -459,12 +467,11 @@ def read_results(path: str | Path) -> EpisodeMetrics | list[EpisodeMetrics]:
 
 def write_trade_log(trades: list[TradeRecord], path: str | Path) -> None:
     """Trade log CSV with one row per executed trade."""
-    lines = ["epoch,request,seller,buyer,info_price"]
-    for t in trades:
-        lines.append(
-            f"{t.epoch},{t.request},{t.seller},{t.buyer},{to_dollars(t.info_price):.4f}"
-        )
-    write_text(path, "\n".join(lines) + "\n")
+    rows = [["epoch", "request", "seller", "buyer", "info_price"]] + [
+        [t.epoch, t.request, t.seller, t.buyer, f"{to_dollars(t.info_price):.4f}"]
+        for t in trades
+    ]
+    write_text(path, _csv_text(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -562,6 +569,10 @@ def gen_scenario(
         raise ValidationError(f"seed must be non-negative, got {seed}")
     platforms = [PlatformSpec(chr(ord("A") + k), fleet) for k in range(n_platforms)]
     net = make_grid(rows, cols, edge_len=edge_len_m, speed=speed_mps)
+    if len(net.nodes) < 2:
+        raise ValidationError(
+            f"a {rows}x{cols} grid has no two distinct nodes for an origin and a "
+            "destination")
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)

@@ -9,7 +9,9 @@ stop order, computed in closed form with ``best_route``'s own float
 operations; reach bounds on shortest paths skip a pair whose pickup misses
 its deadline, or that makes a committed stop miss its own, and an idle
 vehicle's request pair whose second pickup comes too late in either order;
-idle vehicles with the same position and capacity are searched once.  Trip
+idle vehicles with the same position and capacity are searched once.  The
+search, the closed form and every reach bound read one table of stop
+records (``stop_table``), built once per build rather than per search.  Trip
 enumeration also tests each request pair it tries with ``pair_shareable``,
 a heuristic probe, not a relaxation: it can reject a pair that a real
 vehicle could serve together.  A market structure acts on the finished
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, fields
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -165,13 +167,78 @@ def schedule_distance(vehicle: Vehicle, net: RoadNetwork) -> float:
     return total
 
 
-def best_route(
-    vehicle: Vehicle,
-    new_requests: Iterable[Request],
+class StopTable(NamedTuple):
+    """The stop records of one graph build, made by ``stop_table``.
+
+    ``riders`` maps each request id to its (pickup, dropoff) records, and
+    ``fleet`` each vehicle id to the node index of its position and the
+    records of its onboard and assigned riders, none when it is idle.
+    """
+
+    net: RoadNetwork
+    now: float
+    riders: dict[str, tuple[tuple, tuple]]
+    fleet: dict[str, tuple[int, tuple[tuple, ...]]]
+
+
+def stop_table(
+    requests: Iterable[Request],
+    vehicles: Iterable[Vehicle],
     registry: Mapping[str, Request],
     net: RoadNetwork,
     constraints: Constraints,
     now: float,
+) -> StopTable:
+    """Every stop record that ``best_route`` and the reach bounds read.
+
+    A record is ``(request, kind, node, node index, limit, aux, late)``.  A
+    pickup must arrive by ``limit``, its deadline plus EPS, and not before
+    ``aux``, the release time.  A dropoff must arrive within ``limit`` of
+    the ride start: ``aux`` for a rider already onboard, else the arrival
+    at the pickup.  ``late`` is the stop's absolute deadline plus
+    ``EPS + REACH_SLACK``, or None for a dropoff timed from its pickup.  A
+    new request's deadline is ``pickup_deadline``; an assigned rider keeps
+    its stored ``pickup_deadline``; an onboard rider's ride started at its
+    ``pickup_time``, else at ``now``.  ``registry`` must cover the
+    committed riders, and ``requests`` take precedence over it.
+    """
+    chi = constraints.detour_factor
+    slack = EPS + REACH_SLACK
+    index = net.node_index
+
+    def pickup(req: Request, deadline: float) -> tuple:
+        return (req.id, PICKUP, req.origin, index(req.origin), deadline + EPS,
+                req.request_time, deadline + slack)
+
+    def dropoff(req: Request, start: float | None = None) -> tuple:
+        late = None if start is None else (start + chi * req.direct_duration) + slack
+        return (req.id, DROPOFF, req.destination, index(req.destination),
+                chi * req.direct_duration + EPS, start, late)
+
+    requests = list(requests)
+    riders = {r.id: (pickup(r, pickup_deadline(r, now, constraints)), dropoff(r))
+              for r in requests}
+    registry = {**registry, **{r.id: r for r in requests}}
+    fleet = {}
+    for veh in vehicles:
+        recs: list[tuple] = []
+        for rid in veh.onboard:
+            req = registry[rid]
+            recs.append(dropoff(req, now if req.pickup_time is None else req.pickup_time))
+        for rid in veh.assigned:
+            req = registry[rid]
+            at = req.pickup_deadline
+            if at is None:
+                at = pickup_deadline(req, now, constraints)
+            recs += pickup(req, at), dropoff(req)
+        fleet[veh.id] = (index(veh.position), tuple(recs))
+    return StopTable(net, now, riders, fleet)
+
+
+def best_route(
+    vehicle: Vehicle,
+    new_requests: Iterable[Request],
+    stops: StopTable,
 ) -> RouteResult | None:
     """Minimum-distance feasible stop order serving commitments plus new riders.
 
@@ -180,28 +247,13 @@ def best_route(
     over stop permutations with distance and deadline pruning, capped at
     MAX_ROUTE_STOPS stops.  Stops are tried in ``(request, kind)`` order and
     only a strictly shorter route replaces the best, so among equally short
-    routes the first in that order wins.
+    routes the first in that order wins.  ``stops`` must hold the vehicle
+    and every new request.
     """
-    chi = constraints.detour_factor
-    # One record per stop: (request, kind, node, limit, aux).  A pickup
-    # must arrive by ``limit``, its deadline plus EPS, and not before
-    # ``aux``, the release time.  A dropoff must arrive within ``limit`` of
-    # the ride start: ``aux`` for a rider already onboard, else the
-    # arrival at the pickup.
-    recs: list[tuple] = []
-    for req, onboard, at in _commitments(vehicle, registry, constraints, now):
-        if onboard:
-            recs.append((req.id, DROPOFF, req.destination,
-                         chi * req.direct_duration + EPS, at))
-        else:
-            recs.append((req.id, PICKUP, req.origin, at + EPS, req.request_time))
-            recs.append((req.id, DROPOFF, req.destination,
-                         chi * req.direct_duration + EPS, None))
+    position, committed = stops.fleet[vehicle.id]
+    recs = list(committed)
     for req in new_requests:
-        deadline = pickup_deadline(req, now, constraints)
-        recs.append((req.id, PICKUP, req.origin, deadline + EPS, req.request_time))
-        recs.append((req.id, DROPOFF, req.destination,
-                     chi * req.direct_duration + EPS, None))
+        recs += stops.riders[req.id]
     if len(recs) > MAX_ROUTE_STOPS:
         return None
     if not recs:
@@ -209,16 +261,16 @@ def best_route(
                            dropoff_times={})
     recs.sort(key=_STOP_ORDER)
 
-    # Per-stop columns, plus col, the node index of each stop.  Sorting
-    # puts a rider's dropoff right before its pickup, so a dropoff with no
-    # aux waits for stop i + 1 and reads the ride start from start[i + 1],
+    # Per-stop columns; col holds each stop's node index.  Sorting puts a
+    # rider's dropoff right before its pickup, so a dropoff with no aux
+    # waits for stop i + 1 and reads the ride start from start[i + 1],
     # where the search writes the arrival at that pickup.
     n = len(recs)
-    _, kinds, nodes, limit, aux = zip(*recs)
+    _, kinds, _, col, limit, aux, _ = zip(*recs)
     start = list(aux)
     bits = _BITS
+    net = stops.net
     n_nodes = len(net.nodes)
-    col = list(map(net.node_index, nodes))
     flat = net.flat_distances()  # flat[base + col[i]]: leg to stop i
     speed = net.speed
     capacity = vehicle.capacity
@@ -263,8 +315,7 @@ def best_route(
                         load + 1 if pickup else load - 1, visited | bits[i],
                         depth + 1)
 
-    recurse(net.node_index(vehicle.position) * n_nodes, now, 0.0,
-            len(vehicle.onboard), 0, 0)
+    recurse(position * n_nodes, stops.now, 0.0, len(vehicle.onboard), 0, 0)
     if best_order is None:
         return None
     route = []
@@ -298,11 +349,9 @@ def pair_shareable(
     """
     earlier, later = sorted((first, second), key=lambda r: (r.request_time, r.id))
     probe = Vehicle(id="__probe__", platform="", position=earlier.origin)
-    registry = {earlier.id: earlier, later.id: later}
-    found = best_route(
-        probe, [earlier, later], registry, net, constraints, now=earlier.request_time
-    )
-    return found is not None
+    stops = stop_table([earlier, later], [probe], {}, net, constraints,
+                       now=earlier.request_time)
+    return best_route(probe, [earlier, later], stops) is not None
 
 
 def build_rv_graph(
@@ -321,44 +370,46 @@ def build_rv_graph(
     """
     reqs = sorted(requests, key=lambda r: r.id)
     vehs = sorted(vehicles, key=lambda v: v.id)
-    registry = {**(registry or {}), **{r.id: r for r in reqs}}
     for r in reqs:
         if r.direct_duration <= 0:
             raise ValidationError(
                 f"request {r.id} has no direct-trip values; "
                 "call fill_direct() before building graphs"
             )
+    stops = stop_table(reqs, vehs, registry or {}, net, constraints, now)
     rv: dict[tuple[str, str], RouteResult] = {}
     # Earliest pickup of each (vehicle, request) pair: straight from the
     # vehicle's position, as no stop order can beat the shortest path.  A
-    # pair that misses the deadline even so has no feasible route.
+    # pair that misses the pickup's ``late`` (record field 6) even so has
+    # no feasible route.
     speed = net.speed
     reach = now + net.distance_block(
         [v.position for v in vehs], [r.origin for r in reqs]
     ) / speed
-    deadlines = [pickup_deadline(r, now, constraints) for r in reqs]
-    can_reach = (reach <= np.array(deadlines) + (EPS + REACH_SLACK)).tolist()
+    can_reach = (reach <= np.array([stops.riders[r.id][0][6] for r in reqs])).tolist()
     flat = net.flat_distances()
     n_nodes = len(net.nodes)
-    chi = constraints.detour_factor
-    base = [net.node_index(v.position) * n_nodes for v in vehs]
-    # None for an idle vehicle, else its committed stops with deadlines.
-    stops = [_committed_stops(v, base[k], registry, net, constraints, now)
-             for k, v in enumerate(vehs)]
+    fleet = [stops.fleet[v.id] for v in vehs]
+    base = [position * n_nodes for position, _ in fleet]
+    # None for an idle vehicle, else its committed stops with an absolute
+    # deadline, an onboard rider's dropoff or an assigned rider's pickup:
+    # node index, start of its row in ``flat``, distance to it from the
+    # vehicle, and ``late``.
+    bounds = [[(s, s * n_nodes, flat[base[k] + s], due)
+               for _, _, _, s, _, _, due in committed if due is not None]
+              if committed else None
+              for k, (_, committed) in enumerate(fleet)]
     # Both lists are sorted by id, so the keys arrive in sorted order.
     for j, req in enumerate(reqs):
-        rid, rt = req.id, req.request_time
-        o = net.node_index(req.origin)
+        rid = req.id
+        (_, _, _, o, limit, rt, late), (_, _, _, d, ride_limit, _, _) = stops.riders[rid]
         row_o = o * n_nodes
-        limit = deadlines[j] + EPS
-        late = deadlines[j] + (EPS + REACH_SLACK)
-        leg2 = flat[row_o + net.node_index(req.destination)]
-        ride_limit = chi * req.direct_duration + EPS
+        leg2 = flat[row_o + d]
         route = (Stop(req.origin, rid, PICKUP), Stop(req.destination, rid, DROPOFF))
         for k, veh in enumerate(vehs):
             if not can_reach[k][j]:
                 continue
-            if stops[k] is None:
+            if bounds[k] is None:
                 # An idle vehicle has one stop order, pickup then dropoff:
                 # best_route's arithmetic for it, in the same order.
                 if veh.capacity < 1:
@@ -375,69 +426,15 @@ def build_rv_graph(
             # the pair when, for some s, both orders miss a deadline even on
             # shortest paths (REACH_SLACK covers the rounding, as above).
             at_o = max(now + flat[base[k] + o] / speed, rt)
-            for s, row_s, to_s, due in stops[k]:
+            for s, row_s, to_s, due in bounds[k]:
                 if (at_o + flat[row_o + s] / speed > due
                         and max(now + (to_s + flat[row_s + o]) / speed, rt) > late):
                     break
             else:
-                found = best_route(veh, [req], registry, net, constraints, now)
+                found = best_route(veh, [req], stops)
                 if found is not None:
                     rv[(rid, veh.id)] = found
     return rv
-
-
-def _committed_stops(
-    vehicle: Vehicle,
-    base: int,
-    registry: Mapping[str, Request],
-    net: RoadNetwork,
-    constraints: Constraints,
-    now: float,
-) -> list[tuple[int, int, float, float]] | None:
-    """The reach-bound view of a vehicle's commitments; None when idle.
-
-    One record per committed stop with an absolute deadline, an onboard
-    rider's dropoff or an assigned rider's pickup: its node index, the
-    start of its row in ``flat_distances``, the distance to it from the
-    vehicle's position (``base`` is the start of that row), and its
-    deadline plus ``EPS + REACH_SLACK``.  The times match best_route's.
-    """
-    if not vehicle.onboard and not vehicle.assigned:
-        return None
-    flat = net.flat_distances()
-    n_nodes = len(net.nodes)
-    slack = EPS + REACH_SLACK
-    out = []
-    for req, onboard, at in _commitments(vehicle, registry, constraints, now):
-        if onboard:
-            node = req.destination
-            deadline = at + constraints.detour_factor * req.direct_duration
-        else:
-            node, deadline = req.origin, at
-        s = net.node_index(node)
-        out.append((s, s * n_nodes, flat[base + s], deadline + slack))
-    return out
-
-
-def _commitments(
-    vehicle: Vehicle,
-    registry: Mapping[str, Request],
-    constraints: Constraints,
-    now: float,
-) -> Iterator[tuple[Request, bool, float]]:
-    """Each committed rider as ``(request, onboard, at)``: ``at`` is an
-    onboard rider's ride start (its ``pickup_time``, else ``now``) or an
-    assigned rider's stored ``pickup_deadline``, else ``pickup_deadline``."""
-    for rid in vehicle.onboard:
-        req = registry[rid]
-        yield req, True, req.pickup_time if req.pickup_time is not None else now
-    for rid in vehicle.assigned:
-        req = registry[rid]
-        yield req, False, (
-            req.pickup_deadline
-            if req.pickup_deadline is not None
-            else pickup_deadline(req, now, constraints)
-        )
 
 
 def enumerate_trips(
@@ -467,24 +464,21 @@ def enumerate_trips(
     """
     reqs = sorted(requests, key=lambda r: r.id)
     vehs = sorted(vehicles, key=lambda v: v.id)
-    registry = {**(registry or {}), **{r.id: r for r in reqs}}
+    by_id = {r.id: r for r in reqs}
     shareable: dict[tuple[str, ...], bool] = {}  # pair_shareable per probed pair
     tv_edges: dict[tuple[tuple[str, ...], str], Trip] = {}
     flat = net.flat_distances()
     n_nodes = len(net.nodes)
     speed = net.speed
-    # Per request: origin node index, release time, and latest pickup plus
-    # EPS + REACH_SLACK, as in build_rv_graph's reach bound.
-    pickup = {
-        r.id: (net.node_index(r.origin), r.request_time,
-               pickup_deadline(r, now, constraints) + (EPS + REACH_SLACK))
-        for r in reqs
-    }
     # rv is in sorted key order, so each vehicle's singles are too.
     routes_of: dict[str, dict[str, RouteResult]] = {}
     for (rid, vid), found in rv.items():
-        if rid in pickup:
+        if rid in by_id:
             routes_of.setdefault(vid, {})[rid] = found
+    # Only a vehicle with two singles or more has a trip to search.
+    stops = stop_table(reqs, [v for v in vehs if len(routes_of.get(v.id, ())) > 1],
+                       registry or {}, net, constraints, now)
+    riders = stops.riders
 
     # The trips of the first idle vehicle at each (position, capacity).
     idle_trips: dict[tuple[str, int], list[Trip]] = {}
@@ -502,7 +496,7 @@ def enumerate_trips(
         group_base = len(veh.committed())
         routes = routes_of.get(veh.id, {})
         singles = list(routes)
-        own = [_make_trip((rid,), veh, routes[rid], baseline, group_base, registry)
+        own = [_make_trip((rid,), veh, routes[rid], baseline, group_base, by_id)
                for rid in singles]
         smaller = {(rid,) for rid in singles}
         for size in range(2, min(MAX_ROUTE_STOPS // 2, len(singles)) + 1):
@@ -517,8 +511,8 @@ def enumerate_trips(
             for key in candidates:
                 if size == 2:
                     a, b = key
-                    o_a, release_a, late_a = pickup[a]
-                    o_b, release_b, late_b = pickup[b]
+                    _, _, _, o_a, _, release_a, late_a = riders[a][0]
+                    _, _, _, o_b, _, release_b, late_b = riders[b][0]
                     if idle and (
                             max(routes[a].pickup_times[a] + flat[o_a * n_nodes + o_b] / speed,
                                 release_b) > late_b
@@ -527,17 +521,15 @@ def enumerate_trips(
                                     release_a) > late_a):
                         continue
                     if key not in shareable:
-                        shareable[key] = pair_shareable(registry[a], registry[b],
+                        shareable[key] = pair_shareable(by_id[a], by_id[b],
                                                         net, constraints)
                     if not shareable[key]:
                         continue
-                found = best_route(
-                    veh, [registry[r] for r in key], registry, net, constraints, now
-                )
+                found = best_route(veh, [by_id[r] for r in key], stops)
                 if found is None:
                     continue
                 smaller.add(key)
-                own.append(_make_trip(key, veh, found, baseline, group_base, registry))
+                own.append(_make_trip(key, veh, found, baseline, group_base, by_id))
         for t in own:
             tv_edges[(t.requests, t.vehicle)] = t
         if idle:

@@ -206,10 +206,12 @@ def test_gen_scenario_command(tmp_path, capsys):
     ("--edge-len-m", "nan"),
     ("--edge-len-m", "inf"),
     ("--speed-mps", "inf"),
+    ("--rows", "1"),  # with --cols 1 below: one node, so no destination
 ])
 def test_gen_scenario_rejects_before_writing(tmp_path, capsys, flag, value):
     out = tmp_path / "fresh"
-    assert main(["gen-scenario", "--out", str(out), flag, value]) == 1
+    args = ["--cols", "1"] if flag == "--rows" else []
+    assert main(["gen-scenario", "--out", str(out), flag, value, *args]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()

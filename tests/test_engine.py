@@ -109,6 +109,12 @@ def test_explicit_fleet_positions_and_direct_values(net):
     assert reqs[0].direct_distance == 0.0
 
 
+@pytest.mark.parametrize("fleet", [2.5, True, "2", None])
+def test_platform_fleet_must_be_an_integer(fleet):
+    with pytest.raises(ValidationError, match=r"^platform A: fleet must be an integer"):
+        PlatformSpec("A", fleet)
+
+
 def test_scenario_validation(net):
     req = Request(id="r0", origin="0", destination="1", request_time=0.0, platform="A")
     dup = [req, Request(id="r0", origin="1", destination="2", request_time=0.0, platform="A")]

@@ -1,4 +1,5 @@
 """File formats: request tables, scenario documents, results, game files."""
+import csv
 import json
 import re
 
@@ -38,6 +39,23 @@ def test_request_csv_round_trip(tmp_path):
     back = load_requests(path)
     assert [(r.id, r.origin, r.destination, r.request_time, r.platform) for r in back] == \
         [("r0", "0", "8", 0.0, "A"), ("r1", "3", "5", 42.0, "")]
+
+
+def test_ids_with_commas_and_quotes_round_trip(tmp_path):
+    odd = ["a,b", 'q"x', 'both,"']
+    path = tmp_path / "requests.csv"
+    write_requests([Request(id=rid, origin="0", destination="8", request_time=float(i),
+                            platform=odd[-1 - i])
+                    for i, rid in enumerate(odd)], path)
+    assert [(r.id, r.platform, r.request_time) for r in load_requests(path)] == \
+        [(rid, odd[-1 - i], float(i)) for i, rid in enumerate(odd)]
+    trades = [TradeRecord(epoch=1, request="a,b", seller='q"x', buyer="B", info_price=5)]
+    log = tmp_path / "trades.csv"
+    write_trade_log(trades, log)
+    assert list(csv.reader(log.read_text().splitlines())) == [
+        ["epoch", "request", "seller", "buyer", "info_price"],
+        ["1", "a,b", 'q"x', "B", "0.0050"],
+    ]
 
 
 def test_request_times_read_back_exactly(tmp_path):
@@ -253,6 +271,15 @@ def test_gen_scenario_guards():
             gen_scenario("/tmp/never-used", horizon_s=horizon_s)
     with pytest.raises(ValidationError, match="seed must be non-negative"):
         gen_scenario("/tmp/never-used", seed=-1)
+
+
+def test_gen_scenario_needs_two_nodes(tmp_path):
+    # one node has no destination apart from the origin
+    out = tmp_path / "fresh"
+    with pytest.raises(ValidationError, match="no two distinct nodes"):
+        gen_scenario(out, rows=1, cols=1)
+    assert not out.exists()
+    assert gen_scenario(out, rows=1, cols=2, n_requests=3).exists()
 
 
 def test_gen_scenario_deterministic(tmp_path):

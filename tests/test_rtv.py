@@ -21,6 +21,7 @@ from ridemarket.rtv import (
     build_rtv_graph,
     build_rv_graph,
     pair_shareable,
+    stop_table,
 )
 
 
@@ -84,6 +85,12 @@ def _route_oracle(vehicle, requests, registry, net, constraints, now):
     return best
 
 
+def _search(vehicle, requests, registry, net, constraints, now):
+    """best_route on a stop table over just this vehicle and these requests."""
+    stops = stop_table(requests, [vehicle], registry, net, constraints, now)
+    return best_route(vehicle, requests, stops)
+
+
 def _rider(rng, nodes, rid, **fields):
     o, d = rng.choice(nodes, size=2, replace=False)
     return Request(id=rid, origin=o, destination=d, platform="A", **fields)
@@ -116,7 +123,7 @@ def test_best_route_matches_permutation_oracle():
                 for i in range(n_new)]
         reqs = fill_direct(net, reqs)
         registry = {r.id: r for r in fill_direct(net, committed) + reqs}
-        got = best_route(veh, reqs, registry, net, cons, now)
+        got = _search(veh, reqs, registry, net, cons, now)
         want = _route_oracle(veh, reqs, registry, net, cons, now)
         if want is None:
             assert got is None
@@ -132,6 +139,51 @@ def test_best_route_matches_permutation_oracle():
     assert min(feasible.values()) >= 10, feasible
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_one_stop_table_serves_every_search(data):
+    # best_route on the table of a whole build equals best_route on a table
+    # over only the searched vehicle and requests, and the permutation oracle
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    net = make_grid(4, 4, edge_len=250.0, speed=9.0)
+    nodes = sorted(net.node_set())
+    cons = Constraints(max_pickup_s=float(rng.choice([120.0, 300.0])))
+    now = float(rng.integers(60, 180))
+    vehs, committed = [], []
+    for k in range(3):  # idle, carrying a rider, and on its way to one
+        veh = Vehicle(id=f"v{k}", platform="A", capacity=int(rng.integers(1, 5)),
+                      position=nodes[int(rng.integers(0, len(nodes)))])
+        if k == 1:
+            committed.append(_rider(rng, nodes, "o1", request_time=0.0,
+                                    pickup_time=now - float(rng.integers(0, 60))))
+            veh.onboard.add("o1")
+        elif k == 2:
+            committed.append(_rider(rng, nodes, "a2", request_time=now - 30.0,
+                                    pickup_deadline=now + float(rng.integers(60, 400))))
+            veh.assigned.add("a2")
+        vehs.append(veh)
+    reqs = fill_direct(net, [
+        _rider(rng, nodes, f"r{i}", request_time=float(rng.integers(0, now + 60)))
+        for i in range(4)])
+    registry = {r.id: r for r in fill_direct(net, committed)}
+    whole = stop_table(reqs, vehs, registry, net, cons, now)
+    everyone = {**registry, **{r.id: r for r in reqs}}
+    for veh in vehs:
+        for size in (1, 2):
+            for key in itertools.combinations(reqs, size):
+                searched = list(key)
+                got = best_route(veh, searched, whole)
+                assert got == _search(veh, searched, registry, net, cons, now)
+                want = _route_oracle(veh, searched, everyone, net, cons, now)
+                if want is None:
+                    assert got is None
+                    continue
+                assert got.route == want.route
+                assert got.total_distance == want.total_distance
+                assert list(got.pickup_times.items()) == list(want.pickup_times.items())
+                assert list(got.dropoff_times.items()) == list(want.dropoff_times.items())
+
+
 def test_best_route_times_are_consistent():
     net = make_grid(4, 4, edge_len=300.0, speed=10.0)
     cons = Constraints()
@@ -140,7 +192,7 @@ def test_best_route_times_are_consistent():
         Request(id="b", origin="1", destination="14", request_time=10.0, platform="A"),
     ])
     veh = Vehicle(id="v0", platform="A", position="0")
-    found = best_route(veh, reqs, {r.id: r for r in reqs}, net, cons, now=0.0)
+    found = _search(veh, reqs, {r.id: r for r in reqs}, net, cons, now=0.0)
     assert found is not None
     for r in reqs:
         pick = found.pickup_times[r.id]
@@ -223,7 +275,7 @@ def test_reach_bound_keeps_exactly_the_routable_pairs(data):
 
     rv = build_rv_graph(reqs, vehicles, net, now, cons, registry=registry)
     everyone = {**registry, **{r.id: r for r in reqs}}
-    searched = {(r.id, v.id): best_route(v, [r], everyone, net, cons, now)
+    searched = {(r.id, v.id): _search(v, [r], everyone, net, cons, now)
                 for r in reqs for v in vehicles}
     routable = [(key, searched[key]) for key in sorted(searched)
                 if searched[key] is not None]
@@ -277,7 +329,7 @@ def test_reach_bounds_keep_routes_within_eps_of_a_deadline():
     assert ("r0", "v0") in rv and ("r1", "v1") in rv
     for (rid, vid), found in rv.items():
         veh = vehs[int(vid[1:])]
-        assert found == best_route(veh, [everyone[rid]], everyone, net, cons, now)
+        assert found == _search(veh, [everyone[rid]], everyone, net, cons, now)
     graph = build_rtv_graph(reqs, vehs, net, now, cons, registry=registry)
     assert (("r0", "r1"), "v2") in graph.tv_edges
 
@@ -338,7 +390,7 @@ def test_trip_enumeration_structural_properties():
                 seen.add((stop.kind, stop.request))
             # every rider's delay, recomputed from the route search, is
             # non-negative and sums in key order to the trip's total
-            found = best_route(veh_by_id[vid], [registry[r] for r in key], registry,
+            found = _search(veh_by_id[vid], [registry[r] for r in key], registry,
                                net, cons, 60.0)
             delays = [found.dropoff_times[r]
                       - (registry[r].request_time + registry[r].direct_duration)
@@ -463,7 +515,7 @@ def _unbounded_trips(reqs, vehs, net, cons, now, registry):
                     continue
                 if any(key[:i] + key[i + 1:] not in smaller for i in range(size)):
                     continue
-                found = best_route(veh, [everyone[r] for r in key], everyone, net,
+                found = _search(veh, [everyone[r] for r in key], everyone, net,
                                    cons, now)
                 if found is not None:
                     feasible.add(key)

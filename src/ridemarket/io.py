@@ -117,19 +117,31 @@ def _read_json(path: Path, what: str):
 # ---------------------------------------------------------------------------
 
 def load_requests(path: str | Path) -> list[Request]:
-    """Read a request table; the platform column may be left blank."""
+    """Read a request table; the platform column may be left blank.
+
+    One csv.reader parses the file as written, so a quoted field keeps its
+    commas and line breaks; each field is then stripped of surrounding
+    whitespace.  Errors name the line a row starts on.
+    """
     path = Path(path)
+    rows = []
     try:
-        text = path.read_text()
+        with path.open(newline="") as fh:
+            reader = csv.reader(fh)
+            start = 1
+            for row in reader:
+                rows.append((start, row))
+                start = reader.line_num + 1
     except (OSError, UnicodeError) as exc:
         raise ScenarioParseError(f"cannot read request file {path}: {exc}") from exc
-    rows = list(csv.reader(text.splitlines()))
-    if not rows or rows[0] != REQUEST_HEADER:
+    except csv.Error as exc:
+        raise ScenarioParseError(f"{path}:{start}: {exc}") from exc
+    if not rows or rows[0][1] != REQUEST_HEADER:
         raise ScenarioParseError(
             f"{path}: first line must be {','.join(REQUEST_HEADER)}"
         )
     requests = []
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in rows[1:]:
         if not row:
             continue
         if len(row) != len(REQUEST_HEADER):
@@ -164,13 +176,34 @@ def _time_text(t: float) -> str:
 
 
 def _csv_text(rows) -> str:
-    """CSV text; only a field holding a comma, a quote or a line break is quoted."""
+    """CSV text; only a field holding a comma, a quote or a line break is quoted.
+
+    A row with a carriage return in a field is quoted whole: csv.writer
+    quotes that character only when the line terminator holds one.
+    """
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
+    plain = csv.writer(buf, lineterminator="\n")
+    quoted = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL)
+    for row in rows:
+        (quoted if any("\r" in str(f) for f in row) else plain).writerow(row)
     return buf.getvalue()
 
 
 def write_requests(requests: list[Request], path: str | Path) -> None:
+    """Write a request table that load_requests reads back field for field.
+
+    The reader strips each field, so an id, node or platform with
+    surrounding whitespace is a ValidationError, raised before the file
+    is opened.
+    """
+    for r in requests:
+        for name, text in (("id", r.id), ("origin", r.origin),
+                           ("destination", r.destination), ("platform", r.platform)):
+            if text != text.strip():
+                raise ValidationError(
+                    f"request {r.id!r}: {name} {text!r} has surrounding whitespace, "
+                    "which the request table reader strips"
+                )
     rows = [REQUEST_HEADER] + [
         [r.id, _time_text(r.request_time), r.origin, r.destination, r.platform]
         for r in sorted(requests, key=lambda r: (r.request_time, r.id))

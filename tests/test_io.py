@@ -1,5 +1,6 @@
 """File formats: request tables, scenario documents, results, game files."""
 import csv
+import io
 import json
 import re
 
@@ -58,6 +59,35 @@ def test_ids_with_commas_and_quotes_round_trip(tmp_path):
     ]
 
 
+@pytest.mark.parametrize("odd", ["a\nb", "a\rb", "a\r\nb", "a,b", "a\u2028b"])
+def test_line_breaks_in_request_fields_round_trip(odd, tmp_path):
+    path = tmp_path / "requests.csv"
+    write_requests([Request(id=odd, origin="0", destination="8", request_time=0.0,
+                            platform=odd),
+                    Request(id="r1", origin="3", destination="5", request_time=1.0,
+                            platform="A")], path)
+    assert [(r.id, r.platform) for r in load_requests(path)] == [(odd, odd), ("r1", "A")]
+    # a plain row keeps its bytes, and an error names the line its row
+    # starts on, counting the line breaks inside quoted fields
+    text = path.read_bytes().decode()
+    assert text.endswith("\nr1,1,3,5,A\n")
+    path.write_bytes(text.replace("r1,1", "r1,x").encode())
+    last = len(io.StringIO(text, newline="").readlines())
+    with pytest.raises(ScenarioParseError, match=f"requests.csv:{last}: bad request time"):
+        load_requests(path)
+
+
+@pytest.mark.parametrize("field", ["id", "origin", "destination", "platform"])
+def test_write_requests_rejects_fields_the_reader_strips(field, tmp_path):
+    values = {"id": "r0", "origin": "0", "destination": "8", "platform": "A"}
+    values[field] = " " + values[field]
+    path = tmp_path / "requests.csv"
+    with pytest.raises(ValidationError, match=f"^request {re.escape(repr(values['id']))}: "
+                                              f"{field} "):
+        write_requests([Request(request_time=0.0, **values)], path)
+    assert not path.exists()
+
+
 def test_request_times_read_back_exactly(tmp_path):
     path = tmp_path / "requests.csv"
     times = (423326123457.0, 0.1, 600.0)
@@ -86,6 +116,14 @@ def test_request_csv_errors_carry_line_numbers(tmp_path):
     with pytest.raises(ScenarioParseError) as err:
         load_requests(path)
     assert "requests.csv:3" in str(err.value)
+
+
+def test_request_csv_field_over_the_csv_limit_is_a_parse_error(tmp_path):
+    path = tmp_path / "requests.csv"
+    path.write_text("id,request_time_s,origin_node,dest_node,platform\n"
+                    "r0,0,0,8,A\n" + "r" * 200_000 + ",0,0,8,A\n")
+    with pytest.raises(ScenarioParseError, match="requests.csv:3: field larger"):
+        load_requests(path)
 
 
 def test_request_csv_rejects_non_finite_times(tmp_path):

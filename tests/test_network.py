@@ -1,8 +1,13 @@
 """Road network construction, shortest paths and file round trips."""
+import re
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 from ridemarket.errors import (
     OutputError,
@@ -187,3 +192,100 @@ def test_unwritable_network_path_is_an_output_error(tmp_path):
     for path in (tmp_path / "missing" / "net.csv", tmp_path):
         with pytest.raises(OutputError, match="^cannot write "):
             write_network(net, str(path))
+
+
+@pytest.mark.parametrize("bad", ["", "#a", "a,b", "a\nb", "a\rb", "a\u2028b", " a", "a\t"])
+def test_write_network_rejects_ids_it_cannot_read_back(bad, tmp_path):
+    net = RoadNetwork(nodes=["x", bad], edges=[("x", bad, 10.0)], speed=5.0)
+    path = tmp_path / "net.csv"
+    with pytest.raises(ValidationError, match=f"^node id {re.escape(repr(bad))} cannot"):
+        write_network(net, str(path))
+    assert not path.exists()
+
+
+def _shortest_edges(net):
+    """(u index, v index) -> the shortest of the parallel edges u -> v."""
+    best = {}
+    for u, v, length in net.edges:
+        key = (net.node_index(u), net.node_index(v))
+        best[key] = min(best.get(key, length), length)
+    return best
+
+
+def _scipy_tables(net):
+    """Distances and predecessors from scipy's Dijkstra, the reference."""
+    n = len(net.nodes)
+    best = _shortest_edges(net)
+    rows = [i for i, _ in best]
+    cols = [j for _, j in best]
+    graph = csr_matrix((list(best.values()), (rows, cols)), shape=(n, n))
+    return dijkstra(graph, directed=True, return_predecessors=True)
+
+
+@st.composite
+def _tied_graphs(draw):
+    """Small directed graphs whose lengths tie often, with parallel edges,
+    self-loops and (usually) unreachable nodes."""
+    n = draw(st.integers(1, 9))
+    unit = draw(st.sampled_from([0.1, 100.0]))
+    edges = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(1, 4)),
+        max_size=4 * n))
+    return [str(i) for i in range(n)], [(str(u), str(v), k * unit) for u, v, k in edges]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tied_graphs())
+def test_all_pairs_kernel_matches_dijkstra_and_the_stated_hop_rule(graph):
+    nodes, edges = graph
+    net = RoadNetwork(nodes=nodes, edges=edges, speed=10.0)
+    want, _ = _scipy_tables(net)
+    assert net._dist.dtype == np.float64 and net._pred.dtype == np.int32
+    assert net._dist.tobytes() == want.tobytes()
+    shortest = _shortest_edges(net)  # node "i" has index i
+    d = net._dist
+    n = len(nodes)
+    for s in range(n):
+        for v in range(n):
+            # brute force over in-edges: the highest u that ends a shortest
+            # path strictly closer to s
+            hops = [u for (u, w), length in shortest.items()
+                    if w == v and d[s, u] + length == d[s, v] and d[s, u] < d[s, v]]
+            assert net._pred[s, v] == (max(hops) if hops else -9999)
+            if np.isfinite(d[s, v]):
+                path = net.path(str(s), str(v))
+                assert path[0] == str(s) and path[-1] == str(v)
+
+
+def test_grid_predecessors_equal_dijkstra():
+    for rows in range(1, 13):
+        for cols in range(1, 13):
+            net = make_grid(rows, cols, edge_len=400.0, speed=8.0)
+            dist, pred = _scipy_tables(net)
+            assert net._dist.tobytes() == dist.tobytes()
+            assert net._pred.tobytes() == pred.tobytes(), (rows, cols)
+
+
+@pytest.mark.parametrize("edges", [
+    # the edge b -> c adds nothing to the 1e4 m to b, so c has no
+    # predecessor closer to a
+    [("a", "b", 1e4), ("b", "c", 1e-13)],
+    # and with c -> b too, the rule without its strict < would make b and
+    # c each other's predecessor, and path() would loop
+    [("a", "b", 1e4), ("b", "c", 1e-13), ("c", "b", 1e-13)],
+])
+def test_absorbed_edge_is_rejected(edges):
+    outcome = []
+
+    def build():
+        try:
+            RoadNetwork(nodes=["a", "b", "c"], edges=edges, speed=10.0)
+        except ValidationError as exc:
+            outcome.append(str(exc))
+
+    worker = threading.Thread(target=build, daemon=True)
+    worker.start()
+    worker.join(timeout=30)
+    assert not worker.is_alive()
+    assert outcome == ["edge (b, c) is too short to change the distance it is added "
+                       "to, so no shortest path can end with it"]

@@ -60,8 +60,8 @@ from .solve import OBJECTIVES, Assignment, AssignmentProblem, solve_assignment
 
 _EPS = 1e-9
 
-# Vehicles per platform: set-up draws a position and builds a Vehicle for
-# each, so a larger fleet fails here instead of exhausting memory.
+# Vehicles per platform and in all: set-up draws a position and builds a
+# Vehicle for each, so a larger fleet fails here instead of exhausting memory.
 MAX_FLEET = 100_000
 
 # Decision epochs per episode: the loop steps every interval from 0 past the
@@ -121,6 +121,10 @@ class Scenario:
             raise ValidationError("at least one platform is required")
         if len(set(ids)) != len(ids):
             raise ValidationError("duplicate platform id")
+        fleet = sum(p.fleet for p in self.platforms)
+        if fleet > MAX_FLEET:
+            raise TooLargeError(
+                f"expected a total fleet of at most {MAX_FLEET}, got {fleet}")
         if self.objective not in OBJECTIVES:
             raise ValidationError(f"unknown objective {self.objective!r}")
         known = set(ids)

@@ -11,7 +11,8 @@ its deadline, or that makes a committed stop miss its own, and an idle
 vehicle's request pair whose second pickup comes too late in either order;
 idle vehicles with the same position and capacity are searched once.  The
 search, the closed form and every reach bound read one table of stop
-records (``stop_table``), built once per build rather than per search.  Trip
+records (``stop_table``): each build makes one, which holds its sorted
+requests and vehicles, and both stages read it.  Trip
 enumeration also tests each request pair it tries with ``pair_shareable``,
 a heuristic probe, not a relaxation: it can reject a pair that a real
 vehicle could serve together.  A market structure acts on the finished
@@ -60,6 +61,7 @@ STRUCTURE_KINDS = (
 MAX_ROUTE_STOPS = 8
 
 _STOP_ORDER = operator.itemgetter(0, 1)  # (request, kind) of a stop record
+_POOLED = object()  # group of pooled platforms, equal to no platform id
 _BITS = tuple(1 << i for i in range(MAX_ROUTE_STOPS + 1))
 _INF = float("inf")
 
@@ -168,15 +170,19 @@ def schedule_distance(vehicle: Vehicle, net: RoadNetwork) -> float:
 
 
 class StopTable(NamedTuple):
-    """The stop records of one graph build, made by ``stop_table``.
+    """One graph build's inputs and stop records, made by ``stop_table``.
 
-    ``riders`` maps each request id to its (pickup, dropoff) records, and
-    ``fleet`` each vehicle id to the node index of its position and the
-    records of its onboard and assigned riders, none when it is idle.
+    ``requests`` and ``vehicles`` are the build's, sorted by id.  ``riders``
+    maps each request id to its (pickup, dropoff) records, and ``fleet``
+    each vehicle id to the node index of its position and the records of
+    its onboard and assigned riders, none when it is idle.
     """
 
     net: RoadNetwork
     now: float
+    constraints: Constraints
+    requests: list[Request]
+    vehicles: list[Vehicle]
     riders: dict[str, tuple[tuple, tuple]]
     fleet: dict[str, tuple[int, tuple[tuple, ...]]]
 
@@ -189,7 +195,10 @@ def stop_table(
     constraints: Constraints,
     now: float,
 ) -> StopTable:
-    """Every stop record that ``best_route`` and the reach bounds read.
+    """The snapshot of one build: its requests and vehicles sorted by id,
+    and every stop record that ``best_route`` and the reach bounds read.
+
+    Raises ValidationError for a request without direct-trip values.
 
     A record is ``(request, kind, node, node index, limit, aux, late)``.  A
     pickup must arrive by ``limit``, its deadline plus EPS, and not before
@@ -215,7 +224,14 @@ def stop_table(
         return (req.id, DROPOFF, req.destination, index(req.destination),
                 chi * req.direct_duration + EPS, start, late)
 
-    requests = list(requests)
+    requests = sorted(requests, key=lambda r: r.id)
+    vehicles = sorted(vehicles, key=lambda v: v.id)
+    for r in requests:
+        if r.direct_duration <= 0:
+            raise ValidationError(
+                f"request {r.id} has no direct-trip values; "
+                "call fill_direct() before building graphs"
+            )
     riders = {r.id: (pickup(r, pickup_deadline(r, now, constraints)), dropoff(r))
               for r in requests}
     registry = {**registry, **{r.id: r for r in requests}}
@@ -232,7 +248,7 @@ def stop_table(
                 at = pickup_deadline(req, now, constraints)
             recs += pickup(req, at), dropoff(req)
         fleet[veh.id] = (index(veh.position), tuple(recs))
-    return StopTable(net, now, riders, fleet)
+    return StopTable(net, now, constraints, requests, vehicles, riders, fleet)
 
 
 def best_route(
@@ -354,29 +370,10 @@ def pair_shareable(
     return best_route(probe, [earlier, later], stops) is not None
 
 
-def build_rv_graph(
-    requests: Iterable[Request],
-    vehicles: Iterable[Vehicle],
-    net: RoadNetwork,
-    now: float,
-    constraints: Constraints,
-    registry: Mapping[str, Request] | None = None,
-) -> dict[tuple[str, str], RouteResult]:
-    """The route of each feasible (request id, vehicle id) pair, keyed in
-    sorted order.
-
-    When any vehicle already carries commitments, ``registry`` must also
-    cover those riders so their stops can be re-planned.
-    """
-    reqs = sorted(requests, key=lambda r: r.id)
-    vehs = sorted(vehicles, key=lambda v: v.id)
-    for r in reqs:
-        if r.direct_duration <= 0:
-            raise ValidationError(
-                f"request {r.id} has no direct-trip values; "
-                "call fill_direct() before building graphs"
-            )
-    stops = stop_table(reqs, vehs, registry or {}, net, constraints, now)
+def build_rv_graph(stops: StopTable) -> dict[tuple[str, str], RouteResult]:
+    """The route of each feasible (request id, vehicle id) pair of the
+    build ``stops`` holds, keyed in sorted order."""
+    reqs, vehs, net, now = stops.requests, stops.vehicles, stops.net, stops.now
     rv: dict[tuple[str, str], RouteResult] = {}
     # Earliest pickup of each (vehicle, request) pair: straight from the
     # vehicle's position, as no stop order can beat the shortest path.  A
@@ -439,14 +436,10 @@ def build_rv_graph(
 
 def enumerate_trips(
     rv: Mapping[tuple[str, str], RouteResult],
-    vehicles: Iterable[Vehicle],
-    requests: Iterable[Request],
-    net: RoadNetwork,
-    constraints: Constraints,
-    now: float,
-    registry: Mapping[str, Request] | None = None,
+    stops: StopTable,
 ) -> RtvGraph:
-    """Exhaustive trip enumeration from the routes ``build_rv_graph`` gives.
+    """Exhaustive trip enumeration from the routes ``build_rv_graph`` gives
+    for the same ``stops``.
 
     A request set of size k is only tried for a vehicle when all of its
     size-(k-1) subsets were feasible for that vehicle (and a pair only when
@@ -462,9 +455,8 @@ def enumerate_trips(
     an earlier one already had gets a copy of that vehicle's trips under
     its own id, with no route search.
     """
-    reqs = sorted(requests, key=lambda r: r.id)
-    vehs = sorted(vehicles, key=lambda v: v.id)
-    by_id = {r.id: r for r in reqs}
+    net, riders = stops.net, stops.riders
+    by_id = {r.id: r for r in stops.requests}
     shareable: dict[tuple[str, ...], bool] = {}  # pair_shareable per probed pair
     tv_edges: dict[tuple[tuple[str, ...], str], Trip] = {}
     flat = net.flat_distances()
@@ -473,16 +465,11 @@ def enumerate_trips(
     # rv is in sorted key order, so each vehicle's singles are too.
     routes_of: dict[str, dict[str, RouteResult]] = {}
     for (rid, vid), found in rv.items():
-        if rid in by_id:
-            routes_of.setdefault(vid, {})[rid] = found
-    # Only a vehicle with two singles or more has a trip to search.
-    stops = stop_table(reqs, [v for v in vehs if len(routes_of.get(v.id, ())) > 1],
-                       registry or {}, net, constraints, now)
-    riders = stops.riders
+        routes_of.setdefault(vid, {})[rid] = found
 
     # The trips of the first idle vehicle at each (position, capacity).
     idle_trips: dict[tuple[str, int], list[Trip]] = {}
-    for veh in vehs:
+    for veh in stops.vehicles:
         idle = not veh.onboard and not veh.assigned
         twin = idle_trips.get((veh.position, veh.capacity)) if idle else None
         if twin is not None:
@@ -522,7 +509,7 @@ def enumerate_trips(
                         continue
                     if key not in shareable:
                         shareable[key] = pair_shareable(by_id[a], by_id[b],
-                                                        net, constraints)
+                                                        net, stops.constraints)
                     if not shareable[key]:
                         continue
                 found = best_route(veh, [by_id[r] for r in key], stops)
@@ -536,8 +523,8 @@ def enumerate_trips(
             idle_trips[(veh.position, veh.capacity)] = own
 
     return RtvGraph(
-        requests=[r.id for r in reqs],
-        vehicles=[v.id for v in vehs],
+        requests=[r.id for r in stops.requests],
+        vehicles=[v.id for v in stops.vehicles],
         tv_edges=tv_edges,
     )
 
@@ -572,11 +559,13 @@ def build_rtv_graph(
     constraints: Constraints,
     registry: Mapping[str, Request] | None = None,
 ) -> RtvGraph:
-    """Convenience: request-vehicle routes then trip enumeration in one call."""
-    reqs = list(requests)
-    vehs = list(vehicles)
-    rv = build_rv_graph(reqs, vehs, net, now, constraints, registry=registry)
-    return enumerate_trips(rv, vehs, reqs, net, constraints, now, registry=registry)
+    """Request-vehicle routes, then trip enumeration, on one stop table.
+
+    When any vehicle already carries commitments, ``registry`` must also
+    cover those riders so their stops can be re-planned.
+    """
+    stops = stop_table(requests, vehicles, registry or {}, net, constraints, now)
+    return enumerate_trips(build_rv_graph(stops), stops)
 
 
 def apply_market_structure(
@@ -603,21 +592,21 @@ def apply_market_structure(
 
     if structure.kind == "cooperative" and structure.alliance:
         alliance = structure.alliance
-        def _group(platform: str) -> str:
-            return "__alliance__" if platform in alliance else platform
+        def _group(platform: str) -> object:
+            return _POOLED if platform in alliance else platform
     elif structure.kind in ("single", "cooperative"):
         # the default alliance is every platform, fleetless ones included
-        def _group(platform: str) -> str:
-            return "__pool__"
+        def _group(platform: str) -> object:
+            return _POOLED
     else:
-        def _group(platform: str) -> str:
+        def _group(platform: str) -> object:
             return platform
 
     # Per call: the one group of a trip key's requests (None when they span
     # several), and each vehicle's group, looked up where the edge loop
     # first needs them, so an unmapped id raises at the same edge.
-    key_group: dict[tuple[str, ...], str | None] = {}
-    vehicle_group: dict[str, str] = {}
+    key_group: dict[tuple[str, ...], object] = {}
+    vehicle_group: dict[str, object] = {}
     tv = {}
     for (key, vid), trip in graph.tv_edges.items():
         if key not in key_group:

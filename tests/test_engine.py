@@ -144,6 +144,17 @@ def test_fleet_above_bound_fails_before_allocating():
         PlatformSpec("A", 10**12)
 
 
+def test_total_fleet_above_bound_fails_before_allocating(net):
+    half = MAX_FLEET // 2
+    at_bound = Scenario(net=net, requests=[], platforms=[
+        PlatformSpec("A", half), PlatformSpec("B", MAX_FLEET - half)])
+    assert sum(p.fleet for p in at_bound.platforms) == MAX_FLEET
+    many = [PlatformSpec(f"P{i:02d}", MAX_FLEET) for i in range(30)]
+    with pytest.raises(TooLargeError,
+                       match=f"total fleet of at most {MAX_FLEET}, got {30 * MAX_FLEET}"):
+        Scenario(net=net, requests=[], platforms=many)
+
+
 def test_epoch_budget_is_bounded():
     c = Constraints()
     assert epoch_budget(1200.0, c) == 50 + 10_000
@@ -583,9 +594,9 @@ def test_one_trip_graph_per_decision_stage(net, monkeypatch, kind, builds):
     per_epoch: Counter = Counter()
     build = rtv.build_rv_graph
 
-    def counted(requests, vehicles, road, now, *args, **kwargs):
-        per_epoch[now] += 1
-        return build(requests, vehicles, road, now, *args, **kwargs)
+    def counted(stops):
+        per_epoch[stops.now] += 1
+        return build(stops)
 
     monkeypatch.setattr(rtv, "build_rv_graph", counted)
     alliance = frozenset({"A", "B"}) if kind == "cooperative" else frozenset()

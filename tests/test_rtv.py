@@ -273,7 +273,7 @@ def test_reach_bound_keeps_exactly_the_routable_pairs(data):
     reqs = fill_direct(net, reqs)
     registry = {r.id: r for r in fill_direct(net, committed)}
 
-    rv = build_rv_graph(reqs, vehicles, net, now, cons, registry=registry)
+    rv = build_rv_graph(stop_table(reqs, vehicles, registry, net, cons, now))
     everyone = {**registry, **{r.id: r for r in reqs}}
     searched = {(r.id, v.id): _search(v, [r], everyone, net, cons, now)
                 for r in reqs for v in vehicles}
@@ -291,7 +291,7 @@ def test_reach_bound_keeps_pickup_on_its_deadline():
     for release, kept in ((220.0, True), (219.0, False)):
         req = fill_direct(net, [Request(id="r0", origin="2", destination="15",
                                         request_time=release, platform="A")])
-        rv = build_rv_graph(req, [veh], net, 300.0, cons)
+        rv = build_rv_graph(stop_table(req, [veh], {}, net, cons, 300.0))
         assert list(rv) == ([("r0", "v0")] if kept else [])
 
 
@@ -324,7 +324,7 @@ def test_reach_bounds_keep_routes_within_eps_of_a_deadline():
     vehs[1].onboard.add("o1")
     vehs[1].schedule = [Stop("1", "o1", DROPOFF)]
     registry = {r.id: r for r in committed}
-    rv = build_rv_graph(reqs, vehs, net, now, cons, registry=registry)
+    rv = build_rv_graph(stop_table(reqs, vehs, registry, net, cons, now))
     everyone = {**registry, **{r.id: r for r in reqs}}
     assert ("r0", "v0") in rv and ("r1", "v1") in rv
     for (rid, vid), found in rv.items():
@@ -339,7 +339,7 @@ def test_rv_graph_requires_direct_values():
     bad = Request(id="r0", origin="0", destination="8", request_time=0.0, platform="A")
     veh = Vehicle(id="v0", platform="A", position="0")
     with pytest.raises(ValidationError, match="fill_direct"):
-        build_rv_graph([bad], [veh], net, 0.0, Constraints())
+        build_rv_graph(stop_table([bad], [veh], {}, net, Constraints(), 0.0))
 
 
 def _random_instance(rng, net, nodes, n_req, n_veh):
@@ -364,7 +364,7 @@ def test_trip_enumeration_structural_properties():
     saw_pool = False
     for _ in range(25):
         reqs, vehs = _random_instance(rng, net, nodes, int(rng.integers(3, 7)), 3)
-        rv = build_rv_graph(reqs, vehs, net, 60.0, cons)
+        rv = build_rv_graph(stop_table(reqs, vehs, {}, net, cons, 60.0))
         graph = build_rtv_graph(reqs, vehs, net, 60.0, cons)
         registry = {r.id: r for r in reqs}
         veh_by_id = {v.id: v for v in vehs}
@@ -607,6 +607,107 @@ def test_restriction_equals_the_build_over_the_subset(data):
         whole.restrict(["r99"], whole.vehicles)
     with pytest.raises(ValidationError, match=r"^\['v99'\] not in the trip graph$"):
         whole.restrict(whole.requests, ["v99"])
+
+
+def test_one_stop_table_per_build(monkeypatch):
+    # both stages read the build's one table; only a pair probe makes another
+    net = make_grid(5, 5, edge_len=220.0, speed=9.0)
+    nodes = sorted(net.node_set())
+    rng = np.random.default_rng(9)
+    made: Counter = Counter()
+    table, probe = rtv.stop_table, rtv.pair_shareable
+
+    def counted_table(*args, **kwargs):
+        made["tables"] += 1
+        return table(*args, **kwargs)
+
+    def counted_probe(*args, **kwargs):
+        made["probes"] += 1
+        return probe(*args, **kwargs)
+
+    monkeypatch.setattr(rtv, "stop_table", counted_table)
+    monkeypatch.setattr(rtv, "pair_shareable", counted_probe)
+    probed = 0
+    for _ in range(6):
+        reqs, vehs = _random_instance(rng, net, nodes, 7, 3)
+        onboard = fill_direct(net, [_rider(rng, nodes, "o0", request_time=0.0,
+                                           pickup_time=40.0)])
+        vehs[1].onboard.add("o0")
+        vehs[1].schedule = [Stop(onboard[0].destination, "o0", DROPOFF)]
+        made.clear()
+        build_rtv_graph(reqs, vehs, net, 60.0, Constraints(),
+                        registry={"o0": onboard[0]})
+        assert made["tables"] == 1 + made["probes"]
+        probed += made["probes"]
+    assert probed > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_graph_build_ignores_input_order(data):
+    # the same requests, vehicles and registry in any order give the same
+    # graph, down to the order of its edges
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    net = make_grid(int(rng.integers(3, 6)), int(rng.integers(3, 6)),
+                    edge_len=float(rng.integers(150, 300)), speed=9.0)
+    nodes = sorted(net.node_set())
+    cons = Constraints()
+    now = 60.0
+    reqs, vehs = _random_instance(rng, net, nodes, int(rng.integers(1, 8)),
+                                  int(rng.integers(1, 7)))
+    depots = [nodes[int(rng.integers(0, len(nodes)))] for _ in range(2)]
+    committed = []
+    for k, veh in enumerate(vehs):  # idle, carrying a rider, or on its way to one
+        veh.position = depots[int(rng.integers(0, 2))]  # idle twins share one
+        veh.capacity = int(rng.integers(1, 5))
+        kind = int(rng.integers(0, 3))
+        if kind == 1:
+            rider = _rider(rng, nodes, f"o{k}", request_time=0.0,
+                           pickup_time=now - float(rng.integers(0, 120)))
+            veh.onboard.add(rider.id)
+            veh.schedule = [Stop(rider.destination, rider.id, DROPOFF)]
+        elif kind == 2:
+            rider = _rider(rng, nodes, f"a{k}", request_time=now - 30.0,
+                           pickup_deadline=now + float(rng.integers(30, 300)))
+            veh.assigned.add(rider.id)
+            veh.schedule = [Stop(rider.origin, rider.id, PICKUP),
+                            Stop(rider.destination, rider.id, DROPOFF)]
+        else:
+            continue
+        committed.append(rider)
+    registry = {r.id: r for r in fill_direct(net, committed) + reqs}
+    want = build_rtv_graph(reqs, vehs, net, now, cons, registry=registry)
+    keys = list(registry)
+    for _ in range(3):
+        shuffled = {keys[i]: registry[keys[i]] for i in rng.permutation(len(keys))}
+        got = build_rtv_graph([reqs[i] for i in rng.permutation(len(reqs))],
+                              [vehs[i] for i in rng.permutation(len(vehs))],
+                              net, now, cons, registry=shuffled)
+        assert got.requests == want.requests
+        assert got.vehicles == want.vehicles
+        assert list(got.tv_edges.items()) == list(want.tv_edges.items())
+
+
+def test_outsider_platform_id_is_never_a_pooled_group():
+    # a platform outside a partial alliance keeps a group of its own,
+    # whatever its id
+    net = make_grid(5, 5, edge_len=220.0, speed=9.0)
+    nodes = sorted(net.node_set())
+    reqs, vehs = _random_instance(np.random.default_rng(44), net, nodes, 6, 4)
+    graph = build_rtv_graph(reqs, vehs, net, 60.0, Constraints())
+    assert graph.tv_edges
+    coop = MarketStructure(kind="cooperative", alliance=frozenset({"A", "B"}))
+    member_fleet = {v.id: "A" for v in vehs}
+    for outsider in ("C", "__alliance__", "__pool__"):
+        p_req = {r.id: outsider for r in reqs}
+        kept = apply_market_structure(graph, coop, p_req, member_fleet)
+        assert kept.tv_edges == {}
+        own_fleet = {v.id: outsider for v in vehs}
+        kept = apply_market_structure(graph, coop, p_req, own_fleet)
+        assert kept.tv_edges == graph.tv_edges
+    members = {r.id: "B" for r in reqs}
+    assert apply_market_structure(graph, coop, members, member_fleet).tv_edges == \
+        graph.tv_edges
 
 
 def test_market_structure_filters():

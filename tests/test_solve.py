@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
-from ridemarket import solve
+from ridemarket import engine, solve
+from ridemarket.engine import PlatformSpec, Scenario, run
 from ridemarket.errors import (
     PivotLimitError,
     SolverError,
@@ -330,6 +331,40 @@ def test_assignment_optimum_matches_milp_beyond_oracle_guard():
             )
             assert solve_assignment(problem).objective_micro == \
                 _milp_objective_micro(problem)
+
+
+def test_production_size_stage_assignments_match_milp(monkeypatch):
+    # every stage problem of one run of the benchmark's city instance at
+    # demand seed 0: 480 requests and 144 vehicles on a 10x10 grid
+    net = make_grid(10, 10, 400.0, 8.0)
+    rng = np.random.default_rng([480, 0])
+    reqs = []
+    for i in range(480):
+        o, d = rng.choice(net.nodes, 2, replace=False)
+        reqs.append(Request(id=f"r{i:04d}", origin=str(o), destination=str(d),
+                            request_time=float(rng.integers(0, 1200)),
+                            platform=("B", "A")[i % 2]))
+    scenario = Scenario(net=net, requests=reqs,
+                        platforms=[PlatformSpec("A", 72), PlatformSpec("B", 72)],
+                        seed=0, horizon_s=1200.0, objective="min_delay_penalty",
+                        compute_allocations=False)
+    solved = []
+    match = engine.solve_assignment
+
+    def kept(problem):
+        solved.append((problem, match(problem)))
+        return solved[-1][1]
+
+    monkeypatch.setattr(engine, "solve_assignment", kept)
+    run(scenario)
+    assert max(len(problem.graph.tv_edges) for problem, _ in solved) > 1000
+    for problem, got in solved:
+        assert got.objective_micro == _milp_objective_micro(problem)
+        for trip in got.chosen:
+            assert problem.graph.tv_edges[trip.edge_key] is trip
+        served = [r for trip in got.chosen for r in trip.requests]
+        assert len(set(served)) == len(served)
+        assert len({trip.vehicle for trip in got.chosen}) == len(got.chosen)
 
 
 @settings(max_examples=40, deadline=None)

@@ -26,6 +26,7 @@ from .io import (
     write_trade_log,
 )
 from .mechanisms import (
+    MAX_CORE_PLAYERS,
     Bid,
     contribution_allocate,
     contribution_weights,
@@ -86,7 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
     alloc = sub.add_parser("allocate", help="allocate profits for a game file")
     alloc.add_argument("--game", required=True, help="characteristic-function JSON")
     alloc.add_argument(
-        "--method", choices=("shapley", "epm", "contribution"), default="shapley"
+        "--method", choices=("shapley", "epm", "contribution"), default="shapley",
+        help=f"epm and contribution take at most {MAX_CORE_PLAYERS} players",
     )
     alloc.add_argument("--out", help="write the allocation JSON here")
 
@@ -98,18 +100,19 @@ def build_parser() -> argparse.ArgumentParser:
     auc.add_argument("--gamma", type=float, default=0.1,
                      help="fraction of the second-highest bid the winner pays")
 
+    # a flag left out takes gen_scenario's default
     gen = sub.add_parser("gen-scenario", help="write a random scenario bundle")
     gen.add_argument("--out", required=True, help="output directory")
-    gen.add_argument("--rows", type=int, default=6)
-    gen.add_argument("--cols", type=int, default=6)
-    gen.add_argument("--edge-len-m", type=float, default=200.0)
-    gen.add_argument("--speed-mps", type=float, default=10.0)
-    gen.add_argument("--requests", type=int, default=20)
-    gen.add_argument("--platforms", type=int, default=2)
-    gen.add_argument("--fleet", type=int, default=3)
-    gen.add_argument("--horizon-s", type=float, default=600.0)
+    gen.add_argument("--rows", type=int)
+    gen.add_argument("--cols", type=int)
+    gen.add_argument("--edge-len-m", type=float)
+    gen.add_argument("--speed-mps", type=float)
+    gen.add_argument("--requests", dest="n_requests", type=int)
+    gen.add_argument("--platforms", dest="n_platforms", type=int)
+    gen.add_argument("--fleet", type=int)
+    gen.add_argument("--horizon-s", type=float)
     gen.add_argument("--seed", type=int)
-    gen.add_argument("--structure", choices=STRUCTURE_KINDS, default="segmented")
+    gen.add_argument("--structure", choices=STRUCTURE_KINDS)
     gen.add_argument("--name", help="scenario name (defaults to the directory name)")
     return parser
 
@@ -209,21 +212,12 @@ def _cmd_auction(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    given = {key: value for key, value in vars(args).items()
+             if value is not None and key not in ("command", "out", "seed")}
     seed = _resolve_seed(args.seed)
-    path = gen_scenario(
-        args.out,
-        rows=args.rows,
-        cols=args.cols,
-        edge_len_m=args.edge_len_m,
-        speed_mps=args.speed_mps,
-        n_requests=args.requests,
-        n_platforms=args.platforms,
-        fleet=args.fleet,
-        horizon_s=args.horizon_s,
-        seed=seed if seed is not None else 0,
-        structure=args.structure,
-        name=args.name,
-    )
+    if seed is not None:
+        given["seed"] = seed
+    path = gen_scenario(args.out, **given)
     sys.stdout.write(f"{path}\n")
     return 0
 

@@ -48,6 +48,7 @@ from .model import (
 )
 from .network import RoadNetwork
 from .rtv import (
+    EPS,
     Constraints,
     MarketStructure,
     RtvGraph,
@@ -57,8 +58,6 @@ from .rtv import (
 )
 from .seeding import substream
 from .solve import OBJECTIVES, Assignment, AssignmentProblem, solve_assignment
-
-_EPS = 1e-9
 
 # Vehicles per platform and in all: set-up draws a position and builds a
 # Vehicle for each, so a larger fleet fails here instead of exhausting memory.
@@ -147,7 +146,7 @@ class Scenario:
             raise ValidationError("horizon_s must be finite")
         if self.horizon_s <= 0:
             self.horizon_s = latest
-        elif self.horizon_s + _EPS < latest:
+        elif self.horizon_s + EPS < latest:
             raise ValidationError("horizon ends before the last request arrives")
         if self.structure.alliance:
             stray = set(self.structure.alliance) - known
@@ -291,14 +290,14 @@ class _Simulation:
     def _expire(self, now: float) -> None:
         limit = self.constraints.max_wait_s
         for r in self.admitted:
-            if r.state == WAITING and now - r.request_time > limit + _EPS:
+            if r.state == WAITING and now - r.request_time > limit + EPS:
                 r.set_state(EXPIRED)
                 self.broker_pool.discard(r.id)
 
     def _admit(self, now: float, cursor: int) -> int:
         while (
             cursor < len(self.requests)
-            and self.requests[cursor].request_time <= now + _EPS
+            and self.requests[cursor].request_time <= now + EPS
         ):
             r = self.requests[cursor]
             self.admitted.append(r)
@@ -462,7 +461,7 @@ class _Simulation:
                 if vehicle.position == target:
                     self._execute_stop(vehicle, now + dt - budget / speed)
                     continue
-                if budget <= _EPS:
+                if budget <= EPS:
                     break
                 hop = self.net.path(vehicle.position, target)[1]
                 leg = self.net.distance(vehicle.position, hop)
@@ -472,7 +471,7 @@ class _Simulation:
                 vehicle.position = hop
                 # An interval ending mid-edge snaps the vehicle to the
                 # edge's head node; the full edge length still counts.
-                budget = max(0.0, budget - leg) if leg <= budget + _EPS else 0.0
+                budget = max(0.0, budget - leg) if leg <= budget + EPS else 0.0
 
     # -- main loop ----------------------------------------------------------
 

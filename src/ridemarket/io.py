@@ -471,7 +471,7 @@ def _results_csv(many: list[EpisodeMetrics]) -> str:
         "total_trips", "n_trades", "total_fares", "total_driver_pay",
         "total_profit", "broker_balance",
     ] + [f"profit:{pid}" for pid in pids]
-    lines = [",".join(header)]
+    rows = [header]
     for m in many:
         row = [
             m.scenario, m.structure, m.objective, str(m.seed),
@@ -486,8 +486,8 @@ def _results_csv(many: list[EpisodeMetrics]) -> str:
         for pid in pids:
             p = m.per_platform.get(pid)
             row.append(f"{to_dollars(p.profit):.4f}" if p else "")
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+        rows.append(row)
+    return _csv_text(rows)
 
 
 def read_results(path: str | Path) -> EpisodeMetrics | list[EpisodeMetrics]:

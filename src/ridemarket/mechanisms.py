@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import TooLargeError, ValidationError
 from .model import WAITING, PricingScheme, Request, Vehicle, trip_marginal_profit
 from .network import RoadNetwork
 from .rtv import RtvGraph
@@ -32,6 +32,11 @@ from .solve import (
 
 
 MAX_PLAYERS = 12
+# Players the core LP of EPM and contribution takes.  Its dense tableau has
+# n(n-1) + 2^n - 1 rows, and from 7 players on the simplex has returned
+# wrong optima, a false empty core and failed phase 1s on games HiGHS
+# solves, so a larger game is refused before the LP is built.
+MAX_CORE_PLAYERS = 6
 
 
 # ---------------------------------------------------------------------------
@@ -138,8 +143,12 @@ def _core_allocation(
     Minimizes t subject to t >= (x_i - o_i)/d_i - (x_j - o_j)/d_j for every
     ordered pair, then the core rows: no coalition gets less than it earns
     alone, and the grand coalition's value is shared out exactly.  Returns
-    None when the core is empty.
+    None when the core is empty.  Raises TooLargeError above
+    MAX_CORE_PLAYERS players.
     """
+    if game.n > MAX_CORE_PLAYERS:
+        raise TooLargeError(
+            f"the core LP takes at most {MAX_CORE_PLAYERS} players, got {game.n}")
     width = 1 + game.n
     x_at = {p: 1 + i for i, p in enumerate(game.players)}
     pairs = list(itertools.permutations(game.players, 2))
@@ -165,7 +174,8 @@ def epm_allocate(game: CoalitionGame) -> tuple[Allocation, float] | None:
     """Core allocation minimizing the spread of payoff-to-standalone ratios.
 
     Returns None when the core is empty.  Every standalone value must be
-    strictly positive for the ratios to make sense.
+    strictly positive for the ratios to make sense.  Takes at most
+    MAX_CORE_PLAYERS players.
     """
     singles = {p: float(game.value([p])) for p in game.players}
     bad = [p for p, v in singles.items() if v <= 0]
@@ -209,7 +219,8 @@ def contribution_allocate(
 ) -> tuple[Allocation, float] | None:
     """Core allocation equalizing weighted gains over standalone values.
 
-    Returns None when the core is empty.
+    Returns None when the core is empty.  Takes at most MAX_CORE_PLAYERS
+    players.
     """
     missing = [p for p in game.players if p not in weights]
     if missing:

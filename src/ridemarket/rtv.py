@@ -6,17 +6,18 @@ considers request sets whose subsets were already feasible.  The
 request-vehicle edges are exact: ``best_route`` is the only stop-order
 search, and what skips it is exact too.  An idle vehicle's single has one
 stop order, computed in closed form with ``best_route``'s own float
-operations; reach bounds on shortest paths skip a pair whose pickup misses
-its deadline, or that makes a committed stop miss its own, and an idle
-vehicle's request pair whose second pickup comes too late in either order;
-idle vehicles with the same position and capacity are searched once.  The
-search, the closed form and every reach bound read one table of stop
-records (``stop_table``): each build makes one, which holds its sorted
-requests and vehicles, and both stages read it.  Trip
-enumeration also tests each request pair it tries with ``pair_shareable``,
-a heuristic probe, not a relaxation: it can reject a pair that a real
-vehicle could serve together.  A market structure acts on the finished
-graph purely as a subgraph filter.
+operations; both give the ``Trip`` that becomes the graph's edge.  Reach
+bounds on shortest paths skip a pair whose pickup misses its deadline, or
+that makes a committed stop miss its own, and an idle vehicle's request
+pair whose second pickup comes too late in either order; idle vehicles
+with the same position and capacity are searched once.  The search, the
+closed form and every reach bound read one table of stop records
+(``stop_table``): each build makes one, which holds its sorted requests
+and vehicles, and both stages read it.  Trip enumeration also tests each
+request pair it tries with ``pair_shareable``, a heuristic probe, not a
+relaxation: it can reject a pair that a real vehicle could serve
+together.  A market structure acts on the finished graph purely as a
+subgraph filter.
 
 The engine builds the graph once per decision stage (bilateral once more
 after its match).  The auction, matching and central trading solve
@@ -106,16 +107,6 @@ class MarketStructure:
 
 
 @dataclass
-class RouteResult:
-    """Outcome of the exhaustive stop-order search for one candidate."""
-
-    route: tuple[Stop, ...]
-    total_distance: float
-    pickup_times: dict[str, float]
-    dropoff_times: dict[str, float]
-
-
-@dataclass
 class RtvGraph:
     """Trip-level graph: feasible trips and their vehicle edges."""
 
@@ -174,8 +165,9 @@ class StopTable(NamedTuple):
 
     ``requests`` and ``vehicles`` are the build's, sorted by id.  ``riders``
     maps each request id to its (pickup, dropoff) records, and ``fleet``
-    each vehicle id to the node index of its position and the records of
-    its onboard and assigned riders, none when it is idle.
+    each vehicle id to the node index of its position, the records of its
+    onboard and assigned riders (none when it is idle) and the length of
+    its committed route (``schedule_distance``).
     """
 
     net: RoadNetwork
@@ -184,7 +176,7 @@ class StopTable(NamedTuple):
     requests: list[Request]
     vehicles: list[Vehicle]
     riders: dict[str, tuple[tuple, tuple]]
-    fleet: dict[str, tuple[int, tuple[tuple, ...]]]
+    fleet: dict[str, tuple[int, tuple[tuple, ...], float]]
 
 
 def stop_table(
@@ -247,7 +239,7 @@ def stop_table(
             if at is None:
                 at = pickup_deadline(req, now, constraints)
             recs += pickup(req, at), dropoff(req)
-        fleet[veh.id] = (index(veh.position), tuple(recs))
+        fleet[veh.id] = (index(veh.position), tuple(recs), schedule_distance(veh, net))
     return StopTable(net, now, constraints, requests, vehicles, riders, fleet)
 
 
@@ -255,8 +247,9 @@ def best_route(
     vehicle: Vehicle,
     new_requests: Iterable[Request],
     stops: StopTable,
-) -> RouteResult | None:
-    """Minimum-distance feasible stop order serving commitments plus new riders.
+) -> Trip | None:
+    """The trip of a minimum-distance feasible stop order serving the
+    vehicle's commitments plus the new riders.
 
     Returns None when no order satisfies capacity, pickup deadlines and the
     per-rider detour bound.  The search is an exhaustive depth-first walk
@@ -264,17 +257,18 @@ def best_route(
     MAX_ROUTE_STOPS stops.  Stops are tried in ``(request, kind)`` order and
     only a strictly shorter route replaces the best, so among equally short
     routes the first in that order wins.  ``stops`` must hold the vehicle
-    and every new request.
+    and every new request.  The trip's ``requests`` are the new riders'
+    ids, sorted; its delay sums over them in that order.
     """
-    position, committed = stops.fleet[vehicle.id]
+    position, committed, baseline = stops.fleet[vehicle.id]
+    new = {req.id: req for req in new_requests}
     recs = list(committed)
-    for req in new_requests:
-        recs += stops.riders[req.id]
+    for rid in new:
+        recs += stops.riders[rid]
     if len(recs) > MAX_ROUTE_STOPS:
         return None
     if not recs:
-        return RouteResult(route=(), total_distance=0.0, pickup_times={},
-                           dropoff_times={})
+        return Trip((), vehicle.id, (), 0.0 - baseline, 0, 0)
     recs.sort(key=_STOP_ORDER)
 
     # Per-stop columns; col holds each stop's node index.  Sorting puts a
@@ -282,7 +276,7 @@ def best_route(
     # waits for stop i + 1 and reads the ride start from start[i + 1],
     # where the search writes the arrival at that pickup.
     n = len(recs)
-    _, kinds, _, col, limit, aux, _ = zip(*recs)
+    ids, kinds, nodes, col, limit, aux, _ = zip(*recs)
     start = list(aux)
     bits = _BITS
     net = stops.net
@@ -334,18 +328,19 @@ def best_route(
     recurse(position * n_nodes, stops.now, 0.0, len(vehicle.onboard), 0, 0)
     if best_order is None:
         return None
-    route = []
-    pickup_times = {}
-    dropoff_times = {}
+    at = [0.0] * n  # arrival at each stop
     for i, t in zip(best_order, best_times):
-        rid, kind, node = recs[i][:3]
-        route.append(Stop(node, rid, kind))
-        (pickup_times if kind == PICKUP else dropoff_times)[rid] = t
-    return RouteResult(
-        route=tuple(route),
-        total_distance=best_dist,
-        pickup_times=pickup_times,
-        dropoff_times=dropoff_times,
+        at[i] = t
+    return Trip(
+        requests=tuple(sorted(new)),
+        vehicle=vehicle.id,
+        route=tuple(Stop(nodes[i], ids[i], kinds[i]) for i in best_order),
+        incremental_distance=best_dist - baseline,
+        # the stops are in id order, so the delays sum in id order
+        total_delay=sum(at[i] - (new[rid].request_time + new[rid].direct_duration)
+                        for i, rid in enumerate(ids)
+                        if kinds[i] == DROPOFF and rid in new),
+        group_size=len(vehicle.committed()) + len(new),
     )
 
 
@@ -370,11 +365,11 @@ def pair_shareable(
     return best_route(probe, [earlier, later], stops) is not None
 
 
-def build_rv_graph(stops: StopTable) -> dict[tuple[str, str], RouteResult]:
-    """The route of each feasible (request id, vehicle id) pair of the
-    build ``stops`` holds, keyed in sorted order."""
+def build_rv_graph(stops: StopTable) -> dict[tuple[str, str], Trip]:
+    """The one-request trip of each feasible (request id, vehicle id) pair
+    of the build ``stops`` holds, keyed in sorted order."""
     reqs, vehs, net, now = stops.requests, stops.vehicles, stops.net, stops.now
-    rv: dict[tuple[str, str], RouteResult] = {}
+    rv: dict[tuple[str, str], Trip] = {}
     # Earliest pickup of each (vehicle, request) pair: straight from the
     # vehicle's position, as no stop order can beat the shortest path.  A
     # pair that misses the pickup's ``late`` (record field 6) even so has
@@ -387,7 +382,7 @@ def build_rv_graph(stops: StopTable) -> dict[tuple[str, str], RouteResult]:
     flat = net.flat_distances()
     n_nodes = len(net.nodes)
     fleet = [stops.fleet[v.id] for v in vehs]
-    base = [position * n_nodes for position, _ in fleet]
+    base = [position * n_nodes for position, _, _ in fleet]
     # None for an idle vehicle, else its committed stops with an absolute
     # deadline, an onboard rider's dropoff or an assigned rider's pickup:
     # node index, start of its row in ``flat``, distance to it from the
@@ -395,7 +390,7 @@ def build_rv_graph(stops: StopTable) -> dict[tuple[str, str], RouteResult]:
     bounds = [[(s, s * n_nodes, flat[base[k] + s], due)
                for _, _, _, s, _, _, due in committed if due is not None]
               if committed else None
-              for k, (_, committed) in enumerate(fleet)]
+              for k, (_, committed, _) in enumerate(fleet)]
     # Both lists are sorted by id, so the keys arrive in sorted order.
     for j, req in enumerate(reqs):
         rid = req.id
@@ -416,8 +411,9 @@ def build_rv_graph(stops: StopTable) -> dict[tuple[str, str], RouteResult]:
                 total = leg1 + leg2  # best_route's 0.0 + leg1 is leg1
                 drop = arrive + leg2 / speed
                 if total < _INF and arrive <= limit and drop - arrive <= ride_limit:
-                    rv[(rid, veh.id)] = RouteResult(route, total, {rid: arrive},
-                                                    {rid: drop})
+                    rv[(rid, veh.id)] = Trip(
+                        (rid,), veh.id, route, total,
+                        drop - (req.request_time + req.direct_duration), 1)
                 continue
             # The pickup comes before or after each committed stop s.  Skip
             # the pair when, for some s, both orders miss a deadline even on
@@ -435,11 +431,12 @@ def build_rv_graph(stops: StopTable) -> dict[tuple[str, str], RouteResult]:
 
 
 def enumerate_trips(
-    rv: Mapping[tuple[str, str], RouteResult],
+    rv: Mapping[tuple[str, str], Trip],
     stops: StopTable,
 ) -> RtvGraph:
-    """Exhaustive trip enumeration from the routes ``build_rv_graph`` gives
-    for the same ``stops``.
+    """Exhaustive trip enumeration from the one-request trips
+    ``build_rv_graph`` gives for the same ``stops``, which it keeps as they
+    are.
 
     A request set of size k is only tried for a vehicle when all of its
     size-(k-1) subsets were feasible for that vehicle (and a pair only when
@@ -448,44 +445,39 @@ def enumerate_trips(
     feasible.  Trips stop at MAX_ROUTE_STOPS // 2 requests; ``best_route``
     enforces each vehicle's own capacity.  An idle vehicle skips a pair
     when neither pickup order reaches the second pickup by its deadline,
-    even on shortest paths from the first pickup time of its single's
-    route.  Idle twins are enumerated once: an idle vehicle's routes
-    depend only on its position and capacity (``build_rv_graph`` gives
-    twins the same singles), so an idle vehicle whose (position, capacity)
-    an earlier one already had gets a copy of that vehicle's trips under
-    its own id, with no route search.
+    even on shortest paths from the earliest first pickup.  Idle twins are
+    enumerated once: an idle vehicle's routes depend only on its position
+    and capacity (``build_rv_graph`` gives twins equal singles), so an idle
+    vehicle whose (position, capacity) an earlier one already had gets a
+    copy of that vehicle's larger trips under its own id, with no route
+    search.
     """
-    net, riders = stops.net, stops.riders
+    net, now, riders = stops.net, stops.now, stops.riders
     by_id = {r.id: r for r in stops.requests}
     shareable: dict[tuple[str, ...], bool] = {}  # pair_shareable per probed pair
     tv_edges: dict[tuple[tuple[str, ...], str], Trip] = {}
     flat = net.flat_distances()
     n_nodes = len(net.nodes)
     speed = net.speed
-    # rv is in sorted key order, so each vehicle's singles are too.
-    routes_of: dict[str, dict[str, RouteResult]] = {}
-    for (rid, vid), found in rv.items():
-        routes_of.setdefault(vid, {})[rid] = found
 
     # The trips of the first idle vehicle at each (position, capacity).
     idle_trips: dict[tuple[str, int], list[Trip]] = {}
     for veh in stops.vehicles:
+        vid = veh.id
+        own = [rv[rid, vid] for rid in by_id if (rid, vid) in rv]
         idle = not veh.onboard and not veh.assigned
         twin = idle_trips.get((veh.position, veh.capacity)) if idle else None
         if twin is not None:
-            vid = veh.id
-            for t in twin:
-                tv_edges[(t.requests, vid)] = Trip(
-                    t.requests, vid, t.route, t.incremental_distance,
-                    t.total_delay, t.group_size)
+            # its singles equal the twin's; the larger trips are copied
+            own += [Trip(t.requests, vid, t.route, t.incremental_distance,
+                         t.total_delay, t.group_size)
+                    for t in twin if len(t.requests) > 1]
+            for t in own:
+                tv_edges[(t.requests, vid)] = t
             continue
-        baseline = schedule_distance(veh, net)
-        group_base = len(veh.committed())
-        routes = routes_of.get(veh.id, {})
-        singles = list(routes)
-        own = [_make_trip((rid,), veh, routes[rid], baseline, group_base, by_id)
-               for rid in singles]
-        smaller = {(rid,) for rid in singles}
+        singles = [t.requests[0] for t in own]
+        smaller = {t.requests for t in own}
+        row_v = stops.fleet[vid][0] * n_nodes
         for size in range(2, min(MAX_ROUTE_STOPS // 2, len(singles)) + 1):
             candidates = [
                 t + (rid,)
@@ -500,10 +492,13 @@ def enumerate_trips(
                     a, b = key
                     _, _, _, o_a, _, release_a, late_a = riders[a][0]
                     _, _, _, o_b, _, release_b, late_b = riders[b][0]
+                    # each pickup no earlier than on the shortest path from
+                    # the vehicle, as in build_rv_graph's closed form
                     if idle and (
-                            max(routes[a].pickup_times[a] + flat[o_a * n_nodes + o_b] / speed,
+                            max(max(now + flat[row_v + o_a] / speed, release_a)
+                                + flat[o_a * n_nodes + o_b] / speed,
                                 release_b) > late_b
-                            and max(routes[b].pickup_times[b]
+                            and max(max(now + flat[row_v + o_b] / speed, release_b)
                                     + flat[o_b * n_nodes + o_a] / speed,
                                     release_a) > late_a):
                         continue
@@ -516,9 +511,9 @@ def enumerate_trips(
                 if found is None:
                     continue
                 smaller.add(key)
-                own.append(_make_trip(key, veh, found, baseline, group_base, by_id))
+                own.append(found)
         for t in own:
-            tv_edges[(t.requests, t.vehicle)] = t
+            tv_edges[(t.requests, vid)] = t
         if idle:
             idle_trips[(veh.position, veh.capacity)] = own
 
@@ -526,28 +521,6 @@ def enumerate_trips(
         requests=[r.id for r in stops.requests],
         vehicles=[v.id for v in stops.vehicles],
         tv_edges=tv_edges,
-    )
-
-
-def _make_trip(
-    key: tuple[str, ...],
-    veh: Vehicle,
-    found: RouteResult,
-    baseline: float,
-    group_base: int,
-    registry: Mapping[str, Request],
-) -> Trip:
-    return Trip(
-        requests=key,
-        vehicle=veh.id,
-        route=found.route,
-        incremental_distance=found.total_distance - baseline,
-        total_delay=sum(
-            found.dropoff_times[r]
-            - (registry[r].request_time + registry[r].direct_duration)
-            for r in key
-        ),
-        group_size=group_base + len(key),
     )
 
 

@@ -1,4 +1,5 @@
 """Command-line interface: subcommands, seeding precedence, exit codes."""
+import itertools
 import json
 import time
 
@@ -129,6 +130,19 @@ def test_unbounded_phase_one_is_exit_one(game_file, monkeypatch, capsys):
     assert capsys.readouterr().err == "error: phase 1 reported unbounded\n"
 
 
+@pytest.mark.parametrize("method", ["epm", "contribution"])
+def test_core_lp_above_six_players_is_exit_one(tmp_path, method, capsys):
+    players = tuple("ABCDEFG")
+    game = CoalitionGame(players=players, values={
+        frozenset(c): 10.0 * k * k
+        for k in range(1, 8) for c in itertools.combinations(players, k)})
+    path = tmp_path / "game7.json"
+    write_game(game, path)
+    assert main(["allocate", "--game", str(path), "--method", method]) == 1
+    assert capsys.readouterr().err == \
+        "error: the core LP takes at most 6 players, got 7\n"
+
+
 def test_unbounded_assignment_relaxation_is_exit_one(bundle, monkeypatch, capsys):
     # assignment LPs start from a feasible slack basis: no phase 1 runs
     monkeypatch.setattr("ridemarket.solve._simplex_iterate",
@@ -196,6 +210,18 @@ def test_gen_scenario_command(tmp_path, capsys):
     assert rc == 0
     assert (out / "scenario.json").exists()
     assert (out / "requests.csv").exists()
+
+
+def test_gen_scenario_command_defaults_are_gen_scenarios(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv(SEED_ENV, raising=False)
+    # the scenario name defaults to the directory name, so both are "bundle"
+    cli_dir, lib_dir = tmp_path / "cli" / "bundle", tmp_path / "lib" / "bundle"
+    assert main(["gen-scenario", "--out", str(cli_dir)]) == 0
+    gen_scenario(lib_dir)
+    files = sorted(p.name for p in lib_dir.iterdir())
+    assert sorted(p.name for p in cli_dir.iterdir()) == files
+    for name in files:
+        assert (cli_dir / name).read_bytes() == (lib_dir / name).read_bytes()
 
 
 @pytest.mark.parametrize("flag, value", [

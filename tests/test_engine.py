@@ -329,6 +329,19 @@ def test_shared_billing_for_pooled_riders(net):
     assert m.total_vmt_miles == pytest.approx(direct_d / METERS_PER_MILE)
 
 
+@pytest.mark.parametrize("late, epoch", [(rtv.EPS / 2, 30.0), (2 * rtv.EPS, 60.0)])
+def test_admission_edge_is_the_stop_tables_eps(net, late, epoch):
+    # released just after the epoch at 30 s: within EPS it is admitted then,
+    # and a vehicle at its origin picks it up at once; beyond EPS it waits
+    assert Constraints().interval_s == 30.0
+    reqs = [Request(id="r0", origin="0", destination="35", request_time=30.0 + late,
+                    platform="A")]
+    specs = [PlatformSpec("A", 1, positions=("0",))]
+    state = run_detailed(_scenario(net, reqs, specs, "single", seed=0))
+    assert state.metrics.served == 1
+    assert state.requests["r0"].pickup_time == epoch
+
+
 def test_horizon_auto_extends_to_serve_late_requests(net):
     reqs = [Request(id="r0", origin="0", destination="35", request_time=500.0, platform="A")]
     specs = [PlatformSpec("A", 1, positions=("0",))]

@@ -266,6 +266,23 @@ def test_results_csv_has_per_platform_profit(tmp_path):
     assert header.count(",") == row.count(",")
 
 
+def test_results_csv_quotes_fields_that_hold_commas_and_quotes(tmp_path):
+    net = make_grid(4, 4, edge_len=300.0, speed=10.0)
+    reqs = [Request(id="r0", origin="0", destination="15", request_time=0.0,
+                    platform="A,1")]
+    sc = Scenario(net=net, requests=reqs, platforms=[PlatformSpec("A,1", 1, positions=("0",))],
+                  name='city, "north"')
+    m = run(sc)
+    path = tmp_path / "out.csv"
+    write_results([m, m], path, fmt="csv")
+    header, *rows = csv.reader(io.StringIO(path.read_text()))
+    assert header[-1] == "profit:A,1"
+    assert len(rows) == 2
+    for row in rows:
+        assert len(row) == len(header)
+        assert row[:2] == ['city, "north"', "single"]
+
+
 def test_trade_log_csv(tmp_path):
     trades = [TradeRecord(epoch=3, request="r7", seller="A", buyer="B", info_price=420)]
     path = tmp_path / "trades.csv"

@@ -6,9 +6,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
-from ridemarket.errors import ValidationError
+from ridemarket.errors import TooLargeError, ValidationError
 from ridemarket.mechanisms import (
+    MAX_CORE_PLAYERS,
     Allocation,
     Bid,
     CoalitionGame,
@@ -271,6 +273,91 @@ def test_lp_allocations_stay_in_core():
         if out is not None:
             assert in_core(game, out[0])
     assert returned >= 10
+
+
+def _synergy_game(rng, n, family):
+    """A game over n players with standalone values drawn in [10, 20).
+
+    proportional: v(S) = (1 + 0.05(|S| - 1)) times the standalone sum;
+    random: the standalone sum times a fresh draw in [1, 1.3);
+    convex: the standalone sum plus 2|S|(|S| - 1), which is supermodular.
+    """
+    players = tuple(f"p{i}" for i in range(n))
+    base = {p: int(rng.integers(10, 20)) for p in players}
+    values = {}
+    for k in range(1, n + 1):
+        for combo in itertools.combinations(players, k):
+            total = sum(base[p] for p in combo)
+            if family == "proportional":
+                v = (1 + 0.05 * (k - 1)) * total
+            elif family == "random":
+                v = total * (1 + rng.uniform(0.0, 0.3)) if k > 1 else total
+            else:
+                v = total + 2.0 * k * (k - 1)
+            values[frozenset(combo)] = float(v)
+    return CoalitionGame(players=players, values=values)
+
+
+def _highs_core_spread(game, d, o):
+    """The core LP of EPM and contribution, solved by HiGHS: the least
+    spread t of the scaled gains (x - o) / d, or None when it is infeasible."""
+    players = game.players
+    n = game.n
+    rows, rhs = [], []
+    for i, j in itertools.permutations(range(n), 2):
+        # (x_i - o_i)/d_i - (x_j - o_j)/d_j <= t
+        row = np.zeros(n + 1)
+        row[0], row[1 + i], row[1 + j] = -1.0, 1.0 / d[players[i]], -1.0 / d[players[j]]
+        rows.append(row)
+        rhs.append(o[players[i]] / d[players[i]] - o[players[j]] / d[players[j]])
+    for k in range(1, n):
+        for combo in itertools.combinations(range(n), k):
+            row = np.zeros(n + 1)
+            row[[1 + c for c in combo]] = -1.0
+            rows.append(row)
+            rhs.append(-game.value([players[c] for c in combo]))
+    grand = np.ones((1, n + 1))
+    grand[0, 0] = 0.0
+    res = linprog(np.eye(n + 1)[0], A_ub=np.array(rows), b_ub=rhs, A_eq=grand,
+                  b_eq=[game.grand_value()], bounds=(None, None), method="highs")
+    assert res.status in (0, 2), res.message
+    return None if res.status == 2 else res.fun
+
+
+@pytest.mark.parametrize("n", range(3, MAX_CORE_PLAYERS + 1))
+def test_core_allocations_match_highs(n):
+    empty = 0
+    for family in ("proportional", "random", "convex"):
+        for seed in range(10):
+            rng = np.random.default_rng([n, seed])
+            game = _synergy_game(rng, n, family)
+            weights = {p: float(rng.uniform(0.5, 2.0)) for p in game.players}
+            singles = {p: game.value([p]) for p in game.players}
+            for got, d, o in (
+                (epm_allocate(game), singles, dict.fromkeys(game.players, 0.0)),
+                (contribution_allocate(game, weights), weights, singles),
+            ):
+                want = _highs_core_spread(game, d, o)
+                if want is None:
+                    assert got is None
+                    empty += 1
+                    continue
+                assert got is not None
+                allocation, spread = got
+                assert abs(spread - want) <= 1e-6 * max(1.0, abs(want))
+                assert in_core(game, allocation)
+    # both outcomes occur at every size
+    assert 0 < empty < 60
+
+
+def test_core_allocations_refuse_seven_players():
+    game = _synergy_game(np.random.default_rng(0), MAX_CORE_PLAYERS + 1, "proportional")
+    weights = dict.fromkeys(game.players, 1.0)
+    message = f"^the core LP takes at most {MAX_CORE_PLAYERS} players, got 7$"
+    with pytest.raises(TooLargeError, match=message):
+        epm_allocate(game)
+    with pytest.raises(TooLargeError, match=message):
+        contribution_allocate(game, weights)
 
 
 # ---------------------------------------------------------------------------

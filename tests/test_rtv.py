@@ -8,14 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 from ridemarket import rtv
 from ridemarket.errors import ValidationError
-from ridemarket.model import DROPOFF, PICKUP, Request, Stop, Vehicle, fill_direct
+from ridemarket.model import DROPOFF, PICKUP, Request, Stop, Trip, Vehicle, fill_direct
 from ridemarket.network import make_grid
 from ridemarket.rtv import (
     EPS,
     MAX_ROUTE_STOPS,
     Constraints,
     MarketStructure,
-    RouteResult,
     apply_market_structure,
     best_route,
     build_rtv_graph,
@@ -25,15 +24,13 @@ from ridemarket.rtv import (
 )
 
 
-def _route_oracle(vehicle, requests, registry, net, constraints, now):
-    """Exhaustive stop-permutation search mirroring the feasibility rules.
+def _riders(vehicle, requests, registry, constraints, now):
+    """Each rider's request and pickup deadline, None when onboard.
 
     Onboard riders need only their dropoff, timed from their pickup_time;
-    assigned riders keep their pickup_deadline.  Returns the first
-    minimum-distance feasible order in itertools.permutations order over
-    the stops sorted by (request, kind), as a RouteResult.
+    assigned riders keep their pickup_deadline.
     """
-    riders = {}  # rid -> (request, pickup deadline or None when onboard)
+    riders = {}
     for rid in vehicle.onboard:
         riders[rid] = (registry[rid], None)
     for rid in vehicle.assigned:
@@ -41,6 +38,51 @@ def _route_oracle(vehicle, requests, registry, net, constraints, now):
     for r in requests:
         riders[r.id] = (r, min(r.request_time + constraints.max_wait_s,
                                now + constraints.max_pickup_s))
+    return riders
+
+
+def _replay(vehicle, order, riders, net, constraints, now):
+    """Drive one stop order from the vehicle's position at now under the
+    feasibility rules.  Returns (distance, pickup times, dropoff times),
+    each time dict in visiting order, or None when a stop breaks a bound.
+    """
+    pos, time, dist = vehicle.position, now, 0.0
+    load = len(vehicle.onboard)
+    picked = {rid: riders[rid][0].pickup_time for rid in vehicle.onboard}
+    pickups, dropoffs = {}, {}
+    for stop in order:
+        r, deadline = riders[stop.request]
+        leg = net.distance_or_inf(pos, stop.node)
+        arrive = time + leg / net.speed
+        if leg == float("inf"):
+            return None
+        if stop.kind == PICKUP:
+            arrive = max(arrive, r.request_time)
+            if load + 1 > vehicle.capacity or arrive > deadline + EPS:
+                return None
+            picked[r.id] = pickups[r.id] = arrive
+            load += 1
+        elif r.id not in picked or (
+            arrive - picked[r.id]
+            > constraints.detour_factor * r.direct_duration + EPS
+        ):
+            return None
+        else:
+            dropoffs[r.id] = arrive
+            load -= 1
+        pos, time, dist = stop.node, arrive, dist + leg
+    return dist, pickups, dropoffs
+
+
+def _route_oracle(vehicle, requests, registry, net, constraints, now):
+    """Exhaustive stop-permutation search mirroring the feasibility rules.
+
+    Takes the first minimum-distance feasible order in
+    itertools.permutations order over the stops sorted by (request, kind).
+    Returns the Trip best_route should give for it, with that order's
+    pickup and dropoff times, or None when no order is feasible.
+    """
+    riders = _riders(vehicle, requests, registry, constraints, now)
     stops = []
     for rid, (r, deadline) in riders.items():
         if deadline is not None:
@@ -51,38 +93,24 @@ def _route_oracle(vehicle, requests, registry, net, constraints, now):
     stops.sort(key=lambda s: (s.request, s.kind))
     best = None
     for order in itertools.permutations(stops):
-        pos, time, dist = vehicle.position, now, 0.0
-        load = len(vehicle.onboard)
-        picked = {rid: registry[rid].pickup_time for rid in vehicle.onboard}
-        pickups, dropoffs = {}, {}
-        feasible = True
-        for stop in order:
-            r, deadline = riders[stop.request]
-            leg = net.distance_or_inf(pos, stop.node)
-            arrive = time + leg / net.speed
-            if leg == float("inf"):
-                feasible = False
-            elif stop.kind == PICKUP:
-                arrive = max(arrive, r.request_time)
-                if load + 1 > vehicle.capacity or arrive > deadline + EPS:
-                    feasible = False
-                picked[r.id] = pickups[r.id] = arrive
-                load += 1
-            elif r.id not in picked or (
-                arrive - picked[r.id]
-                > constraints.detour_factor * r.direct_duration + EPS
-            ):
-                feasible = False
-            else:
-                dropoffs[r.id] = arrive
-                load -= 1
-            if not feasible:
-                break
-            pos, time, dist = stop.node, arrive, dist + leg
-        if feasible and (best is None or dist < best.total_distance):
-            best = RouteResult(route=order, total_distance=dist,
-                               pickup_times=pickups, dropoff_times=dropoffs)
-    return best
+        run = _replay(vehicle, order, riders, net, constraints, now)
+        if run is not None and (best is None or run[0] < best[1][0]):
+            best = (order, run)
+    if best is None:
+        return None
+    order, (dist, pickups, dropoffs) = best
+    ids = sorted(r.id for r in requests)
+    trip = Trip(
+        requests=tuple(ids),
+        vehicle=vehicle.id,
+        route=order,
+        incremental_distance=dist - rtv.schedule_distance(vehicle, net),
+        total_delay=sum(dropoffs[rid] - (riders[rid][0].request_time
+                                         + riders[rid][0].direct_duration)
+                        for rid in ids),
+        group_size=len(vehicle.committed()) + len(ids),
+    )
+    return trip, pickups, dropoffs
 
 
 def _search(vehicle, requests, registry, net, constraints, now):
@@ -128,11 +156,12 @@ def test_best_route_matches_permutation_oracle():
         if want is None:
             assert got is None
             continue
-        assert got is not None
-        assert got.route == want.route
-        assert got.total_distance == want.total_distance
-        assert list(got.pickup_times.items()) == list(want.pickup_times.items())
-        assert list(got.dropoff_times.items()) == list(want.dropoff_times.items())
+        trip, pickups, dropoffs = want
+        assert got == trip
+        riders = _riders(veh, reqs, registry, cons, now)
+        _, got_pickups, got_dropoffs = _replay(veh, got.route, riders, net, cons, now)
+        assert list(got_pickups.items()) == list(pickups.items())
+        assert list(got_dropoffs.items()) == list(dropoffs.items())
         kind = "assigned" if veh.assigned else "onboard" if veh.onboard else "idle"
         feasible[kind] += 1
     # the sample exercises the feasible branch of every kind of vehicle
@@ -178,10 +207,13 @@ def test_one_stop_table_serves_every_search(data):
                 if want is None:
                     assert got is None
                     continue
-                assert got.route == want.route
-                assert got.total_distance == want.total_distance
-                assert list(got.pickup_times.items()) == list(want.pickup_times.items())
-                assert list(got.dropoff_times.items()) == list(want.dropoff_times.items())
+                trip, pickups, dropoffs = want
+                assert got == trip
+                riders = _riders(veh, searched, everyone, cons, now)
+                _, got_pickups, got_dropoffs = _replay(veh, got.route, riders, net,
+                                                       cons, now)
+                assert list(got_pickups.items()) == list(pickups.items())
+                assert list(got_dropoffs.items()) == list(dropoffs.items())
 
 
 def test_best_route_times_are_consistent():
@@ -192,11 +224,14 @@ def test_best_route_times_are_consistent():
         Request(id="b", origin="1", destination="14", request_time=10.0, platform="A"),
     ])
     veh = Vehicle(id="v0", platform="A", position="0")
-    found = _search(veh, reqs, {r.id: r for r in reqs}, net, cons, now=0.0)
+    registry = {r.id: r for r in reqs}
+    found = _search(veh, reqs, registry, net, cons, now=0.0)
     assert found is not None
+    riders = _riders(veh, reqs, registry, cons, 0.0)
+    _, pickups, dropoffs = _replay(veh, found.route, riders, net, cons, 0.0)
     for r in reqs:
-        pick = found.pickup_times[r.id]
-        drop = found.dropoff_times[r.id]
+        pick = pickups[r.id]
+        drop = dropoffs[r.id]
         assert pick >= r.request_time
         assert drop - pick <= cons.detour_factor * r.direct_duration + EPS
 
@@ -279,8 +314,8 @@ def test_reach_bound_keeps_exactly_the_routable_pairs(data):
                 for r in reqs for v in vehicles}
     routable = [(key, searched[key]) for key in sorted(searched)
                 if searched[key] is not None]
-    # RouteResult equality is exact: the closed form for idle vehicles
-    # gives bit-identical times and distances
+    # Trip equality is exact: the closed form for idle vehicles gives
+    # bit-identical distances and delays
     assert list(rv.items()) == routable
 
 
@@ -388,11 +423,13 @@ def test_trip_enumeration_structural_properties():
                 if stop.kind == "dropoff":
                     assert ("pickup", stop.request) in seen
                 seen.add((stop.kind, stop.request))
-            # every rider's delay, recomputed from the route search, is
+            # every rider's delay, replayed on the route search's route, is
             # non-negative and sums in key order to the trip's total
-            found = _search(veh_by_id[vid], [registry[r] for r in key], registry,
-                               net, cons, 60.0)
-            delays = [found.dropoff_times[r]
+            searched = [registry[r] for r in key]
+            found = _search(veh_by_id[vid], searched, registry, net, cons, 60.0)
+            riders = _riders(veh_by_id[vid], searched, registry, cons, 60.0)
+            _, _, dropoffs = _replay(veh_by_id[vid], found.route, riders, net, cons, 60.0)
+            delays = [dropoffs[r]
                       - (registry[r].request_time + registry[r].direct_duration)
                       for r in key]
             assert all(d >= -EPS for d in delays)
@@ -401,7 +438,7 @@ def test_trip_enumeration_structural_properties():
 
 
 def test_rtv_build_searches_each_route_once(monkeypatch):
-    # the rv stage hands each single's route to trip enumeration, so one
+    # the rv stage hands each single's trip to trip enumeration, so one
     # build searches each (vehicle, request set) at most once
     net = make_grid(5, 5, edge_len=220.0, speed=9.0)
     nodes = sorted(net.node_set())
@@ -435,24 +472,32 @@ def test_rtv_build_searches_each_route_once(monkeypatch):
         vehs[2].assigned.add("a0")
         vehs[2].schedule = [Stop(assigned.origin, "a0", PICKUP),
                             Stop(assigned.destination, "a0", DROPOFF)]
+        # v3 is idle v0's twin, whose trips are copied with no search
+        vehs.append(Vehicle(id="v3", platform="A", position=vehs[0].position,
+                            capacity=vehs[0].capacity))
         searched.clear()
         built.clear()
         graph = build_rtv_graph(reqs, vehs, net, now, cons,
                                 registry={r.id: r for r in committed})
         assert max(searched.values()) == 1
+        assert all(vid != "v3" for vid, _ in searched)
         (rv,) = built
         singles = {(key[0], vid): trip for (key, vid), trip in graph.tv_edges.items()
                    if len(key) == 1}
         assert sorted(singles) == list(rv)
         veh_by_id = {v.id: v for v in vehs}
-        for pair, trip in singles.items():
-            found = rv[pair]
-            assert trip.route is found.route
-            baseline = rtv.schedule_distance(veh_by_id[pair[1]], net)
-            assert trip.incremental_distance == found.total_distance - baseline
+        everyone = {**{r.id: r for r in committed}, **{r.id: r for r in reqs}}
+        for (rid, vid), trip in singles.items():
+            assert trip is rv[(rid, vid)]
+            veh = veh_by_id[vid]
+            riders = _riders(veh, [everyone[rid]], everyone, cons, now)
+            dist, _, _ = _replay(veh, trip.route, riders, net, cons, now)
+            baseline = rtv.schedule_distance(veh, net)
+            assert trip.incremental_distance == dist - baseline
         pooled |= {vid for key, vid in graph.tv_edges if len(key) > 1}
-    # shared trips were enumerated for the idle, onboard and assigned vehicles
-    assert pooled == {"v0", "v1", "v2"}
+    # shared trips were enumerated for the idle, onboard and assigned
+    # vehicles, and copied for the twin
+    assert pooled == {"v0", "v1", "v2", "v3"}
 
 
 def test_rtv_build_probes_only_pairs_it_tries(monkeypatch):
@@ -505,8 +550,6 @@ def _unbounded_trips(reqs, vehs, net, cons, now, registry):
                  if pair_shareable(everyone[a], everyone[b], net, cons)}
     tv_edges = {}
     for veh in sorted(vehs, key=lambda v: v.id):
-        baseline = rtv.schedule_distance(veh, net)
-        group_base = len(veh.committed())
         feasible = {()}
         for size in range(1, MAX_ROUTE_STOPS // 2 + 1):
             smaller, feasible = feasible, set()
@@ -519,8 +562,7 @@ def _unbounded_trips(reqs, vehs, net, cons, now, registry):
                                    cons, now)
                 if found is not None:
                     feasible.add(key)
-                    tv_edges[(key, veh.id)] = rtv._make_trip(
-                        key, veh, found, baseline, group_base, everyone)
+                    tv_edges[(key, veh.id)] = found
     return tv_edges
 
 

@@ -36,7 +36,7 @@ from .mechanisms import (
     shapley,
 )
 from .model import dollars, to_dollars
-from .rtv import STRUCTURE_KINDS, MarketStructure
+from .rtv import STRUCTURE_KINDS
 
 SEED_ENV = "MARKETSIM_SEED"
 
@@ -130,7 +130,7 @@ def _cmd_simulate(args) -> int:
     if seed is not None:
         scenario.seed = seed
     if args.structure:
-        scenario.structure = MarketStructure(args.structure)
+        scenario.structure = replace(scenario.structure, kind=args.structure)
     metrics = run(scenario)
     _emit(format_results(metrics, args.format), args.out)
     if args.trade_log:
@@ -146,7 +146,7 @@ def _cmd_compare(args) -> int:
     kinds = [k.strip() for k in args.structures.split(",") if k.strip()]
     if not kinds:
         raise ValidationError("no market structures given")
-    structures = [MarketStructure(kind) for kind in kinds]
+    structures = [replace(scenario.structure, kind=kind) for kind in kinds]
     results = [
         run(replace(scenario, structure=s, compute_allocations=False))
         for s in structures

@@ -22,6 +22,7 @@ from .mechanisms import (
     TradeRecord,
     bilateral_trading_round,
     central_trading_epoch,
+    coalition_key,
     contribution_allocate,
     contribution_weights,
     epm_allocate,
@@ -649,9 +650,7 @@ def _attach_allocations(scenario: Scenario, metrics: EpisodeMetrics) -> None:
         for p in members
     )
     game = _coalition_game(scenario, grand_value)
-    metrics.coalition_values = {
-        ",".join(sorted(k)): v for k, v in game.values.items()
-    }
+    metrics.coalition_values = {coalition_key(k): v for k, v in game.values.items()}
     shap = shapley(game)
     allocations: dict = {
         "shapley": _allocation_dollars(shap),

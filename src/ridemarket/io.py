@@ -6,6 +6,12 @@ strict: unknown keys are rejected rather than ignored, so a misspelled
 parameter ("gama") fails loudly instead of silently running defaults, and
 every field is read through one checked accessor, so a value of the wrong
 JSON type fails with a ValidationError that names its key.
+
+A results document is one episode's metrics, its per-platform ledgers, its
+trades and its auction awards.  Each of these records is described once,
+by a table of its fields in column order (``_EPISODE_FIELDS`` and the
+like), which the JSON writer, the JSON reader, the summary CSV and the
+trade log all read.  Money is fixed point in memory and dollars on disk.
 """
 from __future__ import annotations
 
@@ -33,7 +39,7 @@ from .errors import (
     TooLargeError,
     ValidationError,
 )
-from .mechanisms import AuctionAward, CoalitionGame, TradeRecord
+from .mechanisms import AuctionAward, CoalitionGame, TradeRecord, coalition_key
 from .model import PricingScheme, Request, dollars, to_dollars
 from .network import RoadNetwork, load_network, make_grid
 from .rtv import Constraints, MarketStructure
@@ -278,11 +284,12 @@ def load_scenario(path: str | Path) -> Scenario:
         pricing=PricingScheme.from_dollars(
             **{k: _field(prices, k, "pricing", float) for k in prices}
         ),
-        seed=_field(doc, "seed", "scenario", int, 0),
-        horizon_s=_field(doc, "horizon_s", "scenario", float, 0.0),
-        objective=_field(doc, "objective", "scenario", str, "min_delay_penalty"),
         name=_field(doc, "name", "scenario", str, path.stem),
-        compute_allocations=_field(doc, "allocations", "scenario", bool, True),
+        # the rest default as in Scenario
+        **{attr: _field(doc, key, "scenario", kind) for key, attr, kind in (
+            ("seed", "seed", int), ("horizon_s", "horizon_s", float),
+            ("objective", "objective", str), ("allocations", "compute_allocations", bool),
+        ) if key in doc},
     )
 
 
@@ -290,54 +297,76 @@ def load_scenario(path: str | Path) -> Scenario:
 # results
 # ---------------------------------------------------------------------------
 
-def _trade_dict(t: TradeRecord) -> dict:
-    return {
-        "epoch": t.epoch, "request": t.request, "seller": t.seller,
-        "buyer": t.buyer, "info_price": to_dollars(t.info_price),
-    }
+# Results records as (field, kind) pairs in column order.  A kind is str,
+# int, float or _MONEY: fixed point in memory, dollars on disk.
+_MONEY = object()
+_EPISODE_FIELDS = (
+    ("scenario", str), ("structure", str), ("objective", str), ("seed", int),
+    ("n_requests", int), ("served", int), ("expired", int),
+    ("total_vmt_miles", float), ("pct_unsatisfied", float), ("avg_wait_s", float),
+    ("total_trips", int), ("n_trades", int), ("total_fares", _MONEY),
+    ("total_driver_pay", _MONEY), ("total_profit", _MONEY), ("broker_balance", _MONEY),
+)
+_PLATFORM_FIELDS = (
+    ("revenue", _MONEY), ("driver_cost", _MONEY), ("info_paid", _MONEY),
+    ("info_received", _MONEY), ("trips", int), ("vehicles_used", int),
+    ("contributed_fares", _MONEY),
+)
+# a platform's profit is derived: written, never read back
+_PROFIT = (("profit", _MONEY),)
+_TRADE_FIELDS = (
+    ("epoch", int), ("request", str), ("seller", str), ("buyer", str),
+    ("info_price", _MONEY),
+)
+_AWARD_FIELDS = (("epoch", int), ("request", str), ("platform", str), ("payment", _MONEY))
 
 
-def _award_dict(a: AuctionAward) -> dict:
-    return {
-        "epoch": a.epoch, "request": a.request,
-        "platform": a.platform, "payment": to_dollars(a.payment),
-    }
+def _dump(record, table) -> dict:
+    """The JSON-ready fields of a record, money in dollars."""
+    out = {}
+    for name, kind in table:
+        value = getattr(record, name)
+        out[name] = to_dollars(value) if kind is _MONEY else value
+    return out
+
+
+def _read(obj: Mapping, key: str, where: str, kind):
+    """``_field``, with money read as dollars and restored to fixed point."""
+    if kind is _MONEY:
+        return dollars(_field(obj, key, where, float))
+    return _field(obj, key, where, kind)
+
+
+def _load(cls, obj: Mapping, table, where: str, **rest):
+    """A record whose table fields are read from ``obj``, plus ``rest``."""
+    return cls(**{name: _read(obj, name, where, kind) for name, kind in table}, **rest)
+
+
+def _csv_row(record, table) -> list[str]:
+    """The CSV cells of a record: money in dollars and floats to 4 places
+    (VMT to 6)."""
+    row = []
+    for name, kind in table:
+        value = getattr(record, name)
+        if kind is _MONEY:
+            row.append(f"{to_dollars(value):.4f}")
+        elif kind is float:
+            row.append(f"{value:.{6 if name == 'total_vmt_miles' else 4}f}")
+        else:
+            row.append(str(value))
+    return row
 
 
 def metrics_to_dict(m: EpisodeMetrics) -> dict:
     """JSON-ready view of one episode; money rendered in dollars."""
     return {
-        "scenario": m.scenario,
-        "structure": m.structure,
-        "objective": m.objective,
-        "seed": m.seed,
-        "n_requests": m.n_requests,
-        "served": m.served,
-        "expired": m.expired,
-        "total_vmt_miles": m.total_vmt_miles,
-        "pct_unsatisfied": m.pct_unsatisfied,
-        "avg_wait_s": m.avg_wait_s,
-        "total_trips": m.total_trips,
-        "n_trades": m.n_trades,
-        "total_fares": to_dollars(m.total_fares),
-        "total_driver_pay": to_dollars(m.total_driver_pay),
-        "total_profit": to_dollars(m.total_profit),
-        "broker_balance": to_dollars(m.broker_balance),
+        **_dump(m, _EPISODE_FIELDS),
         "platforms": {
-            pid: {
-                "revenue": to_dollars(p.revenue),
-                "driver_cost": to_dollars(p.driver_cost),
-                "info_paid": to_dollars(p.info_paid),
-                "info_received": to_dollars(p.info_received),
-                "profit": to_dollars(p.profit),
-                "trips": p.trips,
-                "vehicles_used": p.vehicles_used,
-                "contributed_fares": to_dollars(p.contributed_fares),
-            }
+            pid: _dump(p, _PLATFORM_FIELDS + _PROFIT)
             for pid, p in sorted(m.per_platform.items())
         },
-        "trades": [_trade_dict(t) for t in m.trade_log],
-        "auctions": [_award_dict(a) for a in m.auction_log],
+        "trades": [_dump(t, _TRADE_FIELDS) for t in m.trade_log],
+        "auctions": [_dump(a, _AWARD_FIELDS) for a in m.auction_log],
         "allocations": m.allocations,
         "coalition_values": (
             {k: to_dollars(v) for k, v in sorted(m.coalition_values.items())}
@@ -370,65 +399,26 @@ def metrics_from_dict(doc: Mapping) -> EpisodeMetrics:
     """
     if not isinstance(doc, Mapping):
         raise ValidationError("results: expected an object")
-
-    def money(obj: Mapping, key: str, where: str) -> int:
-        return dollars(_field(obj, key, where, float))
-
     raw = _field(doc, "platforms", "results", dict)
-    platforms = {}
-    for pid in raw:
-        p = _field(raw, pid, "results.platforms", dict)
-        where = f"results.platforms.{pid}"
-        platforms[pid] = PlatformMetrics(
-            revenue=money(p, "revenue", where),
-            driver_cost=money(p, "driver_cost", where),
-            info_paid=money(p, "info_paid", where),
-            info_received=money(p, "info_received", where),
-            trips=_field(p, "trips", where, int),
-            vehicles_used=_field(p, "vehicles_used", where, int),
-            contributed_fares=money(p, "contributed_fares", where),
-        )
-    trades = [
-        TradeRecord(
-            epoch=_field(t, "epoch", where, int), request=_field(t, "request", where, str),
-            seller=_field(t, "seller", where, str), buyer=_field(t, "buyer", where, str),
-            info_price=money(t, "info_price", where),
-        )
-        for where, t in _records(doc, "trades", "results")
-    ]
-    awards = [
-        AuctionAward(
-            epoch=_field(a, "epoch", where, int), request=_field(a, "request", where, str),
-            platform=_field(a, "platform", where, str),
-            payment=money(a, "payment", where),
-        )
-        for where, a in _records(doc, "auctions", "results")
-    ]
+    platforms = {
+        pid: _load(PlatformMetrics, _field(raw, pid, "results.platforms", dict),
+                   _PLATFORM_FIELDS, f"results.platforms.{pid}")
+        for pid in raw
+    }
+    trades = [_load(TradeRecord, t, _TRADE_FIELDS, where)
+              for where, t in _records(doc, "trades", "results")]
+    awards = [_load(AuctionAward, a, _AWARD_FIELDS, where)
+              for where, a in _records(doc, "auctions", "results")]
     values = _nullable(doc, "coalition_values", "results", dict)
-    return EpisodeMetrics(
-        scenario=_field(doc, "scenario", "results", str),
-        structure=_field(doc, "structure", "results", str),
-        objective=_field(doc, "objective", "results", str),
-        seed=_field(doc, "seed", "results", int),
-        n_requests=_field(doc, "n_requests", "results", int),
-        served=_field(doc, "served", "results", int),
-        expired=_field(doc, "expired", "results", int),
-        total_vmt_miles=_field(doc, "total_vmt_miles", "results", float),
-        pct_unsatisfied=_field(doc, "pct_unsatisfied", "results", float),
-        avg_wait_s=_field(doc, "avg_wait_s", "results", float),
-        total_trips=_field(doc, "total_trips", "results", int),
-        n_trades=_field(doc, "n_trades", "results", int),
-        total_fares=money(doc, "total_fares", "results"),
-        total_driver_pay=money(doc, "total_driver_pay", "results"),
-        total_profit=money(doc, "total_profit", "results"),
-        broker_balance=money(doc, "broker_balance", "results"),
+    if values is not None:
+        values = {k: _read(values, k, "results.coalition_values", _MONEY) for k in values}
+    return _load(
+        EpisodeMetrics, doc, _EPISODE_FIELDS, "results",
         per_platform=platforms,
         trade_log=trades,
         auction_log=awards,
         allocations=_nullable(doc, "allocations", "results", dict),
-        coalition_values=None if values is None else {
-            k: money(values, k, "results.coalition_values") for k in values
-        },
+        coalition_values=values,
     )
 
 
@@ -465,27 +455,12 @@ def write_results(
 
 def _results_csv(many: list[EpisodeMetrics]) -> str:
     pids = sorted({pid for m in many for pid in m.per_platform})
-    header = [
-        "scenario", "structure", "objective", "seed", "n_requests", "served",
-        "expired", "total_vmt_miles", "pct_unsatisfied", "avg_wait_s",
-        "total_trips", "n_trades", "total_fares", "total_driver_pay",
-        "total_profit", "broker_balance",
-    ] + [f"profit:{pid}" for pid in pids]
-    rows = [header]
+    rows = [[name for name, _ in _EPISODE_FIELDS] + [f"profit:{pid}" for pid in pids]]
     for m in many:
-        row = [
-            m.scenario, m.structure, m.objective, str(m.seed),
-            str(m.n_requests), str(m.served), str(m.expired),
-            f"{m.total_vmt_miles:.6f}", f"{m.pct_unsatisfied:.4f}",
-            f"{m.avg_wait_s:.4f}", str(m.total_trips), str(m.n_trades),
-            f"{to_dollars(m.total_fares):.4f}",
-            f"{to_dollars(m.total_driver_pay):.4f}",
-            f"{to_dollars(m.total_profit):.4f}",
-            f"{to_dollars(m.broker_balance):.4f}",
-        ]
+        row = _csv_row(m, _EPISODE_FIELDS)
         for pid in pids:
             p = m.per_platform.get(pid)
-            row.append(f"{to_dollars(p.profit):.4f}" if p else "")
+            row += _csv_row(p, _PROFIT) if p else [""]
         rows.append(row)
     return _csv_text(rows)
 
@@ -500,20 +475,14 @@ def read_results(path: str | Path) -> EpisodeMetrics | list[EpisodeMetrics]:
 
 def write_trade_log(trades: list[TradeRecord], path: str | Path) -> None:
     """Trade log CSV with one row per executed trade."""
-    rows = [["epoch", "request", "seller", "buyer", "info_price"]] + [
-        [t.epoch, t.request, t.seller, t.buyer, f"{to_dollars(t.info_price):.4f}"]
-        for t in trades
-    ]
+    rows = [[name for name, _ in _TRADE_FIELDS]]
+    rows += [_csv_row(t, _TRADE_FIELDS) for t in trades]
     write_text(path, _csv_text(rows))
 
 
 # ---------------------------------------------------------------------------
 # coalition game files
 # ---------------------------------------------------------------------------
-
-def _coalition_key(players) -> str:
-    return ",".join(sorted(players))
-
 
 def read_game(path: str | Path) -> tuple[CoalitionGame, dict | None, dict | None]:
     """Read a characteristic-function file, plus optional costs/revenues."""
@@ -524,7 +493,7 @@ def read_game(path: str | Path) -> tuple[CoalitionGame, dict | None, dict | None
     values = {}
     for key in raw:
         members = [p.strip() for p in key.split(",") if p.strip()]
-        if key != _coalition_key(members):
+        if key != coalition_key(members):
             raise ValidationError(
                 f"game.v: key {key!r} must list members sorted and comma-joined"
             )
@@ -551,8 +520,8 @@ def write_game(
     doc = {
         "players": sorted(game.players),
         "v": {
-            _coalition_key(k): float(v)
-            for k, v in sorted(game.values.items(), key=lambda kv: _coalition_key(kv[0]))
+            coalition_key(k): float(v)
+            for k, v in sorted(game.values.items(), key=lambda kv: coalition_key(kv[0]))
         },
     }
     if costs is not None:

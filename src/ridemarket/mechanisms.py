@@ -43,6 +43,11 @@ MAX_CORE_PLAYERS = 6
 # cooperative game
 # ---------------------------------------------------------------------------
 
+def coalition_key(players) -> str:
+    """A coalition's name in files: its members sorted and comma-joined."""
+    return ",".join(sorted(players))
+
+
 @dataclass
 class CoalitionGame:
     """A transferable-utility game over at most MAX_PLAYERS platforms.

@@ -77,7 +77,12 @@ class PricingScheme:
 
     def __post_init__(self) -> None:
         for name in self.__dataclass_fields__:
-            if getattr(self, name) < 0:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValidationError(
+                    f"pricing field {name} must be an integer of fixed-point units, "
+                    f"got {value!r}")
+            if value < 0:
                 raise ValidationError(f"pricing field {name} must be non-negative")
 
     @classmethod

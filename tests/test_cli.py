@@ -178,6 +178,26 @@ def test_compare_subset_of_structures(bundle, capsys):
     assert [r["structure"] for r in rows] == ["single", "segmented"]
 
 
+def test_structure_override_keeps_the_scenarios_alliance(tmp_path, capsys):
+    path = gen_scenario(tmp_path / "alliance", n_requests=30, n_platforms=3,
+                        fleet=2, seed=5)
+    doc = json.loads(path.read_text())
+    doc["structure"] = {"kind": "cooperative", "alliance": ["A", "B"]}
+    path.write_text(json.dumps(doc))
+
+    def vmt(*argv):
+        assert main(list(argv)) == 0
+        out = json.loads(capsys.readouterr().out)
+        return [r["total_vmt_miles"] for r in (out if isinstance(out, list) else [out])]
+
+    [as_written] = vmt("simulate", "--scenario", str(path))
+    [overridden] = vmt("simulate", "--scenario", str(path), "--structure", "cooperative")
+    compared = vmt("compare", "--scenario", str(path), "--format", "json",
+                   "--structures", "cooperative,single")
+    # pooling all three platforms is the single market, a shorter route
+    assert overridden == compared[0] == as_written != compared[1]
+
+
 def test_allocate_game_file(game_file, capsys):
     assert main(["allocate", "--game", str(game_file), "--method", "shapley"]) == 0
     doc = json.loads(capsys.readouterr().out)

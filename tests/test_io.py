@@ -3,10 +3,13 @@ import csv
 import io
 import json
 import re
+from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ridemarket.engine import PlatformSpec, Scenario, run
+from ridemarket import io as rio
+from ridemarket.engine import EpisodeMetrics, PlatformMetrics, PlatformSpec, Scenario, run
 from ridemarket.errors import ScenarioParseError, ValidationError
 from ridemarket.io import (
     gen_scenario,
@@ -21,7 +24,7 @@ from ridemarket.io import (
     write_results,
     write_trade_log,
 )
-from ridemarket.mechanisms import CoalitionGame, TradeRecord
+from ridemarket.mechanisms import AuctionAward, CoalitionGame, TradeRecord
 from ridemarket.model import PricingScheme, Request
 from ridemarket.network import make_grid
 from ridemarket.rtv import Constraints, MarketStructure
@@ -241,6 +244,59 @@ def test_results_dict_round_trip():
     assert metrics_to_dict(metrics_from_dict(metrics_to_dict(m))) == metrics_to_dict(m)
 
 
+@pytest.mark.parametrize(("cls", "table"), [
+    (EpisodeMetrics, rio._EPISODE_FIELDS),
+    (PlatformMetrics, rio._PLATFORM_FIELDS),
+    (TradeRecord, rio._TRADE_FIELDS),
+    (AuctionAward, rio._AWARD_FIELDS),
+])
+def test_every_results_field_is_in_its_table(cls, table):
+    # a field added to a record and left out of its table fails here
+    nested = {"per_platform", "trade_log", "auction_log", "allocations", "coalition_values"}
+    assert [name for name, _ in table] == \
+        [f.name for f in fields(cls) if f.name not in nested]
+
+
+_ids = st.text(st.characters(codec="utf-8"), max_size=6)
+_money = st.integers(-10**12, 10**12)
+_counts = st.integers(0, 10**9)
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _episodes(draw):
+    pids = draw(st.lists(_ids, min_size=1, max_size=3, unique=True))
+    platforms = {pid: PlatformMetrics(
+        revenue=draw(_money), driver_cost=draw(_money), info_paid=draw(_money),
+        info_received=draw(_money), trips=draw(_counts), vehicles_used=draw(_counts),
+        contributed_fares=draw(_money)) for pid in pids}
+    trades = draw(st.lists(st.builds(
+        TradeRecord, epoch=_counts, request=_ids, seller=st.just("S"),
+        buyer=st.just("B"), info_price=st.integers(0, 10**12)), min_size=1, max_size=3))
+    awards = draw(st.lists(st.builds(
+        AuctionAward, epoch=_counts, request=_ids, platform=_ids, payment=_money),
+        min_size=1, max_size=3))
+    values = draw(st.none() | st.dictionaries(_ids, _money, max_size=3))
+    allocations = draw(st.none() | st.dictionaries(
+        _ids, st.dictionaries(_ids, _finite, max_size=3), max_size=2))
+    return EpisodeMetrics(
+        scenario=draw(_ids), structure=draw(_ids), objective=draw(_ids),
+        seed=draw(_counts), n_requests=draw(_counts), served=draw(_counts),
+        expired=draw(_counts), total_vmt_miles=draw(_finite),
+        pct_unsatisfied=draw(_finite), avg_wait_s=draw(_finite),
+        total_trips=draw(_counts), n_trades=draw(_counts), total_fares=draw(_money),
+        total_driver_pay=draw(_money), total_profit=draw(_money),
+        broker_balance=draw(_money), per_platform=platforms, trade_log=trades,
+        auction_log=awards, allocations=allocations, coalition_values=values,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_episodes())
+def test_results_records_round_trip_through_json(m):
+    assert metrics_from_dict(json.loads(json.dumps(metrics_to_dict(m)))) == m
+
+
 @pytest.mark.parametrize(("doc", "message"), [
     ({}, "results: missing required key 'platforms'"),
     ([1], "results: expected an object"),
@@ -262,7 +318,7 @@ def test_results_csv_has_per_platform_profit(tmp_path):
     path = tmp_path / "out.csv"
     write_results([m], path, fmt="csv")
     header, row = path.read_text().splitlines()
-    assert "profit:A" in header.split(",")
+    assert header.split(",") == [name for name, _ in rio._EPISODE_FIELDS] + ["profit:A"]
     assert header.count(",") == row.count(",")
 
 
@@ -289,6 +345,7 @@ def test_trade_log_csv(tmp_path):
     write_trade_log(trades, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "epoch,request,seller,buyer,info_price"
+    assert lines[0] == ",".join(name for name, _ in rio._TRADE_FIELDS)
     assert lines[1] == "3,r7,A,B,0.4200"  # prices serialize in dollars
 
 

@@ -528,10 +528,19 @@ def test_marketplace_awards_to_highest_value_platform():
                          platform="A"),
      "request r9: origin equals destination"),
     (lambda ctx: PricingScheme(shr_base=-1), "pricing field shr_base must be non-negative"),
+    # a float or NaN tariff would make fares floats, and NaN fares write a
+    # results file that read_results rejects
+    (lambda ctx: PricingScheme(ded_base=10000.5),
+     "pricing field ded_base must be an integer of fixed-point units, got 10000.5"),
+    (lambda ctx: PricingScheme(ded_min_fare=float("nan")),
+     "pricing field ded_min_fare must be an integer of fixed-point units, got nan"),
+    (lambda ctx: PricingScheme(pay_per_min=True),
+     "pricing field pay_per_min must be an integer of fixed-point units, got True"),
     (lambda ctx: dedicated_fare(PricingScheme(), -1.0, 60.0),
      "distance and duration must be non-negative"),
 ], ids=["auction-gamma", "central-gamma", "bilateral-gamma", "negative-bid",
         "negative-info-price", "origin-is-destination", "negative-pricing-field",
+        "fractional-pricing-field", "nan-pricing-field", "boolean-pricing-field",
         "negative-fare-distance"])
 def test_bad_inputs_raise_validation_error(call, message):
     _, _, _, ctx = _trade_setup()

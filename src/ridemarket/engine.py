@@ -180,11 +180,9 @@ def resolve_scenario(scenario: Scenario) -> tuple[list[Request], list[Vehicle]]:
     initial fleet (explicit positions, or uniform draws from the placement
     stream, taken per platform in sorted id order).
     """
-    requests = fill_direct(scenario.net, sorted(scenario.requests, key=lambda r: r.id))
-    for r in requests:  # fill_direct's fresh copies start their lifecycle
-        r.state, r.pickup_time, r.origin_platform = WAITING, None, r.platform
-        r.assigned_vehicle = r.pickup_deadline = r.served_time = r.fare_paid = None
-        r.traded = False
+    requests = fill_direct(scenario.net, sorted(
+        (Request(r.id, r.origin, r.destination, r.request_time, r.platform)
+         for r in scenario.requests), key=lambda r: r.id))
     pids = sorted(p.id for p in scenario.platforms)
     untagged = [r for r in requests if not r.platform]
     if untagged:
@@ -258,7 +256,8 @@ class EpisodeMetrics:
 
 @dataclass
 class _Run:
-    """One continuous service run: idle to schedule-empty."""
+    """A vehicle's current service run, from idle to schedule-empty; empty
+    while the vehicle is idle."""
 
     distance: float = 0.0
     riders: set[str] = field(default_factory=set)
@@ -277,35 +276,28 @@ class _Simulation:
         self.pids = sorted(p.id for p in scenario.platforms)
         self.ledgers = {pid: PlatformMetrics() for pid in self.pids}
         self.used_vehicles: dict[str, set[str]] = {pid: set() for pid in self.pids}
-        self.runs: dict[str, _Run | None] = {v.id: None for v in self.vehicles}
-        self.broker_pool: set[str] = set()
+        self.runs = {v.id: _Run() for v in self.vehicles}  # each one's current run
         self.broker_balance = 0
         self.trade_log: list[TradeRecord] = []
         self.auction_log: list[AuctionAward] = []
         self.auction_rng = substream(scenario.seed, "auction_order")
         self.trading_rng = substream(scenario.seed, "trading_order")
-        self.admitted: list[Request] = []
+        self.cursor = 0  # requests[:cursor] are admitted
 
     # -- lifecycle stages ---------------------------------------------------
 
     def _expire(self, now: float) -> None:
         limit = self.constraints.max_wait_s
-        for r in self.admitted:
+        for r in self.requests[:self.cursor]:
             if r.state == WAITING and now - r.request_time > limit + EPS:
                 r.set_state(EXPIRED)
-                self.broker_pool.discard(r.id)
 
-    def _admit(self, now: float, cursor: int) -> int:
+    def _admit(self, now: float) -> None:
         while (
-            cursor < len(self.requests)
-            and self.requests[cursor].request_time <= now + EPS
+            self.cursor < len(self.requests)
+            and self.requests[self.cursor].request_time <= now + EPS
         ):
-            r = self.requests[cursor]
-            self.admitted.append(r)
-            if self.kind == "marketplace":
-                self.broker_pool.add(r.id)
-            cursor += 1
-        return cursor
+            self.cursor += 1
 
     def _solve(self, graph: RtvGraph) -> Assignment:
         return solve_assignment(
@@ -322,20 +314,12 @@ class _Simulation:
     def _commit(self, assignment: Assignment, now: float) -> None:
         for trip in assignment.chosen:
             vehicle = self.veh_by_id[trip.vehicle]
-            if self.runs[vehicle.id] is None:
-                self.runs[vehicle.id] = _Run()
             vehicle.schedule = list(trip.route)
             for rid in trip.requests:
                 req = self.registry[rid]
                 req.set_state(ASSIGNED)
                 req.assigned_vehicle = vehicle.id
                 req.pickup_deadline = pickup_deadline(req, now, self.constraints)
-                vehicle.assigned.add(rid)
-
-    def _waiting(self) -> list[Request]:
-        return sorted(
-            (r for r in self.admitted if r.state == WAITING), key=lambda r: r.id
-        )
 
     def _match(self, graph: RtvGraph, now: float) -> None:
         """Match and commit the graph's requests; trading and marketplace
@@ -360,29 +344,29 @@ class _Simulation:
         The match leaves idle vehicles as the graph saw them, so central
         trading restricts it; bilateral valuations see whole fleets, which
         the match changed, so bilateral builds once more."""
-        waiting = self._waiting()
+        waiting = sorted((r for r in self.requests[:self.cursor] if r.state == WAITING),
+                         key=lambda r: r.id)
         if not waiting:
             return
         graph = self._build(waiting, now)
         ctx = MatchingContext(graph, self.net, self.scheme, self.registry)
         gamma = self.constraints.gamma
         if self.kind == "marketplace":
+            # every admitted request is the broker's until an auction awards it
+            awarded = {a.request for a in self.auction_log}
             awards = marketplace_epoch(
-                [r for r in waiting if r.id in self.broker_pool],
-                self._platform_states(
-                    [r for r in waiting if r.id not in self.broker_pool]),
+                [r for r in waiting if r.id not in awarded],
+                self._platform_states([r for r in waiting if r.id in awarded]),
                 gamma, self.auction_rng, ctx, epoch,
             )
             for award in awards:
-                req = self.registry[award.request]
-                req.platform = award.platform
-                self.broker_pool.discard(req.id)
+                self.registry[award.request].platform = award.platform
                 self.ledgers[award.platform].info_paid += award.payment
                 self.broker_balance += award.payment
+                awarded.add(award.request)
             self.auction_log.extend(awards)
-            graph = graph.restrict(
-                [r.id for r in waiting if r.id not in self.broker_pool], graph.vehicles
-            )
+            graph = graph.restrict([r.id for r in waiting if r.id in awarded],
+                                   graph.vehicles)
         self._match(graph, now)
         unsatisfied = [r for r in waiting if r.state == WAITING]
         if self.kind not in ("bilateral", "central") or not unsatisfied:
@@ -425,19 +409,16 @@ class _Simulation:
         if stop.kind == PICKUP:
             req.set_state(ONBOARD)
             req.pickup_time = when
-            vehicle.assigned.discard(req.id)
-            vehicle.onboard.add(req.id)
         else:
             req.set_state(SERVED)
             req.served_time = when
-            vehicle.onboard.discard(req.id)
         run.riders.add(req.id)
         if not vehicle.schedule:
             self._finish_run(vehicle)
 
     def _finish_run(self, vehicle: Vehicle) -> None:
         run = self.runs[vehicle.id]
-        self.runs[vehicle.id] = None
+        self.runs[vehicle.id] = _Run()
         cost = driver_pay(self.scheme, run.distance, run.distance / self.net.speed)
         ledger = self.ledgers[vehicle.platform]
         ledger.driver_cost += cost
@@ -480,14 +461,12 @@ class _Simulation:
         dt = self.constraints.interval_s
         max_epochs = epoch_budget(self.sc.horizon_s, self.constraints)
         now = 0.0
-        cursor = 0
         for epoch in range(max_epochs):
             self._expire(now)
-            cursor = self._admit(now, cursor)
+            self._admit(now)
             self._stage(now, epoch)
             drained = (
-                cursor == len(self.requests)
-                and all(r.state in (SERVED, EXPIRED) for r in self.requests)
+                all(r.state in (SERVED, EXPIRED) for r in self.requests)
                 and all(v.idle for v in self.vehicles)
             )
             if drained:

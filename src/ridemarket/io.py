@@ -338,8 +338,13 @@ def _read(obj: Mapping, key: str, where: str, kind):
 
 
 def _load(cls, obj: Mapping, table, where: str, **rest):
-    """A record whose table fields are read from ``obj``, plus ``rest``."""
-    return cls(**{name: _read(obj, name, where, kind) for name, kind in table}, **rest)
+    """A record whose table fields are read from ``obj``, plus ``rest``; a
+    record that fails its own checks is reported under ``where``."""
+    values = {name: _read(obj, name, where, kind) for name, kind in table}
+    try:
+        return cls(**values, **rest)
+    except ValidationError as exc:
+        raise ValidationError(f"{where}: {exc}") from exc
 
 
 def _csv_row(record, table) -> list[str]:

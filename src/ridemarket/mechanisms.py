@@ -129,13 +129,18 @@ def shapley(game: CoalitionGame) -> Allocation:
 
 
 def in_core(game: CoalitionGame, allocation: Allocation, tol: float = 1e-6) -> bool:
-    """Exhaustive core membership check: efficiency plus no blocking coalition."""
+    """Exhaustive core membership check: efficiency plus no blocking
+    coalition.  Every test fails on a NaN amount, which compares False."""
+    missing = sorted(set(game.players) - set(allocation.amounts))
+    unknown = sorted(set(allocation.amounts) - set(game.players))
+    if missing or unknown:
+        raise ValidationError(f"allocation: missing {missing}, unknown {unknown}")
     xs = {p: float(allocation.amounts[p]) for p in game.players}
-    if abs(sum(xs.values()) - float(game.grand_value())) > tol:
+    if not abs(sum(xs.values()) - float(game.grand_value())) <= tol:
         return False
     for size in range(1, game.n):
         for combo in itertools.combinations(game.players, size):
-            if sum(xs[p] for p in combo) < float(game.value(combo)) - tol:
+            if not sum(xs[p] for p in combo) >= float(game.value(combo)) - tol:
                 return False
     return True
 
@@ -147,7 +152,9 @@ def _core_allocation(
 
     Minimizes t subject to t >= (x_i - o_i)/d_i - (x_j - o_j)/d_j for every
     ordered pair, then the core rows: no coalition gets less than it earns
-    alone, and the grand coalition's value is shared out exactly.  Returns
+    alone, and the grand coalition's value is shared out exactly.  A core
+    payoff is at least the player's standalone value, which may be negative,
+    so the LP's non-negative variables are y = x - min(0, v({p})).  Returns
     None when the core is empty.  Raises TooLargeError above
     MAX_CORE_PLAYERS players.
     """
@@ -155,6 +162,7 @@ def _core_allocation(
         raise TooLargeError(
             f"the core LP takes at most {MAX_CORE_PLAYERS} players, got {game.n}")
     width = 1 + game.n
+    low = {p: min(0.0, float(game.value([p]))) for p in game.players}
     x_at = {p: 1 + i for i, p in enumerate(game.players)}
     pairs = list(itertools.permutations(game.players, 2))
     coalitions = [combo for size in range(1, game.n + 1)
@@ -163,15 +171,15 @@ def _core_allocation(
     b = []
     for k, (i, j) in enumerate(pairs):
         A[k, [0, x_at[i], x_at[j]]] = 1.0, -1.0 / d[i], 1.0 / d[j]
-        b.append(o[j] / d[j] - o[i] / d[i])
+        b.append((o[j] - low[j]) / d[j] - (o[i] - low[i]) / d[i])
     for k, combo in enumerate(coalitions, start=len(pairs)):
         A[k, [x_at[p] for p in combo]] = 1.0
-        b.append(game.value(combo))
+        b.append(game.value(combo) - sum(low[p] for p in combo))
     rel = [">="] * (len(A) - 1) + ["="]  # the last row is the grand coalition
     res = solve_lp(LinearProgram(c=np.eye(width)[0], A=A, b=b, rel=rel))
     if res.status != OPTIMAL:
         return None
-    amounts = {p: float(res.x[x_at[p]]) for p in game.players}
+    amounts = {p: float(res.x[x_at[p]]) + low[p] for p in game.players}
     return Allocation(amounts), float(res.value)
 
 

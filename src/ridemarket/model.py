@@ -193,23 +193,22 @@ def fill_direct(net: RoadNetwork, requests) -> list[Request]:
 
 @dataclass
 class Vehicle:
-    """A vehicle with its committed schedule and onboard riders."""
+    """A vehicle and its committed schedule, the one record of its riders.
+
+    A rider whose pickup stop is still in the schedule is assigned to the
+    vehicle; a rider with only its dropoff stop left is onboard.
+    """
 
     id: str
     platform: str
     position: str
     capacity: int = 4
     schedule: list[Stop] = field(default_factory=list)
-    onboard: set[str] = field(default_factory=set)
-    assigned: set[str] = field(default_factory=set)
     odometer: float = 0.0
 
     @property
     def idle(self) -> bool:
         return not self.schedule
-
-    def committed(self) -> set[str]:
-        return self.onboard | self.assigned
 
 
 @dataclass

@@ -165,9 +165,9 @@ class StopTable(NamedTuple):
 
     ``requests`` and ``vehicles`` are the build's, sorted by id.  ``riders``
     maps each request id to its (pickup, dropoff) records, and ``fleet``
-    each vehicle id to the node index of its position, the records of its
-    onboard and assigned riders (none when it is idle) and the length of
-    its committed route (``schedule_distance``).
+    each vehicle id to the node index of its position, the records of the
+    riders its schedule holds (none when it is idle) and the length of its
+    committed route (``schedule_distance``).
     """
 
     net: RoadNetwork
@@ -198,10 +198,12 @@ def stop_table(
     the ride start: ``aux`` for a rider already onboard, else the arrival
     at the pickup.  ``late`` is the stop's absolute deadline plus
     ``EPS + REACH_SLACK``, or None for a dropoff timed from its pickup.  A
-    new request's deadline is ``pickup_deadline``; an assigned rider keeps
-    its stored ``pickup_deadline``; an onboard rider's ride started at its
-    ``pickup_time``, else at ``now``.  ``registry`` must cover the
-    committed riders, and ``requests`` take precedence over it.
+    new request's deadline is ``pickup_deadline``.  A vehicle's records come
+    from one pass over its schedule: a pickup stop gives its rider's pickup,
+    at the stored ``pickup_deadline``, and dropoff records; a dropoff stop
+    whose rider has no pickup in the schedule is an onboard rider's, whose
+    ride started at its ``pickup_time``, else at ``now``.  ``registry`` must
+    cover the scheduled riders, and ``requests`` take precedence over it.
     """
     chi = constraints.detour_factor
     slack = EPS + REACH_SLACK
@@ -230,15 +232,17 @@ def stop_table(
     fleet = {}
     for veh in vehicles:
         recs: list[tuple] = []
-        for rid in veh.onboard:
-            req = registry[rid]
-            recs.append(dropoff(req, now if req.pickup_time is None else req.pickup_time))
-        for rid in veh.assigned:
-            req = registry[rid]
-            at = req.pickup_deadline
-            if at is None:
-                at = pickup_deadline(req, now, constraints)
-            recs += pickup(req, at), dropoff(req)
+        picked = set()  # riders whose pickup the schedule holds
+        for stop in veh.schedule:
+            req = registry[stop.request]
+            if stop.kind == PICKUP:
+                picked.add(req.id)
+                at = req.pickup_deadline
+                if at is None:
+                    at = pickup_deadline(req, now, constraints)
+                recs += pickup(req, at), dropoff(req)
+            elif req.id not in picked:
+                recs.append(dropoff(req, now if req.pickup_time is None else req.pickup_time))
         fleet[veh.id] = (index(veh.position), tuple(recs), schedule_distance(veh, net))
     return StopTable(net, now, constraints, requests, vehicles, riders, fleet)
 
@@ -325,7 +329,9 @@ def best_route(
                         load + 1 if pickup else load - 1, visited | bits[i],
                         depth + 1)
 
-    recurse(position * n_nodes, stops.now, 0.0, len(vehicle.onboard), 0, 0)
+    # every rider has a dropoff record; an onboard one has no pickup record
+    group_size = kinds.count(DROPOFF)
+    recurse(position * n_nodes, stops.now, 0.0, group_size - kinds.count(PICKUP), 0, 0)
     if best_order is None:
         return None
     at = [0.0] * n  # arrival at each stop
@@ -340,7 +346,7 @@ def best_route(
         total_delay=sum(at[i] - (new[rid].request_time + new[rid].direct_duration)
                         for i, rid in enumerate(ids)
                         if kinds[i] == DROPOFF and rid in new),
-        group_size=len(vehicle.committed()) + len(new),
+        group_size=group_size,
     )
 
 
@@ -465,8 +471,7 @@ def enumerate_trips(
     for veh in stops.vehicles:
         vid = veh.id
         own = [rv[rid, vid] for rid in by_id if (rid, vid) in rv]
-        idle = not veh.onboard and not veh.assigned
-        twin = idle_trips.get((veh.position, veh.capacity)) if idle else None
+        twin = idle_trips.get((veh.position, veh.capacity)) if veh.idle else None
         if twin is not None:
             # its singles equal the twin's; the larger trips are copied
             own += [Trip(t.requests, vid, t.route, t.incremental_distance,
@@ -494,7 +499,7 @@ def enumerate_trips(
                     _, _, _, o_b, _, release_b, late_b = riders[b][0]
                     # each pickup no earlier than on the shortest path from
                     # the vehicle, as in build_rv_graph's closed form
-                    if idle and (
+                    if veh.idle and (
                             max(max(now + flat[row_v + o_a] / speed, release_a)
                                 + flat[o_a * n_nodes + o_b] / speed,
                                 release_b) > late_b
@@ -514,7 +519,7 @@ def enumerate_trips(
                 own.append(found)
         for t in own:
             tv_edges[(t.requests, vid)] = t
-        if idle:
+        if veh.idle:
             idle_trips[(veh.position, veh.capacity)] = own
 
     return RtvGraph(

@@ -374,7 +374,7 @@ def _outcomes(state):
         for rid, r in state.requests.items()
     }
     vehicles = {
-        vid: (v.platform, v.position, v.odometer, v.schedule, v.assigned, v.onboard)
+        vid: (v.platform, v.position, v.odometer, v.schedule)
         for vid, v in state.vehicles.items()
     }
     metrics = metrics_to_dict(state.metrics)

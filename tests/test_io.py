@@ -305,6 +305,12 @@ def test_results_records_round_trip_through_json(m):
     ({"platforms": {"A": {"revenue": "1"}}},
      'results.platforms.A.revenue: expected a finite number, got "1"'),
     ({"platforms": {}, "trades": [2]}, "results.trades[0]: expected an object"),
+    ({"platforms": {}, "trades": [{"epoch": 0, "request": "r0", "seller": "A",
+                                   "buyer": "A", "info_price": 1.0}]},
+     "results.trades[0]: a platform cannot trade with itself"),
+    ({"platforms": {}, "trades": [{"epoch": 0, "request": "r0", "seller": "A",
+                                   "buyer": "B", "info_price": -1.0}]},
+     "results.trades[0]: information price must be non-negative"),
 ])
 def test_malformed_results_are_validation_errors(tmp_path, doc, message):
     path = tmp_path / "out.json"

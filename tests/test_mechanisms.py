@@ -181,6 +181,16 @@ def test_in_core_worked_example():
     assert not in_core(g, Allocation({"1": 12.0, "2": 20.0}))  # not efficient
 
 
+def test_in_core_rejects_nan_and_names_stray_players():
+    g = _game("12", {"1": 10, "2": 20, "12": 36})
+    assert not in_core(g, Allocation({"1": math.nan, "2": 24.0}))
+    assert not in_core(g, Allocation({"1": 12.0, "2": math.nan}))
+    with pytest.raises(ValidationError, match=r"missing \['2'\], unknown \[\]$"):
+        in_core(g, Allocation({"1": 36.0}))
+    with pytest.raises(ValidationError, match=r"missing \[\], unknown \['3'\]$"):
+        in_core(g, Allocation({"1": 12.0, "2": 24.0, "3": 0.0}))
+
+
 def test_epm_worked_example():
     g = _game("12", {"1": 10, "2": 20, "12": 36})
     alloc, alpha = epm_allocate(g)
@@ -348,6 +358,49 @@ def test_core_allocations_match_highs(n):
                 assert in_core(game, allocation)
     # both outcomes occur at every size
     assert 0 < empty < 60
+
+
+def test_contribution_core_payoff_may_be_negative():
+    # a player whose driver pay exceeds its fares stands alone at a loss;
+    # equal weights share the 3 of synergy equally
+    g = _game("AB", {"A": -5, "B": 10, "AB": 8})
+    alloc, beta = contribution_allocate(g, {"A": 1.0, "B": 1.0})
+    assert alloc.amounts["A"] == pytest.approx(-3.5, abs=1e-9)
+    assert alloc.amounts["B"] == pytest.approx(11.5, abs=1e-9)
+    assert beta == pytest.approx(0.0, abs=1e-9)
+    assert in_core(g, alloc)
+
+
+@pytest.mark.parametrize("n", range(2, MAX_CORE_PLAYERS + 1))
+def test_contribution_matches_highs_with_negative_standalone_values(n):
+    # standalone values in [-20, 20), so some players stand alone at a
+    # loss; EPM rejects such games, so only contribution is compared
+    empty = negative = 0
+    for seed in range(20):
+        rng = np.random.default_rng([n, seed, 7])
+        players = tuple(f"p{i}" for i in range(n))
+        base = {p: int(rng.integers(-20, 20)) for p in players}
+        # each coalition gains or loses k(k - 1) times a draw in [-1, 4)
+        values = {frozenset(c): float(sum(base[p] for p in c)
+                                      + k * (k - 1) * rng.uniform(-1.0, 4.0))
+                  for k in range(1, n + 1) for c in itertools.combinations(players, k)}
+        game = CoalitionGame(players=players, values=values)
+        weights = {p: float(rng.uniform(0.5, 2.0)) for p in players}
+        singles = {p: game.value([p]) for p in players}
+        got = contribution_allocate(game, weights)
+        want = _highs_core_spread(game, weights, singles)
+        if want is None:
+            assert got is None
+            empty += 1
+            continue
+        assert got is not None
+        allocation, spread = got
+        assert abs(spread - want) <= 1e-6 * max(1.0, abs(want))
+        assert in_core(game, allocation)
+        negative += min(allocation.amounts.values()) < 0
+    # empty and non-empty cores occur, and some core payoffs are negative
+    assert 0 < empty < 20
+    assert negative > 0
 
 
 def test_core_allocations_refuse_seven_players():

@@ -103,16 +103,18 @@ def test_request_lifecycle_rejects_bad_transitions():
 
 
 def test_vehicle_idle_and_committed():
-    from ridemarket.model import DROPOFF, Stop
+    from ridemarket.model import DROPOFF, PICKUP, Stop
 
     v = Vehicle(id="v0", platform="A", position="0")
     assert v.idle
-    assert v.committed() == set()
-    v.assigned.add("r1")
-    v.onboard.add("r2")
-    v.schedule.append(Stop(node="1", request="r2", kind=DROPOFF))
+    assert v.schedule == []
+    # r1 is assigned (its pickup is scheduled), r2 onboard (only its dropoff)
+    v.schedule += [Stop(node="2", request="r1", kind=PICKUP),
+                   Stop(node="1", request="r2", kind=DROPOFF),
+                   Stop(node="3", request="r1", kind=DROPOFF)]
     assert not v.idle  # idle means no scheduled stops
-    assert v.committed() == {"r1", "r2"}
+    assert {s.request for s in v.schedule} == {"r1", "r2"}
+    assert not hasattr(v, "onboard") and not hasattr(v, "assigned")
 
 
 def test_fill_direct_populates_copies():

@@ -27,14 +27,16 @@ from ridemarket.rtv import (
 def _riders(vehicle, requests, registry, constraints, now):
     """Each rider's request and pickup deadline, None when onboard.
 
-    Onboard riders need only their dropoff, timed from their pickup_time;
-    assigned riders keep their pickup_deadline.
+    The vehicle's riders are those of its schedule.  Onboard riders, with
+    only a dropoff stop left, need only their dropoff, timed from their
+    pickup_time; assigned riders, whose pickup stop is scheduled, keep their
+    pickup_deadline.
     """
+    assigned = {s.request for s in vehicle.schedule if s.kind == PICKUP}
     riders = {}
-    for rid in vehicle.onboard:
-        riders[rid] = (registry[rid], None)
-    for rid in vehicle.assigned:
-        riders[rid] = (registry[rid], registry[rid].pickup_deadline)
+    for stop in vehicle.schedule:
+        r = registry[stop.request]
+        riders[r.id] = (r, r.pickup_deadline if r.id in assigned else None)
     for r in requests:
         riders[r.id] = (r, min(r.request_time + constraints.max_wait_s,
                                now + constraints.max_pickup_s))
@@ -47,8 +49,9 @@ def _replay(vehicle, order, riders, net, constraints, now):
     each time dict in visiting order, or None when a stop breaks a bound.
     """
     pos, time, dist = vehicle.position, now, 0.0
-    load = len(vehicle.onboard)
-    picked = {rid: riders[rid][0].pickup_time for rid in vehicle.onboard}
+    picked = {rid: r.pickup_time for rid, (r, deadline) in riders.items()
+              if deadline is None}
+    load = len(picked)
     pickups, dropoffs = {}, {}
     for stop in order:
         r, deadline = riders[stop.request]
@@ -108,7 +111,7 @@ def _route_oracle(vehicle, requests, registry, net, constraints, now):
         total_delay=sum(dropoffs[rid] - (riders[rid][0].request_time
                                          + riders[rid][0].direct_duration)
                         for rid in ids),
-        group_size=len(vehicle.committed()) + len(ids),
+        group_size=len(riders),
     )
     return trip, pickups, dropoffs
 
@@ -140,11 +143,12 @@ def test_best_route_matches_permutation_oracle():
         for i in range(int(rng.integers(0, min(capacity, 2) + 1))):
             committed.append(_rider(rng, nodes, f"o{i}", request_time=0.0,
                                     pickup_time=now - float(rng.integers(0, 60))))
-            veh.onboard.add(f"o{i}")
+            veh.schedule.append(Stop(committed[-1].destination, f"o{i}", DROPOFF))
         if rng.random() < 0.5:
             committed.append(_rider(rng, nodes, "a0", request_time=now - 30.0,
                                     pickup_deadline=now + float(rng.integers(60, 400))))
-            veh.assigned.add("a0")
+            veh.schedule += [Stop(committed[-1].origin, "a0", PICKUP),
+                             Stop(committed[-1].destination, "a0", DROPOFF)]
         n_new = int(rng.integers(1, 4 if not committed else 3))
         # some riders are released after now, so the vehicle may wait
         reqs = [_rider(rng, nodes, f"r{i}", request_time=float(rng.integers(0, now + 60)))
@@ -162,7 +166,8 @@ def test_best_route_matches_permutation_oracle():
         _, got_pickups, got_dropoffs = _replay(veh, got.route, riders, net, cons, now)
         assert list(got_pickups.items()) == list(pickups.items())
         assert list(got_dropoffs.items()) == list(dropoffs.items())
-        kind = "assigned" if veh.assigned else "onboard" if veh.onboard else "idle"
+        kinds = {stop.kind for stop in veh.schedule}
+        kind = "assigned" if PICKUP in kinds else "onboard" if kinds else "idle"
         feasible[kind] += 1
     # the sample exercises the feasible branch of every kind of vehicle
     assert min(feasible.values()) >= 10, feasible
@@ -185,11 +190,12 @@ def test_one_stop_table_serves_every_search(data):
         if k == 1:
             committed.append(_rider(rng, nodes, "o1", request_time=0.0,
                                     pickup_time=now - float(rng.integers(0, 60))))
-            veh.onboard.add("o1")
+            veh.schedule = [Stop(committed[-1].destination, "o1", DROPOFF)]
         elif k == 2:
             committed.append(_rider(rng, nodes, "a2", request_time=now - 30.0,
                                     pickup_deadline=now + float(rng.integers(60, 400))))
-            veh.assigned.add("a2")
+            veh.schedule = [Stop(committed[-1].origin, "a2", PICKUP),
+                            Stop(committed[-1].destination, "a2", DROPOFF)]
         vehs.append(veh)
     reqs = fill_direct(net, [
         _rider(rng, nodes, f"r{i}", request_time=float(rng.integers(0, now + 60)))
@@ -287,12 +293,13 @@ def test_reach_bound_keeps_exactly_the_routable_pairs(data):
                          - cons.detour_factor * direct + data.draw(st.integers(-20, 20)))
             rider.pickup_time = start
             committed.append(rider)
-            veh.onboard.add(f"o{k}")
+            veh.schedule.append(Stop(rider.destination, rider.id, DROPOFF))
         if data.draw(st.booleans()):
             deadline = now + data.draw(st.integers(0, 300))
             committed.append(trip(f"a{k}", request_time=now - 60.0,
                                   pickup_deadline=deadline))
-            veh.assigned.add(f"a{k}")
+            veh.schedule += [Stop(committed[-1].origin, f"a{k}", PICKUP),
+                             Stop(committed[-1].destination, f"a{k}", DROPOFF)]
         vehicles.append(veh)
     reqs = []
     for i in range(data.draw(st.integers(1, 5))):
@@ -354,9 +361,7 @@ def test_reach_bounds_keep_routes_within_eps_of_a_deadline():
         rider("o1", "8", "1", 0.0, pickup_time=now + 20.0 - 75.0),
     ])
     vehs = [Vehicle(id=f"v{k}", platform="A", position="0") for k in range(3)]
-    vehs[0].onboard.add("o0")
     vehs[0].schedule = [Stop("3", "o0", DROPOFF)]
-    vehs[1].onboard.add("o1")
     vehs[1].schedule = [Stop("1", "o1", DROPOFF)]
     registry = {r.id: r for r in committed}
     rv = build_rv_graph(stop_table(reqs, vehs, registry, net, cons, now))
@@ -367,6 +372,44 @@ def test_reach_bounds_keep_routes_within_eps_of_a_deadline():
         assert found == _search(veh, [everyone[rid]], everyone, net, cons, now)
     graph = build_rtv_graph(reqs, vehs, net, now, cons, registry=registry)
     assert (("r0", "r1"), "v2") in graph.tv_edges
+
+
+def test_stop_records_come_from_the_schedule():
+    # a is assigned (its pickup is scheduled), b is onboard (only its dropoff)
+    net = _REACH_NET
+    cons = Constraints()
+    now, chi, slack = 300.0, cons.detour_factor, EPS + rtv.REACH_SLACK
+    a, b = fill_direct(net, [
+        Request(id="a", origin="1", destination="14", request_time=250.0,
+                platform="A", pickup_deadline=420.0),
+        Request(id="b", origin="4", destination="2", request_time=100.0,
+                platform="A", pickup_time=290.0),
+    ])
+    index = net.node_index
+    veh = Vehicle(id="v0", platform="A", position="1",
+                  schedule=[Stop("1", "a", PICKUP), Stop("2", "b", DROPOFF),
+                            Stop("14", "a", DROPOFF)])
+    idle = Vehicle(id="v1", platform="A", position="5")
+    table = stop_table([], [veh, idle], {"a": a, "b": b}, net, cons, now)
+    position, records, baseline = table.fleet["v0"]
+    assert position == index("1")
+    assert baseline == rtv.schedule_distance(veh, net)
+    assert sorted(records, key=lambda r: (r[0], r[1])) == [
+        ("a", DROPOFF, "14", index("14"), chi * a.direct_duration + EPS, None, None),
+        ("a", PICKUP, "1", index("1"), 420.0 + EPS, 250.0, 420.0 + slack),
+        ("b", DROPOFF, "2", index("2"), chi * b.direct_duration + EPS, 290.0,
+         (290.0 + chi * b.direct_duration) + slack),
+    ]
+    assert idle.idle and table.fleet["v1"] == (index("5"), (), 0.0)
+    # the route search starts with b onboard, counts both riders and keeps
+    # the schedule, the one shortest order
+    found = best_route(veh, [], table)
+    assert found == Trip((), "v0", tuple(veh.schedule), 0.0, 0, 2)
+    # with one seat, b onboard must leave before a boards
+    veh.capacity = 1
+    found = best_route(veh, [], table)
+    assert [(s.request, s.kind) for s in found.route] == [
+        ("b", DROPOFF), ("a", PICKUP), ("a", DROPOFF)]
 
 
 def test_rv_graph_requires_direct_values():
@@ -467,9 +510,7 @@ def test_rtv_build_searches_each_route_once(monkeypatch):
         assigned = _rider(rng, nodes, "a0", request_time=now - 30.0,
                           pickup_deadline=now + 240.0)
         committed = fill_direct(net, [onboard, assigned])
-        vehs[1].onboard.add("o0")
         vehs[1].schedule = [Stop(onboard.destination, "o0", DROPOFF)]
-        vehs[2].assigned.add("a0")
         vehs[2].schedule = [Stop(assigned.origin, "a0", PICKUP),
                             Stop(assigned.destination, "a0", DROPOFF)]
         # v3 is idle v0's twin, whose trips are copied with no search
@@ -523,9 +564,7 @@ def test_rtv_build_probes_only_pairs_it_tries(monkeypatch):
         assigned = _rider(rng, nodes, "a0", request_time=now - 30.0,
                           pickup_deadline=now + 240.0)
         committed = fill_direct(net, [onboard, assigned])
-        vehs[1].onboard.add("o0")
         vehs[1].schedule = [Stop(onboard.destination, "o0", DROPOFF)]
-        vehs[2].assigned.add("a0")
         vehs[2].schedule = [Stop(assigned.origin, "a0", PICKUP),
                             Stop(assigned.destination, "a0", DROPOFF)]
         probed.clear()
@@ -590,12 +629,10 @@ def test_bounds_skip_only_infeasible_searches(data):
         if kind == 1:
             rider = _rider(rng, nodes, f"o{k}", request_time=0.0,
                            pickup_time=now - float(rng.integers(0, 120)))
-            veh.onboard.add(rider.id)
             veh.schedule = [Stop(rider.destination, rider.id, DROPOFF)]
         elif kind == 2:
             rider = _rider(rng, nodes, f"a{k}", request_time=now - 30.0,
                            pickup_deadline=now + float(rng.integers(30, 300)))
-            veh.assigned.add(rider.id)
             veh.schedule = [Stop(rider.origin, rider.id, PICKUP),
                             Stop(rider.destination, rider.id, DROPOFF)]
         else:
@@ -623,12 +660,10 @@ def test_restriction_equals_the_build_over_the_subset(data):
         kind = int(rng.integers(0, 3))
         if kind == 1:
             rider = _rider(rng, nodes, f"o{k}", request_time=0.0, pickup_time=now - 20.0)
-            veh.onboard.add(rider.id)
             veh.schedule = [Stop(rider.destination, rider.id, DROPOFF)]
         elif kind == 2:
             rider = _rider(rng, nodes, f"a{k}", request_time=now - 30.0,
                            pickup_deadline=now + 240.0)
-            veh.assigned.add(rider.id)
             veh.schedule = [Stop(rider.origin, rider.id, PICKUP),
                             Stop(rider.destination, rider.id, DROPOFF)]
         else:
@@ -674,7 +709,6 @@ def test_one_stop_table_per_build(monkeypatch):
         reqs, vehs = _random_instance(rng, net, nodes, 7, 3)
         onboard = fill_direct(net, [_rider(rng, nodes, "o0", request_time=0.0,
                                            pickup_time=40.0)])
-        vehs[1].onboard.add("o0")
         vehs[1].schedule = [Stop(onboard[0].destination, "o0", DROPOFF)]
         made.clear()
         build_rtv_graph(reqs, vehs, net, 60.0, Constraints(),
@@ -706,12 +740,10 @@ def test_graph_build_ignores_input_order(data):
         if kind == 1:
             rider = _rider(rng, nodes, f"o{k}", request_time=0.0,
                            pickup_time=now - float(rng.integers(0, 120)))
-            veh.onboard.add(rider.id)
             veh.schedule = [Stop(rider.destination, rider.id, DROPOFF)]
         elif kind == 2:
             rider = _rider(rng, nodes, f"a{k}", request_time=now - 30.0,
                            pickup_deadline=now + float(rng.integers(30, 300)))
-            veh.assigned.add(rider.id)
             veh.schedule = [Stop(rider.origin, rider.id, PICKUP),
                             Stop(rider.destination, rider.id, DROPOFF)]
         else:

@@ -237,7 +237,6 @@ def _twin_fleet_graph(rng, net, nodes, n_req, n_veh, now=60.0):
             d = [n for n in nodes if n != veh.position][int(rng.integers(0, len(nodes) - 1))]
             riders.append(Request(id=f"o{k}", origin=veh.position, destination=d,
                                   request_time=0.0, platform="A", pickup_time=now - 10.0))
-            veh.onboard.add(riders[-1].id)
             veh.schedule = [Stop(d, riders[-1].id, DROPOFF)]
         vehs.append(veh)
     registry = {r.id: r for r in fill_direct(net, riders)}

@@ -4,6 +4,12 @@ Builds shareability graphs over road networks, solves trip-vehicle
 assignment exactly, and compares market structures ranging from one
 pooled operator to segmented fleets with auctions, request trading, and
 cooperative profit sharing.
+
+The package exports the documented API: scenarios and their runs, the
+allocation rules and the auction, the readers and writers of the file
+formats, the error classes, and the types those take or return. Stage
+internals (``rtv.stop_table``, ``rtv.best_route``, ``solve.solve_lp``,
+``mechanisms.optimal_profit``, ...) are imported from their module.
 """
 from .engine import (
     EpisodeMetrics,
@@ -12,8 +18,6 @@ from .engine import (
     PlatformSpec,
     Scenario,
     build_coalition_game,
-    characteristic_value,
-    resolve_scenario,
     run,
     run_detailed,
 )
@@ -47,37 +51,21 @@ from .mechanisms import (
     AuctionOutcome,
     Bid,
     CoalitionGame,
-    MatchingContext,
-    PlatformState,
     TradeRecord,
-    bilateral_trading_round,
-    central_trading_epoch,
     contribution_allocate,
     contribution_weights,
     epm_allocate,
     in_core,
-    marketplace_epoch,
-    optimal_profit,
-    platform_valuation,
     run_single_item_auction,
     shapley,
 )
 from .model import (
-    FP_PER_DOLLAR,
-    METERS_PER_MILE,
     PricingScheme,
     Request,
-    Stop,
     Trip,
     Vehicle,
-    dedicated_fare,
     dollars,
-    driver_pay,
     fill_direct,
-    miles,
-    minutes,
-    rider_fare,
-    shared_fare,
     to_dollars,
     trip_marginal_profit,
 )
@@ -92,25 +80,13 @@ from .rtv import (
     MarketStructure,
     RtvGraph,
     STRUCTURE_KINDS,
-    StopTable,
-    apply_market_structure,
-    best_route,
     build_rtv_graph,
-    build_rv_graph,
-    enumerate_trips,
-    pair_shareable,
-    stop_table,
 )
-from .seeding import SUBSTREAMS, substream
 from .solve import (
     Assignment,
     AssignmentProblem,
-    LinearProgram,
-    LpResult,
     OBJECTIVES,
-    brute_force_assignment,
     solve_assignment,
-    solve_lp,
 )
 
 __version__ = "0.1.0"

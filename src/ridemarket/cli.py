@@ -15,7 +15,7 @@ import os
 import sys
 from dataclasses import replace
 
-from .engine import run
+from .engine import Scenario, run
 from .errors import MarketError, ValidationError
 from .io import (
     format_results,
@@ -41,7 +41,10 @@ from .rtv import STRUCTURE_KINDS
 SEED_ENV = "MARKETSIM_SEED"
 
 
-def _env_seed() -> int | None:
+def _resolve_seed(flag: int | None) -> int | None:
+    """The seed flag, else MARKETSIM_SEED, else None (the scenario's own)."""
+    if flag is not None:
+        return flag
     raw = os.environ.get(SEED_ENV)
     if raw is None:
         return None
@@ -49,12 +52,6 @@ def _env_seed() -> int | None:
         return int(raw)
     except ValueError:
         raise ValidationError(f"{SEED_ENV} must be an integer, got {raw!r}") from None
-
-
-def _resolve_seed(flag: int | None) -> int | None:
-    if flag is not None:
-        return flag
-    return _env_seed()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -124,11 +121,16 @@ def _emit(text: str, out: str | None) -> None:
         write_text(out, text)
 
 
-def _cmd_simulate(args) -> int:
+def _seeded_scenario(args) -> Scenario:
     scenario = load_scenario(args.scenario)
     seed = _resolve_seed(args.seed)
     if seed is not None:
         scenario.seed = seed
+    return scenario
+
+
+def _cmd_simulate(args) -> int:
+    scenario = _seeded_scenario(args)
     if args.structure:
         scenario.structure = replace(scenario.structure, kind=args.structure)
     metrics = run(scenario)
@@ -139,10 +141,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    scenario = load_scenario(args.scenario)
-    seed = _resolve_seed(args.seed)
-    if seed is not None:
-        scenario.seed = seed
+    scenario = _seeded_scenario(args)
     kinds = [k.strip() for k in args.structures.split(",") if k.strip()]
     if not kinds:
         raise ValidationError("no market structures given")

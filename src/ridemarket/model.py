@@ -99,24 +99,6 @@ def _check_leg(distance_m: float, duration_s: float) -> None:
         raise ValidationError("distance and duration must be non-negative")
 
 
-def dedicated_fare(scheme: PricingScheme, distance_m: float, duration_s: float) -> int:
-    """Fare for a rider travelling alone, floored at the dedicated minimum."""
-    _check_leg(distance_m, duration_s)
-    raw = scheme.ded_base + round(
-        scheme.ded_per_mile * miles(distance_m) + scheme.ded_per_min * minutes(duration_s)
-    )
-    return max(scheme.ded_min_fare, raw)
-
-
-def shared_fare(scheme: PricingScheme, distance_m: float, duration_s: float) -> int:
-    """Fare for a rider on a pooled ride, billed on their direct distance."""
-    _check_leg(distance_m, duration_s)
-    raw = scheme.shr_base + round(
-        scheme.shr_per_mile * miles(distance_m) + scheme.shr_per_min * minutes(duration_s)
-    )
-    return max(scheme.shr_min_fare, raw)
-
-
 def driver_pay(scheme: PricingScheme, distance_m: float, duration_s: float) -> int:
     """Driver salary for driven distance and time; covers empty repositioning."""
     _check_leg(distance_m, duration_s)
@@ -126,7 +108,20 @@ def driver_pay(scheme: PricingScheme, distance_m: float, duration_s: float) -> i
 
 
 def rider_fare(scheme: PricingScheme, shared: bool, distance_m: float, duration_s: float) -> int:
-    return (shared_fare if shared else dedicated_fare)(scheme, distance_m, duration_s)
+    """Fare for one rider, billed on their direct distance and time.
+
+    A rider on a pooled ride pays the shared tariff, a rider travelling
+    alone the dedicated one; either is floored at its minimum fare.
+    """
+    _check_leg(distance_m, duration_s)
+    if shared:
+        base, per_mile, per_min, floor = (
+            scheme.shr_base, scheme.shr_per_mile, scheme.shr_per_min, scheme.shr_min_fare)
+    else:
+        base, per_mile, per_min, floor = (
+            scheme.ded_base, scheme.ded_per_mile, scheme.ded_per_min, scheme.ded_min_fare)
+    raw = base + round(per_mile * miles(distance_m) + per_min * minutes(duration_s))
+    return max(floor, raw)
 
 
 class Stop(NamedTuple):

@@ -26,8 +26,7 @@ from ridemarket.model import (
     METERS_PER_MILE,
     PricingScheme,
     Request,
-    dedicated_fare,
-    shared_fare,
+    rider_fare,
 )
 from ridemarket.network import make_grid
 from ridemarket.rtv import Constraints, MarketStructure
@@ -306,7 +305,7 @@ def test_dedicated_billing_for_lone_rider(net):
     direct_d = net.distance("0", "35")
     direct_t = net.travel_time("0", "35")
     assert m.served == 1
-    assert m.total_fares == dedicated_fare(scheme, direct_d, direct_t)
+    assert m.total_fares == rider_fare(scheme, False, direct_d, direct_t)
     assert m.per_platform["A"].revenue == m.total_fares
     assert m.per_platform["A"].vehicles_used == 1
 
@@ -324,7 +323,7 @@ def test_shared_billing_for_pooled_riders(net):
     direct_t = net.travel_time("0", "35")
     assert m.served == 2
     assert m.total_trips == 1
-    assert m.total_fares == 2 * shared_fare(scheme, direct_d, direct_t)
+    assert m.total_fares == 2 * rider_fare(scheme, True, direct_d, direct_t)
     # one vehicle drove the shared route once
     assert m.total_vmt_miles == pytest.approx(direct_d / METERS_PER_MILE)
 

@@ -33,8 +33,8 @@ from ridemarket.model import (
     PricingScheme,
     Request,
     Vehicle,
-    dedicated_fare,
     fill_direct,
+    rider_fare,
     trip_marginal_profit,
 )
 from ridemarket.network import make_grid
@@ -589,7 +589,7 @@ def test_marketplace_awards_to_highest_value_platform():
      "pricing field ded_min_fare must be an integer of fixed-point units, got nan"),
     (lambda ctx: PricingScheme(pay_per_min=True),
      "pricing field pay_per_min must be an integer of fixed-point units, got True"),
-    (lambda ctx: dedicated_fare(PricingScheme(), -1.0, 60.0),
+    (lambda ctx: rider_fare(PricingScheme(), False, -1.0, 60.0),
      "distance and duration must be non-negative"),
 ], ids=["auction-gamma", "central-gamma", "bilateral-gamma", "negative-bid",
         "negative-info-price", "origin-is-destination", "negative-pricing-field",

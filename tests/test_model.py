@@ -13,14 +13,12 @@ from ridemarket.model import (
     PricingScheme,
     Request,
     Vehicle,
-    dedicated_fare,
     dollars,
     driver_pay,
     fill_direct,
     miles,
     minutes,
     rider_fare,
-    shared_fare,
     to_dollars,
 )
 from ridemarket.network import make_grid
@@ -38,24 +36,24 @@ def test_fixed_point_helpers():
 def test_dedicated_fare_two_miles_ten_minutes():
     # 2.55 base + 1.75*2 + 0.35*10 = 9.55, above the 8.00 minimum
     scheme = PricingScheme()
-    assert dedicated_fare(scheme, 2 * METERS_PER_MILE, 600.0) == 9550
+    assert rider_fare(scheme, False, 2 * METERS_PER_MILE, 600.0) == 9550
 
 
 def test_dedicated_fare_minimum_binds():
     scheme = PricingScheme()
-    assert dedicated_fare(scheme, 100.0, 30.0) == 8000
+    assert rider_fare(scheme, False, 100.0, 30.0) == 8000
 
 
 def test_shared_fare_minimum_binds():
     # 1.22 + 0.81*2 + 0.26*10 = 5.44, lifted to the 7.84 minimum
     scheme = PricingScheme()
-    assert shared_fare(scheme, 2 * METERS_PER_MILE, 600.0) == 7840
+    assert rider_fare(scheme, True, 2 * METERS_PER_MILE, 600.0) == 7840
 
 
 def test_shared_fare_above_minimum():
     # 1.22 + 0.81*6 + 0.26*20 = 11.28
     scheme = PricingScheme()
-    assert shared_fare(scheme, 6 * METERS_PER_MILE, 1200.0) == 11280
+    assert rider_fare(scheme, True, 6 * METERS_PER_MILE, 1200.0) == 11280
 
 
 def test_driver_pay():
@@ -63,13 +61,6 @@ def test_driver_pay():
     scheme = PricingScheme()
     assert driver_pay(scheme, 2 * METERS_PER_MILE, 600.0) == 7878
     assert driver_pay(scheme, 0.0, 0.0) == 0
-
-
-def test_rider_fare_dispatches_on_shared_flag():
-    scheme = PricingScheme()
-    d, t = 2 * METERS_PER_MILE, 600.0
-    assert rider_fare(scheme, False, d, t) == dedicated_fare(scheme, d, t)
-    assert rider_fare(scheme, True, d, t) == shared_fare(scheme, d, t)
 
 
 def test_pricing_scheme_from_dollars():

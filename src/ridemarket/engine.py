@@ -18,7 +18,6 @@ from .mechanisms import (
     AuctionAward,
     CoalitionGame,
     MatchingContext,
-    PlatformState,
     TradeRecord,
     bilateral_trading_round,
     central_trading_epoch,
@@ -274,6 +273,8 @@ class _Simulation:
         self.registry = {r.id: r for r in self.requests}
         self.veh_by_id = {v.id: v for v in self.vehicles}
         self.pids = sorted(p.id for p in scenario.platforms)
+        self.fleets = {pid: [v for v in self.vehicles if v.platform == pid]
+                       for pid in self.pids}
         self.ledgers = {pid: PlatformMetrics() for pid in self.pids}
         self.used_vehicles: dict[str, set[str]] = {pid: set() for pid in self.pids}
         self.runs = {v.id: _Run() for v in self.vehicles}  # each one's current run
@@ -341,9 +342,11 @@ class _Simulation:
     def _stage(self, now: float, epoch: int) -> None:
         """One decision stage on one trip graph of the waiting requests.
 
-        The match leaves idle vehicles as the graph saw them, so central
-        trading restricts it; bilateral valuations see whole fleets, which
-        the match changed, so bilateral builds once more."""
+        Each mechanism moves the requests it sells or trades by setting
+        their ``platform``.  The match leaves idle vehicles as the graph
+        saw them, so central trading restricts it; bilateral valuations
+        see whole fleets, which the match changed, so bilateral builds
+        once more."""
         waiting = sorted((r for r in self.requests[:self.cursor] if r.state == WAITING),
                          key=lambda r: r.id)
         if not waiting:
@@ -356,11 +359,10 @@ class _Simulation:
             awarded = {a.request for a in self.auction_log}
             awards = marketplace_epoch(
                 [r for r in waiting if r.id not in awarded],
-                self._platform_states([r for r in waiting if r.id in awarded]),
-                gamma, self.auction_rng, ctx, epoch,
+                [r for r in waiting if r.id in awarded],
+                self.fleets, gamma, self.auction_rng, ctx, epoch,
             )
             for award in awards:
-                self.registry[award.request].platform = award.platform
                 self.ledgers[award.platform].info_paid += award.payment
                 self.broker_balance += award.payment
                 awarded.add(award.request)
@@ -380,7 +382,7 @@ class _Simulation:
             graph = self._build(unsatisfied, now)
             ctx = MatchingContext(graph, self.net, self.scheme, self.registry)
             trades = bilateral_trading_round(
-                self._platform_states(unsatisfied), gamma, self.trading_rng, ctx, epoch
+                unsatisfied, self.fleets, gamma, self.trading_rng, ctx, epoch
             )
             if trades:
                 self._match(graph, now)
@@ -388,17 +390,6 @@ class _Simulation:
             self.ledgers[trade.buyer].info_paid += trade.info_price
             self.ledgers[trade.seller].info_received += trade.info_price
         self.trade_log.extend(trades)
-
-    def _platform_states(self, requests: list[Request]) -> list[PlatformState]:
-        """Each platform's whole fleet and its own share of the requests."""
-        return [
-            PlatformState(
-                id=pid,
-                vehicles=[v for v in self.vehicles if v.platform == pid],
-                pool=[r for r in requests if r.platform == pid],
-            )
-            for pid in self.pids
-        ]
 
     # -- movement and billing ----------------------------------------------
 
@@ -631,41 +622,33 @@ def _attach_allocations(scenario: Scenario, metrics: EpisodeMetrics) -> None:
     game = _coalition_game(scenario, grand_value)
     metrics.coalition_values = {coalition_key(k): v for k, v in game.values.items()}
     shap = shapley(game)
-    allocations: dict = {
+    metrics.allocations = {
         "shapley": _allocation_dollars(shap),
         "shapley_in_core": in_core(game, shap),
+        "epm": _core_record(lambda: (epm_allocate(game), {}), "alpha"),
+        "contribution": _core_record(
+            lambda: _contribution(game, metrics.per_platform), "beta"),
     }
+
+
+def _contribution(game: CoalitionGame, per_platform: dict[str, PlatformMetrics]):
+    """The contribution rule's outcome, and its weights as an extra field."""
+    weights = contribution_weights(
+        {p: float(per_platform[p].driver_cost) for p in game.players},
+        {p: float(per_platform[p].contributed_fares) for p in game.players},
+    )
+    return contribution_allocate(game, weights), {"weights": weights}
+
+
+def _core_record(rule, spread: str) -> dict:
+    """The record of ``rule()``, which returns an outcome and extra fields:
+    ``undefined`` with the reason the rule rejects the game, ``core_empty``,
+    or ``ok`` with the amounts, the spread named ``spread`` and the extras."""
     try:
-        outcome = epm_allocate(game)
+        outcome, extra = rule()
     except MarketError as exc:
-        allocations["epm"] = {"status": "undefined", "reason": str(exc)}
-    else:
-        if outcome is None:
-            allocations["epm"] = {"status": "core_empty"}
-        else:
-            alloc, alpha = outcome
-            allocations["epm"] = {
-                "status": "ok",
-                "amounts": _allocation_dollars(alloc),
-                "alpha": alpha,
-            }
-    try:
-        weights = contribution_weights(
-            {p: float(metrics.per_platform[p].driver_cost) for p in game.players},
-            {p: float(metrics.per_platform[p].contributed_fares) for p in game.players},
-        )
-        outcome = contribution_allocate(game, weights)
-    except MarketError as exc:
-        allocations["contribution"] = {"status": "undefined", "reason": str(exc)}
-    else:
-        if outcome is None:
-            allocations["contribution"] = {"status": "core_empty"}
-        else:
-            alloc, beta = outcome
-            allocations["contribution"] = {
-                "status": "ok",
-                "amounts": _allocation_dollars(alloc),
-                "beta": beta,
-                "weights": weights,
-            }
-    metrics.allocations = allocations
+        return {"status": "undefined", "reason": str(exc)}
+    if outcome is None:
+        return {"status": "core_empty"}
+    alloc, value = outcome
+    return {"status": "ok", "amounts": _allocation_dollars(alloc), spread: value, **extra}

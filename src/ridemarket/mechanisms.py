@@ -1,10 +1,11 @@
 """Market mechanisms: profit allocation, sealed-bid auction, request trading.
 
 Cooperative-game allocations work on a characteristic function over
-platform coalitions.  The auction and trading procedures operate on live
-platform state during a simulation epoch; they compute valuations by
-solving profit-maximizing assignments over restrictions of the stage's
-trip graph.
+platform coalitions.  The auction and trading procedures run during a
+simulation epoch: a platform's pool is the requests whose ``platform`` it
+is, and each procedure sets ``platform`` on the requests it sells or
+trades.  Valuations solve profit-maximizing assignments over restrictions
+of the stage's trip graph.
 """
 from __future__ import annotations
 
@@ -66,6 +67,8 @@ class CoalitionGame:
         if len(set(self.players)) != len(self.players):
             raise ValidationError("duplicate player id")
         self.values = {frozenset(k): v for k, v in self.values.items()}
+        if frozenset() in self.values:
+            raise ValidationError("the empty coalition may not be given a value")
         base = set(self.players)
         stray = set().union(*self.values) - base
         if stray:
@@ -342,25 +345,17 @@ def optimal_profit(
     return profit
 
 
-@dataclass
-class PlatformState:
-    """One platform's whole fleet and its own unmatched requests."""
-
-    id: str
-    vehicles: list[Vehicle]
-    pool: list[Request]
-
-
 def platform_valuation(
-    state: PlatformState, request: Request, ctx: MatchingContext
+    fleet: list[Vehicle], pool: list[Request], request: Request, ctx: MatchingContext
 ) -> int:
-    """How much adding the request to the pool is worth to the platform.
+    """How much adding the request to the pool is worth to the fleet's
+    platform.
 
     Marginal optimal profit, clamped at zero; a request no vehicle can
     serve is worth nothing.
     """
-    base = optimal_profit(state.vehicles, state.pool, ctx)
-    extended = optimal_profit(state.vehicles, state.pool + [request], ctx)
+    base = optimal_profit(fleet, pool, ctx)
+    extended = optimal_profit(fleet, pool + [request], ctx)
     return max(0, extended - base)
 
 
@@ -378,7 +373,8 @@ class AuctionAward:
 
 def marketplace_epoch(
     pool: list[Request],
-    platforms: list[PlatformState],
+    owned: list[Request],
+    fleets: Mapping[str, list[Vehicle]],
     gamma: float,
     rng: np.random.Generator,
     ctx: MatchingContext,
@@ -386,22 +382,28 @@ def marketplace_epoch(
 ) -> list[AuctionAward]:
     """Sequentially auction the broker's requests in random order.
 
-    Earlier awards enter the winner's pool and therefore lower (or raise)
-    its valuations for later items.  Requests nobody bids on stay with the
+    ``owned`` holds the requests earlier auctions sold; a platform's pool
+    is the sold requests whose ``platform`` it is.  An award moves the
+    request to the winner, so it lowers (or raises) the winner's
+    valuations for later items.  Requests nobody bids on stay with the
     broker for the next epoch.
     """
     ordered = sorted(pool, key=lambda r: r.id)
     perm = rng.permutation(len(ordered))
-    states = sorted(platforms, key=lambda s: s.id)
+    sold = list(owned)
     awards: list[AuctionAward] = []
     for idx in perm:
         request = ordered[idx]
-        bids = [Bid(s.id, platform_valuation(s, request, ctx)) for s in states]
+        bids = [
+            Bid(pid, platform_valuation(
+                fleet, [r for r in sold if r.platform == pid], request, ctx))
+            for pid, fleet in sorted(fleets.items())
+        ]
         outcome = run_single_item_auction(bids, gamma)
         if outcome is None:
             continue
-        winner = next(s for s in states if s.id == outcome.winner)
-        winner.pool.append(request)
+        request.platform = outcome.winner
+        sold.append(request)
         awards.append(
             AuctionAward(
                 epoch=epoch,
@@ -505,7 +507,8 @@ def central_trading_epoch(
 
 
 def bilateral_trading_round(
-    states: list[PlatformState],
+    requests: list[Request],
+    fleets: Mapping[str, list[Vehicle]],
     gamma: float,
     rng: np.random.Generator,
     ctx: MatchingContext,
@@ -514,42 +517,38 @@ def bilateral_trading_round(
     """One round of pairwise trading over every unordered platform pair.
 
     Pairs and the requests within each pair are visited in seeded random
-    order.  The prospective buyer values a request against its whole
-    fleet, committed vehicles included; any positive marginal profit
-    triggers the trade at price gamma times that profit.  A request trades
-    at most once per episode.
+    order; a pair's candidates are the requests either of them owns.  The
+    prospective buyer values a request against its whole fleet, committed
+    vehicles included, and its own pool; any positive marginal profit
+    moves the request to the buyer at price gamma times that profit.  A
+    request trades at most once per episode.
     """
     if not 0.0 <= gamma <= 1.0:
         raise ValidationError(f"gamma must lie in [0, 1], got {gamma}")
-    ordered = sorted(states, key=lambda s: s.id)
-    pairs = list(itertools.combinations(range(len(ordered)), 2))
+    pairs = list(itertools.combinations(sorted(fleets), 2))
     trades: list[TradeRecord] = []
     for pair_idx in rng.permutation(len(pairs)):
-        left, right = (ordered[k] for k in pairs[pair_idx])
-        candidates = sorted(left.pool + right.pool, key=lambda r: r.id)
+        pair = pairs[pair_idx]
+        candidates = sorted((r for r in requests if r.platform in pair),
+                            key=lambda r: r.id)
         for req_idx in rng.permutation(len(candidates)):
             request = candidates[req_idx]
             if request.traded or request.state != WAITING:
                 continue
-            if request.platform == left.id:
-                seller, buyer = left, right
-            elif request.platform == right.id:
-                seller, buyer = right, left
-            else:
-                continue  # traded away by an earlier pair
-            profit = platform_valuation(buyer, request, ctx)
+            seller = request.platform
+            buyer = pair[1] if seller == pair[0] else pair[0]
+            pool = [r for r in requests if r.platform == buyer]
+            profit = platform_valuation(fleets[buyer], pool, request, ctx)
             if profit == 0:
                 continue
-            request.platform = buyer.id
+            request.platform = buyer
             request.traded = True
-            seller.pool.remove(request)
-            buyer.pool.append(request)
             trades.append(
                 TradeRecord(
                     epoch=epoch,
                     request=request.id,
-                    seller=seller.id,
-                    buyer=buyer.id,
+                    seller=seller,
+                    buyer=buyer,
                     info_price=round(gamma * profit),
                 )
             )

@@ -143,6 +143,15 @@ def test_core_lp_above_six_players_is_exit_one(tmp_path, method, capsys):
         "error: the core LP takes at most 6 players, got 7\n"
 
 
+def test_value_for_empty_coalition_is_exit_one(tmp_path, capsys):
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(
+        {"players": ["A", "B"], "v": {"": 99, "A": 10, "B": 20, "A,B": 36}}))
+    assert main(["allocate", "--game", str(path), "--method", "shapley"]) == 1
+    assert capsys.readouterr().err == \
+        "error: the empty coalition may not be given a value\n"
+
+
 def test_unbounded_assignment_relaxation_is_exit_one(bundle, monkeypatch, capsys):
     # assignment LPs start from a feasible slack basis: no phase 1 runs
     monkeypatch.setattr("ridemarket.solve._simplex_iterate",

@@ -38,7 +38,7 @@ EXPORTED = {
 # stage internals and helpers, imported from their module only
 INTERNAL = {
     engine: {"characteristic_value", "resolve_scenario"},
-    mechanisms: {"MatchingContext", "PlatformState", "optimal_profit", "platform_valuation",
+    mechanisms: {"MatchingContext", "optimal_profit", "platform_valuation",
                  "marketplace_epoch", "bilateral_trading_round", "central_trading_epoch"},
     model: {"Stop", "FP_PER_DOLLAR", "METERS_PER_MILE", "miles", "minutes", "driver_pay",
             "rider_fare"},

@@ -634,11 +634,24 @@ def test_trading_beats_segmented_when_one_side_is_starved(net):
 
 def test_trade_log_requests_are_unique_and_resolved(net):
     reqs, specs = _starved_setup(net)
-    for kind in ("bilateral", "central"):
-        m = run(_scenario(net, reqs, specs, kind, seed=79))
-        traded = [t.request for t in m.trade_log]
-        assert len(traded) == len(set(traded))
+    for kind in ("marketplace", "bilateral", "central"):
+        state = run_detailed(_scenario(net, reqs, specs, kind, seed=79))
+        m = state.metrics
+        traded = {t.request: t for t in m.trade_log}
+        assert len(traded) == len(m.trade_log)
         assert m.served + m.expired == m.n_requests
+        # each mechanism moves the requests it sells or trades, and no other
+        awarded = {a.request: a.platform for a in m.auction_log}
+        assert len(awarded) == len(m.auction_log)
+        assert awarded if kind == "marketplace" else traded
+        for rid, r in state.requests.items():
+            if rid in awarded:
+                assert r.platform == awarded[rid]
+            elif rid in traded:
+                t = traded[rid]
+                assert (r.platform, r.origin_platform, r.traded) == (t.buyer, t.seller, True)
+            else:
+                assert r.platform == r.origin_platform and not r.traded
 
 
 def test_stalled_fleet_is_a_drain_error(net, monkeypatch):

@@ -15,7 +15,6 @@ from ridemarket.mechanisms import (
     Bid,
     CoalitionGame,
     MatchingContext,
-    PlatformState,
     TradeRecord,
     _split_proportional,
     bilateral_trading_round,
@@ -117,6 +116,14 @@ def test_empty_coalition_rejected():
     g = _game("ab", {"a": 1, "b": 2, "ab": 4})
     with pytest.raises(ValidationError, match="^the empty coalition has no value$"):
         g.value(frozenset())
+
+
+def test_game_rejects_a_value_for_the_empty_coalition():
+    values = {frozenset(): 99.0, frozenset("A"): 10.0, frozenset("B"): 20.0,
+              frozenset("AB"): 36.0}
+    with pytest.raises(ValidationError,
+                       match="^the empty coalition may not be given a value$"):
+        CoalitionGame(players=("A", "B"), values=values)
 
 
 def test_shapley_matches_permutation_oracle():
@@ -497,25 +504,21 @@ def test_optimal_profit_of_single_request():
 def test_bilateral_trade_moves_request_to_buyer():
     net, req, veh, ctx = _trade_setup()
     gain = optimal_profit([veh], [req], ctx)
-    states = [
-        PlatformState(id="A", vehicles=[], pool=[req]),
-        PlatformState(id="B", vehicles=[veh], pool=[]),
-    ]
+    fleets = {"A": [], "B": [veh]}
     rng = np.random.default_rng(0)
-    trades = bilateral_trading_round(states, 0.1, rng, ctx)
+    trades = bilateral_trading_round([req], fleets, 0.1, rng, ctx)
     assert len(trades) == 1
     t = trades[0]
     assert (t.seller, t.buyer, t.request) == ("A", "B", "r0")
     assert t.info_price == round(0.1 * gain)
     assert t.info_price > 0
     assert req.platform == "B" and req.traded
-    assert states[0].pool == [] and states[1].pool == [req]
     # a traded request is never re-traded, even to a seller that now values it
     a0 = Vehicle(id="a0", platform="A", position="0")
-    states[0].vehicles.append(a0)
+    fleets["A"].append(a0)
     ctx = _context(net, [req], [veh, a0], 0.0)
     assert optimal_profit([a0], [req], ctx) > 0
-    assert bilateral_trading_round(states, 0.1, rng, ctx) == []
+    assert bilateral_trading_round([req], fleets, 0.1, rng, ctx) == []
 
 
 def test_central_trading_assigns_and_prices():
@@ -551,15 +554,13 @@ def test_marketplace_awards_to_highest_value_platform():
     a0 = Vehicle(id="a0", platform="A", position="0")
     b0 = Vehicle(id="b0", platform="B", position="30")
     ctx = _context(net, [req], [a0, b0], 0.0)
-    near = PlatformState(id="A", vehicles=[a0], pool=[])
-    far = PlatformState(id="B", vehicles=[b0], pool=[])
     rng = np.random.default_rng(1)
-    awards = marketplace_epoch([req], [near, far], 0.1, rng, ctx)
+    awards = marketplace_epoch([req], [], {"A": [a0], "B": [b0]}, 0.1, rng, ctx)
     assert len(awards) == 1
     award = awards[0]
     assert award.platform == "A"  # shorter deadhead wins
     assert award.payment >= 0
-    assert near.pool == [req] and far.pool == []
+    assert req.platform == "A"  # the award moves the request to the winner
 
 
 # ---------------------------------------------------------------------------
@@ -571,7 +572,7 @@ def test_marketplace_awards_to_highest_value_platform():
      "gamma must lie in [0, 1], got -0.5"),
     (lambda ctx: central_trading_epoch([], [], 1.5, ctx),
      "gamma must lie in [0, 1], got 1.5"),
-    (lambda ctx: bilateral_trading_round([], math.nan, np.random.default_rng(0), ctx),
+    (lambda ctx: bilateral_trading_round([], {}, math.nan, np.random.default_rng(0), ctx),
      "gamma must lie in [0, 1], got nan"),
     (lambda ctx: run_single_item_auction([Bid("0", 5), Bid("1", -1)], 0.1),
      "negative bid from 1"),

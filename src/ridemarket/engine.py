@@ -21,6 +21,7 @@ from .mechanisms import (
     TradeRecord,
     bilateral_trading_round,
     central_trading_epoch,
+    check_player_id,
     coalition_key,
     contribution_allocate,
     contribution_weights,
@@ -79,6 +80,7 @@ class PlatformSpec:
     positions: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
+        check_player_id(self.id)
         if isinstance(self.fleet, bool) or not isinstance(self.fleet, int):
             raise ValidationError(
                 f"platform {self.id}: fleet must be an integer, got {self.fleet!r}")

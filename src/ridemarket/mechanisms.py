@@ -49,6 +49,15 @@ def coalition_key(players) -> str:
     return ",".join(sorted(players))
 
 
+def check_player_id(pid: object) -> None:
+    """Raise ValidationError unless ``pid`` can name a platform: a non-empty
+    string with no comma, as coalition keys are comma-joined ids and an
+    empty platform on a request means untagged."""
+    if not isinstance(pid, str) or not pid or "," in pid:
+        raise ValidationError(
+            f"platform id {pid!r} must be a non-empty string without commas")
+
+
 @dataclass
 class CoalitionGame:
     """A transferable-utility game over at most MAX_PLAYERS platforms.
@@ -64,6 +73,8 @@ class CoalitionGame:
         self.players = tuple(self.players)
         if not 1 <= len(self.players) <= MAX_PLAYERS:
             raise ValidationError(f"player count must be in 1..{MAX_PLAYERS}")
+        for p in self.players:
+            check_player_id(p)
         if len(set(self.players)) != len(self.players):
             raise ValidationError("duplicate player id")
         self.values = {frozenset(k): v for k, v in self.values.items()}

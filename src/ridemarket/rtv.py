@@ -5,15 +5,15 @@ request-vehicle pairs first, then exhaustive trip enumeration that only
 considers request sets whose subsets were already feasible.  The
 request-vehicle edges are exact: ``best_route`` is the only stop-order
 search, and what skips it is exact too.  An idle vehicle's single has one
-stop order, computed in closed form with ``best_route``'s own float
-operations; both give the ``Trip`` that becomes the graph's edge.  Reach
-bounds on shortest paths skip a pair whose pickup misses its deadline, or
-that makes a committed stop miss its own, and an idle vehicle's request
-pair whose second pickup comes too late in either order; idle vehicles
-with the same position and capacity are searched once.  The search, the
-closed form and every reach bound read one table of stop records
-(``stop_table``): each build makes one, which holds its sorted requests
-and vehicles, and both stages read it.  Trip enumeration also tests each
+stop order and its request pair six; both are computed in closed form with
+``best_route``'s own float operations, in its order, and give the ``Trip``
+it would.  Reach bounds on shortest paths skip a pair whose pickup misses
+its deadline, or that makes a committed stop miss its own, and, for every
+vehicle, a request pair whose second pickup comes too late in either
+order; idle vehicles with the same position and capacity are searched
+once.  The search, the closed forms and every reach bound read one table
+of stop records (``stop_table``): each build makes one, which holds its
+sorted requests and vehicles, and both stages read it.  Trip enumeration also tests each
 request pair it tries with ``pair_shareable``, a heuristic probe, not a
 relaxation: it can reject a pair that a real vehicle could serve
 together.  A market structure acts on the finished graph purely as a
@@ -350,6 +350,109 @@ def best_route(
     )
 
 
+def _idle_pair(vehicle: Vehicle, a: Request, b: Request, stops: StopTable) -> Trip | None:
+    """``best_route(vehicle, [a, b], stops)`` for an idle vehicle and two
+    new riders with ``a.id < b.id``, in closed form.
+
+    ``best_route`` tries the stop records in the order (D_a, P_a, D_b, P_b),
+    so it meets the six stop orders in the order they are written out
+    below.  Each order's times and length use its float operations in its
+    order, and only a strictly shorter order replaces the best, so the
+    result equals the search's.
+    """
+    if vehicle.capacity < 1:
+        return None
+    both = vehicle.capacity >= 2  # both riders may be on board at once
+    net = stops.net
+    flat = net.flat_distances()
+    n, speed, now = len(net.nodes), net.speed, stops.now
+    position, _, baseline = stops.fleet[vehicle.id]
+    (pa, da), (pb, db) = stops.riders[a.id], stops.riders[b.id]
+    # record fields 3, 4 and 5: node index, limit and release time
+    oa, xa, ob, xb = pa[3], da[3], pb[3], db[3]
+    best, found = _INF, None  # found: (stop records, drop at a, drop at b)
+
+    l0 = flat[position * n + oa]
+    t0 = max(now + l0 / speed, pa[5])
+    if t0 <= pa[4]:
+        # P_a D_a P_b D_b
+        l1 = flat[oa * n + xa]
+        t1 = t0 + l1 / speed
+        l2 = flat[xa * n + ob]
+        t2 = max(t1 + l2 / speed, pb[5])
+        l3 = flat[ob * n + xb]
+        t3 = t2 + l3 / speed
+        total = l0 + l1 + l2 + l3
+        if t1 - t0 <= da[4] and t2 <= pb[4] and t3 - t2 <= db[4] and total < best:
+            best, found = total, ((pa, da, pb, db), t1, t3)
+        l1 = flat[oa * n + ob]
+        t1 = max(t0 + l1 / speed, pb[5])
+        if both and t1 <= pb[4]:
+            # P_a P_b D_a D_b
+            l2 = flat[ob * n + xa]
+            t2 = t1 + l2 / speed
+            l3 = flat[xa * n + xb]
+            t3 = t2 + l3 / speed
+            total = l0 + l1 + l2 + l3
+            if t2 - t0 <= da[4] and t3 - t1 <= db[4] and total < best:
+                best, found = total, ((pa, pb, da, db), t2, t3)
+            # P_a P_b D_b D_a
+            l2 = flat[ob * n + xb]
+            t2 = t1 + l2 / speed
+            l3 = flat[xb * n + xa]
+            t3 = t2 + l3 / speed
+            total = l0 + l1 + l2 + l3
+            if t2 - t1 <= db[4] and t3 - t0 <= da[4] and total < best:
+                best, found = total, ((pa, pb, db, da), t3, t2)
+
+    l0 = flat[position * n + ob]
+    t0 = max(now + l0 / speed, pb[5])
+    if t0 <= pb[4]:
+        l1 = flat[ob * n + oa]
+        t1 = max(t0 + l1 / speed, pa[5])
+        if both and t1 <= pa[4]:
+            # P_b P_a D_a D_b
+            l2 = flat[oa * n + xa]
+            t2 = t1 + l2 / speed
+            l3 = flat[xa * n + xb]
+            t3 = t2 + l3 / speed
+            total = l0 + l1 + l2 + l3
+            if t2 - t1 <= da[4] and t3 - t0 <= db[4] and total < best:
+                best, found = total, ((pb, pa, da, db), t2, t3)
+            # P_b P_a D_b D_a
+            l2 = flat[oa * n + xb]
+            t2 = t1 + l2 / speed
+            l3 = flat[xb * n + xa]
+            t3 = t2 + l3 / speed
+            total = l0 + l1 + l2 + l3
+            if t2 - t0 <= db[4] and t3 - t1 <= da[4] and total < best:
+                best, found = total, ((pb, pa, db, da), t3, t2)
+        # P_b D_b P_a D_a
+        l1 = flat[ob * n + xb]
+        t1 = t0 + l1 / speed
+        l2 = flat[xb * n + oa]
+        t2 = max(t1 + l2 / speed, pa[5])
+        l3 = flat[oa * n + xa]
+        t3 = t2 + l3 / speed
+        total = l0 + l1 + l2 + l3
+        if t1 - t0 <= db[4] and t2 <= pa[4] and t3 - t2 <= da[4] and total < best:
+            best, found = total, ((pb, db, pa, da), t3, t1)
+
+    if found is None:
+        return None
+    order, drop_a, drop_b = found
+    return Trip(
+        requests=(a.id, b.id),
+        vehicle=vehicle.id,
+        route=tuple(Stop(rec[2], rec[0], rec[1]) for rec in order),
+        incremental_distance=best - baseline,
+        # best_route sums the delays in id order, from 0
+        total_delay=sum((drop_a - (a.request_time + a.direct_duration),
+                         drop_b - (b.request_time + b.direct_duration))),
+        group_size=2,
+    )
+
+
 def pair_shareable(
     first: Request,
     second: Request,
@@ -368,7 +471,8 @@ def pair_shareable(
     probe = Vehicle(id="__probe__", platform="", position=earlier.origin)
     stops = stop_table([earlier, later], [probe], {}, net, constraints,
                        now=earlier.request_time)
-    return best_route(probe, [earlier, later], stops) is not None
+    a, b = sorted((first, second), key=lambda r: r.id)
+    return _idle_pair(probe, a, b, stops) is not None  # the probe is idle
 
 
 def build_rv_graph(stops: StopTable) -> dict[tuple[str, str], Trip]:
@@ -449,9 +553,11 @@ def enumerate_trips(
     ``pair_shareable``, asked once per pair and call, accepts it), which is
     a valid pruning because dropping a rider from a feasible route stays
     feasible.  Trips stop at MAX_ROUTE_STOPS // 2 requests; ``best_route``
-    enforces each vehicle's own capacity.  An idle vehicle skips a pair
-    when neither pickup order reaches the second pickup by its deadline,
-    even on shortest paths from the earliest first pickup.  Idle twins are
+    enforces each vehicle's own capacity.  Every vehicle skips a pair when
+    neither pickup order reaches the second pickup by its deadline, even on
+    shortest paths from the earliest first pickup: committed stops and
+    waits only add time.  An idle vehicle's pair trips come from
+    ``_idle_pair``, a closed form equal to ``best_route``.  Idle twins are
     enumerated once: an idle vehicle's routes depend only on its position
     and capacity (``build_rv_graph`` gives twins equal singles), so an idle
     vehicle whose (position, capacity) an earlier one already had gets a
@@ -466,11 +572,15 @@ def enumerate_trips(
     n_nodes = len(net.nodes)
     speed = net.speed
 
+    # Each vehicle's singles, in request id order as rv's keys are sorted.
+    singles_of: dict[str, list[Trip]] = {v.id: [] for v in stops.vehicles}
+    for (_, vid), trip in rv.items():
+        singles_of[vid].append(trip)
     # The trips of the first idle vehicle at each (position, capacity).
     idle_trips: dict[tuple[str, int], list[Trip]] = {}
     for veh in stops.vehicles:
         vid = veh.id
-        own = [rv[rid, vid] for rid in by_id if (rid, vid) in rv]
+        own = singles_of[vid]
         twin = idle_trips.get((veh.position, veh.capacity)) if veh.idle else None
         if twin is not None:
             # its singles equal the twin's; the larger trips are copied
@@ -482,29 +592,35 @@ def enumerate_trips(
             continue
         singles = [t.requests[0] for t in own]
         smaller = {t.requests for t in own}
+        # Each single's pickup is reached no earlier than on the shortest
+        # path from the vehicle, even with committed stops and waits first:
+        # (that time, node index, release, late).
         row_v = stops.fleet[vid][0] * n_nodes
+        earliest = {}
+        for rid in singles:
+            _, _, _, o, _, release, late = riders[rid][0]
+            earliest[rid] = (max(now + flat[row_v + o] / speed, release), o, release, late)
         for size in range(2, min(MAX_ROUTE_STOPS // 2, len(singles)) + 1):
+            # every one-request subset of a pair is a single
             candidates = [
                 t + (rid,)
                 for t in sorted(smaller)
                 for rid in singles
                 if rid > t[-1]
-                and all(t[:i] + t[i + 1:] + (rid,) in smaller for i in range(size - 1))
+                and (size == 2 or all(t[:i] + t[i + 1:] + (rid,) in smaller
+                                      for i in range(size - 1)))
             ]
             smaller = set()
             for key in candidates:
                 if size == 2:
+                    # Skip the pair when neither pickup order reaches the
+                    # second pickup by its ``late`` on shortest paths
+                    # (REACH_SLACK in ``late`` covers the rounding).
                     a, b = key
-                    _, _, _, o_a, _, release_a, late_a = riders[a][0]
-                    _, _, _, o_b, _, release_b, late_b = riders[b][0]
-                    # each pickup no earlier than on the shortest path from
-                    # the vehicle, as in build_rv_graph's closed form
-                    if veh.idle and (
-                            max(max(now + flat[row_v + o_a] / speed, release_a)
-                                + flat[o_a * n_nodes + o_b] / speed,
-                                release_b) > late_b
-                            and max(max(now + flat[row_v + o_b] / speed, release_b)
-                                    + flat[o_b * n_nodes + o_a] / speed,
+                    at_a, o_a, release_a, late_a = earliest[a]
+                    at_b, o_b, release_b, late_b = earliest[b]
+                    if (max(at_a + flat[o_a * n_nodes + o_b] / speed, release_b) > late_b
+                            and max(at_b + flat[o_b * n_nodes + o_a] / speed,
                                     release_a) > late_a):
                         continue
                     if key not in shareable:
@@ -512,7 +628,10 @@ def enumerate_trips(
                                                         net, stops.constraints)
                     if not shareable[key]:
                         continue
-                found = best_route(veh, [by_id[r] for r in key], stops)
+                if size == 2 and veh.idle:
+                    found = _idle_pair(veh, by_id[key[0]], by_id[key[1]], stops)
+                else:
+                    found = best_route(veh, [by_id[r] for r in key], stops)
                 if found is None:
                     continue
                 smaller.add(key)

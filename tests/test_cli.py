@@ -152,6 +152,15 @@ def test_value_for_empty_coalition_is_exit_one(tmp_path, capsys):
         "error: the empty coalition may not be given a value\n"
 
 
+def test_comma_in_platform_id_is_exit_one(bundle, capsys):
+    doc = json.loads(bundle.read_text())
+    doc["platforms"][0]["id"] = "A,B"
+    bundle.write_text(json.dumps(doc))
+    assert main(["simulate", "--scenario", str(bundle)]) == 1
+    assert capsys.readouterr().err == \
+        "error: platform id 'A,B' must be a non-empty string without commas\n"
+
+
 def test_unbounded_assignment_relaxation_is_exit_one(bundle, monkeypatch, capsys):
     # assignment LPs start from a feasible slack basis: no phase 1 runs
     monkeypatch.setattr("ridemarket.solve._simplex_iterate",

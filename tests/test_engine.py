@@ -114,6 +114,13 @@ def test_platform_fleet_must_be_an_integer(fleet):
         PlatformSpec("A", fleet)
 
 
+@pytest.mark.parametrize("pid", ["", "A,B", ","])
+def test_platform_id_must_be_a_coalition_member_name(pid):
+    # coalition keys are comma-joined ids, and "" on a request means untagged
+    with pytest.raises(ValidationError, match=f"^platform id {pid!r} must be"):
+        PlatformSpec(pid, 1)
+
+
 def test_scenario_validation(net):
     req = Request(id="r0", origin="0", destination="1", request_time=0.0, platform="A")
     dup = [req, Request(id="r0", origin="1", destination="2", request_time=0.0, platform="A")]

@@ -330,15 +330,16 @@ def test_results_csv_has_per_platform_profit(tmp_path):
 
 def test_results_csv_quotes_fields_that_hold_commas_and_quotes(tmp_path):
     net = make_grid(4, 4, edge_len=300.0, speed=10.0)
+    # a platform id may not hold a comma (coalition keys are comma-joined)
     reqs = [Request(id="r0", origin="0", destination="15", request_time=0.0,
-                    platform="A,1")]
-    sc = Scenario(net=net, requests=reqs, platforms=[PlatformSpec("A,1", 1, positions=("0",))],
+                    platform='A "1"')]
+    sc = Scenario(net=net, requests=reqs, platforms=[PlatformSpec('A "1"', 1, positions=("0",))],
                   name='city, "north"')
     m = run(sc)
     path = tmp_path / "out.csv"
     write_results([m, m], path, fmt="csv")
     header, *rows = csv.reader(io.StringIO(path.read_text()))
-    assert header[-1] == "profit:A,1"
+    assert header[-1] == 'profit:A "1"'
     assert len(rows) == 2
     for row in rows:
         assert len(row) == len(header)

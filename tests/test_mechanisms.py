@@ -94,6 +94,16 @@ def test_game_requires_all_coalitions():
         CoalitionGame(players=("a", "b"), values={frozenset({"a"}): 1.0})
 
 
+@pytest.mark.parametrize("players", [("A,B", "A", "B"), ("", "A")])
+def test_game_rejects_player_ids_a_coalition_key_cannot_hold(players):
+    # {A,B} and {"A,B"} would share the key "A,B"
+    values = {frozenset(c): 1.0 for k in range(1, len(players) + 1)
+              for c in itertools.combinations(players, k)}
+    bad = next(p for p in players if not p or "," in p)
+    with pytest.raises(ValidationError, match=f"^platform id {bad!r} must be"):
+        CoalitionGame(players=players, values=values)
+
+
 def test_game_rejects_values_for_unknown_players():
     with pytest.raises(ValidationError, match=r"unknown players \['z'\]"):
         _game("a", {"a": 1, "az": 2})

@@ -242,6 +242,58 @@ def test_best_route_times_are_consistent():
         assert drop - pick <= cons.detour_factor * r.direct_duration + EPS
 
 
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_idle_pair_closed_form_equals_the_search(data):
+    # An idle vehicle's two-request trip in closed form is best_route's.
+    # Small grids of equal edges tie many stop orders; shared nodes give
+    # zero legs; releases after now make the vehicle wait; short wait
+    # bounds and a detour factor of 1 bind.
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    net = make_grid(int(rng.integers(2, 5)), int(rng.integers(2, 5)),
+                    edge_len=float(rng.choice([180.0, 250.0])), speed=9.0)
+    nodes = sorted(net.node_set())
+    shared = list(rng.choice(nodes, size=2, replace=False))
+    cons = Constraints(detour_factor=float(rng.choice([1.0, 1.25, 2.0])),
+                       max_wait_s=float(rng.choice([40.0, 120.0, 300.0])),
+                       max_pickup_s=float(rng.choice([40.0, 120.0, 300.0])))
+    now = 60.0
+
+    def node():
+        pool = shared if rng.random() < 0.5 else nodes
+        return pool[int(rng.integers(0, len(pool)))]
+
+    def rider(rid):
+        o, d = node(), node()
+        while d == o:
+            d = nodes[int(rng.integers(0, len(nodes)))]
+        return Request(id=rid, origin=o, destination=d, platform="A",
+                       request_time=float(rng.integers(0, 2 * now)))
+
+    a, b = fill_direct(net, [rider("a"), rider("b")])
+    veh = Vehicle(id="v", platform="A", position=node(),
+                  capacity=int(rng.choice([0, 1, 2, 4])))
+    stops = stop_table([a, b], [veh], {}, net, cons, now)
+    assert rtv._idle_pair(veh, a, b, stops) == best_route(veh, [a, b], stops)
+
+
+def test_idle_pair_ties_keep_the_search_order():
+    # both riders go from node 0 to node 2 and the vehicle stands at 0: all
+    # four orders that carry both riders at once have the same length, and
+    # the search keeps the first, both pickups then a's dropoff
+    net = make_grid(1, 3, edge_len=200.0, speed=10.0)
+    a, b = fill_direct(net, [
+        Request(id=rid, origin="0", destination="2", request_time=0.0, platform="A")
+        for rid in ("a", "b")])
+    veh = Vehicle(id="v", platform="A", position="0", capacity=2)
+    stops = stop_table([a, b], [veh], {}, net, Constraints(), now=0.0)
+    got = rtv._idle_pair(veh, a, b, stops)
+    assert got == best_route(veh, [a, b], stops)
+    assert got.route == (Stop("0", "a", PICKUP), Stop("0", "b", PICKUP),
+                         Stop("2", "a", DROPOFF), Stop("2", "b", DROPOFF))
+    assert got.incremental_distance == 400.0 and got.group_size == 2
+
+
 def test_pair_shareable_is_symmetric_and_sane():
     net = make_grid(6, 6, edge_len=400.0, speed=8.0)
     cons = Constraints()
@@ -355,7 +407,8 @@ def test_reach_bounds_keep_routes_within_eps_of_a_deadline():
     # it reaches at now + 60 = o0's deadline + late; dropping o0 first
     # leaves r0 behind.
     # v1 must drop o1 at node 1 by now + 20 (75 s budget), then picks r1.
-    # Idle v2 picks r0, then r1; r1 first leaves r0 behind.
+    # Idle v2 picks r0, then r1; r1 first leaves r0 behind.  v0 and v1 can
+    # do the same on their way, so the pair bound keeps all three.
     committed = fill_direct(net, [
         rider("o0", "4", "3", 0.0, pickup_time=now + 60.0 - 100.0 - late),
         rider("o1", "8", "1", 0.0, pickup_time=now + 20.0 - 75.0),
@@ -371,7 +424,8 @@ def test_reach_bounds_keep_routes_within_eps_of_a_deadline():
         veh = vehs[int(vid[1:])]
         assert found == _search(veh, [everyone[rid]], everyone, net, cons, now)
     graph = build_rtv_graph(reqs, vehs, net, now, cons, registry=registry)
-    assert (("r0", "r1"), "v2") in graph.tv_edges
+    for vid in ("v0", "v1", "v2"):
+        assert (("r0", "r1"), vid) in graph.tv_edges
 
 
 def test_stop_records_come_from_the_schedule():
@@ -504,6 +558,7 @@ def test_rtv_build_searches_each_route_once(monkeypatch):
     monkeypatch.setattr(rtv, "best_route", counted_search)
     monkeypatch.setattr(rtv, "build_rv_graph", kept_build)
     pooled = set()
+    busy_pairs = 0
     for _ in range(12):
         reqs, vehs = _random_instance(rng, net, nodes, 6, 3)
         onboard = _rider(rng, nodes, "o0", request_time=0.0, pickup_time=now - 20.0)
@@ -522,6 +577,9 @@ def test_rtv_build_searches_each_route_once(monkeypatch):
                                 registry={r.id: r for r in committed})
         assert max(searched.values()) == 1
         assert all(vid != "v3" for vid, _ in searched)
+        # idle v0's two-request trips come from the closed form
+        assert all(len(key) != 2 for vid, key in searched if vid == "v0")
+        busy_pairs += sum(len(key) == 2 for vid, key in searched if vid != "v0")
         (rv,) = built
         singles = {(key[0], vid): trip for (key, vid), trip in graph.tv_edges.items()
                    if len(key) == 1}
@@ -539,6 +597,7 @@ def test_rtv_build_searches_each_route_once(monkeypatch):
     # shared trips were enumerated for the idle, onboard and assigned
     # vehicles, and copied for the twin
     assert pooled == {"v0", "v1", "v2", "v3"}
+    assert busy_pairs > 0
 
 
 def test_rtv_build_probes_only_pairs_it_tries(monkeypatch):
@@ -605,12 +664,13 @@ def _unbounded_trips(reqs, vehs, net, cons, now, registry):
     return tv_edges
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_bounds_skip_only_infeasible_searches(data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    # 180 m edges take 20 s, so whole-second deadlines fall on arrivals
     net = make_grid(int(rng.integers(3, 6)), int(rng.integers(3, 6)),
-                    edge_len=float(rng.integers(150, 300)), speed=9.0)
+                    edge_len=float(rng.choice([rng.integers(150, 300), 180])), speed=9.0)
     nodes = sorted(net.node_set())
     cons = Constraints(max_pickup_s=float(rng.choice([60.0, 150.0, 300.0])))
     now = 60.0
@@ -623,21 +683,24 @@ def test_bounds_skip_only_infeasible_searches(data):
         depots = [nodes[int(rng.integers(0, len(nodes)))] for _ in range(rng.integers(1, 3))]
         for veh in vehs:
             veh.position = depots[int(rng.integers(0, len(depots)))]
-    for k, veh in enumerate(vehs):  # idle, carrying a rider, or on its way to one
+    # idle, carrying a rider, on its way to one, or both at capacity 1-2,
+    # where the pair reach bound has committed stops to route around
+    for k, veh in enumerate(vehs):
         veh.capacity = int(rng.integers(0, 5))
-        kind = int(rng.integers(0, 3))
-        if kind == 1:
+        kind = int(rng.integers(0, 4))
+        if kind in (1, 3):
             rider = _rider(rng, nodes, f"o{k}", request_time=0.0,
                            pickup_time=now - float(rng.integers(0, 120)))
-            veh.schedule = [Stop(rider.destination, rider.id, DROPOFF)]
-        elif kind == 2:
+            veh.schedule.append(Stop(rider.destination, rider.id, DROPOFF))
+            committed.append(rider)
+        if kind in (2, 3):
             rider = _rider(rng, nodes, f"a{k}", request_time=now - 30.0,
                            pickup_deadline=now + float(rng.integers(30, 300)))
-            veh.schedule = [Stop(rider.origin, rider.id, PICKUP),
-                            Stop(rider.destination, rider.id, DROPOFF)]
-        else:
-            continue
-        committed.append(rider)
+            veh.schedule += [Stop(rider.origin, rider.id, PICKUP),
+                             Stop(rider.destination, rider.id, DROPOFF)]
+            committed.append(rider)
+        if kind == 3:
+            veh.capacity = int(rng.integers(1, 3))
     registry = {r.id: r for r in fill_direct(net, committed)}
     graph = build_rtv_graph(reqs, vehs, net, now, cons, registry=registry)
     want = _unbounded_trips(reqs, vehs, net, cons, now, registry)

@@ -38,6 +38,9 @@ MAX_PLAYERS = 12
 # wrong optima, a false empty core and failed phase 1s on games HiGHS
 # solves, so a larger game is refused before the LP is built.
 MAX_CORE_PLAYERS = 6
+# Absolute tolerance of in_core's efficiency and coalition tests, in the
+# units of the game's values.
+CORE_TOL = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -142,19 +145,20 @@ def shapley(game: CoalitionGame) -> Allocation:
     return Allocation(amounts)
 
 
-def in_core(game: CoalitionGame, allocation: Allocation, tol: float = 1e-6) -> bool:
+def in_core(game: CoalitionGame, allocation: Allocation) -> bool:
     """Exhaustive core membership check: efficiency plus no blocking
-    coalition.  Every test fails on a NaN amount, which compares False."""
+    coalition, each within CORE_TOL.  Every test fails on a NaN amount,
+    which compares False."""
     missing = sorted(set(game.players) - set(allocation.amounts))
     unknown = sorted(set(allocation.amounts) - set(game.players))
     if missing or unknown:
         raise ValidationError(f"allocation: missing {missing}, unknown {unknown}")
     xs = {p: float(allocation.amounts[p]) for p in game.players}
-    if not abs(sum(xs.values()) - float(game.grand_value())) <= tol:
+    if not abs(sum(xs.values()) - float(game.grand_value())) <= CORE_TOL:
         return False
     for size in range(1, game.n):
         for combo in itertools.combinations(game.players, size):
-            if not sum(xs[p] for p in combo) >= float(game.value(combo)) - tol:
+            if not sum(xs[p] for p in combo) >= float(game.value(combo)) - CORE_TOL:
                 return False
     return True
 

@@ -120,15 +120,6 @@ class RoadNetwork:
         """Like distance() but returns inf instead of raising when disconnected."""
         return float(self._dist[self.node_index(src), self.node_index(dst)])
 
-    def distance_block(self, srcs: list[str], dsts: list[str]) -> np.ndarray:
-        """Shortest distances from each of srcs (rows) to each of dsts (columns).
-
-        A fresh len(srcs) x len(dsts) array; disconnected pairs hold inf.
-        """
-        rows = np.array([self.node_index(n) for n in srcs], dtype=np.intp)
-        cols = np.array([self.node_index(n) for n in dsts], dtype=np.intp)
-        return self._dist[np.ix_(rows, cols)]
-
     def flat_distances(self) -> memoryview:
         """Zero-copy flat view of the all-pairs distance table.
 

@@ -5,19 +5,20 @@ request-vehicle pairs first, then exhaustive trip enumeration that only
 considers request sets whose subsets were already feasible.  The
 request-vehicle edges are exact: ``best_route`` is the only stop-order
 search, and what skips it is exact too.  An idle vehicle's single has one
-stop order and its request pair six; both are computed in closed form with
-``best_route``'s own float operations, in its order, and give the ``Trip``
-it would.  Reach bounds on shortest paths skip a pair whose pickup misses
-its deadline, or that makes a committed stop miss its own, and, for every
-vehicle, a request pair whose second pickup comes too late in either
+stop order and its request pair six, three for each rider picked up
+first; both are computed in closed form with ``best_route``'s own float
+operations, in its order, and give the ``Trip`` it would.  Reach bounds on
+shortest paths skip a pair whose earliest pickup, computed once per pair,
+misses its deadline, or that makes a committed stop miss its own, and, for
+every vehicle, a request pair whose second pickup comes too late in either
 order; idle vehicles with the same position and capacity are searched
 once.  The search, the closed forms and every reach bound read one table
 of stop records (``stop_table``): each build makes one, which holds its
-sorted requests and vehicles, and both stages read it.  Trip enumeration also tests each
-request pair it tries with ``pair_shareable``, a heuristic probe, not a
-relaxation: it can reject a pair that a real vehicle could serve
-together.  A market structure acts on the finished graph purely as a
-subgraph filter.
+sorted requests and vehicles, and both stages read it.  Trip enumeration
+also tests each request pair it tries with ``pair_shareable``, a heuristic
+probe, not a relaxation: it can reject a pair that a real vehicle could
+serve together.  A market structure acts on the finished graph purely as
+a subgraph filter.
 
 The engine builds the graph once per decision stage (bilateral once more
 after its match).  The auction, matching and central trading solve
@@ -28,8 +29,6 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, fields
 from typing import Iterable, Mapping, NamedTuple
-
-import numpy as np
 
 from .errors import ValidationError
 from .model import (
@@ -190,7 +189,8 @@ def stop_table(
     """The snapshot of one build: its requests and vehicles sorted by id,
     and every stop record that ``best_route`` and the reach bounds read.
 
-    Raises ValidationError for a request without direct-trip values.
+    Raises ValidationError for a request without direct-trip values and
+    for a scheduled pickup whose request has no stored ``pickup_deadline``.
 
     A record is ``(request, kind, node, node index, limit, aux, late)``.  A
     pickup must arrive by ``limit``, its deadline plus EPS, and not before
@@ -236,11 +236,12 @@ def stop_table(
         for stop in veh.schedule:
             req = registry[stop.request]
             if stop.kind == PICKUP:
+                if req.pickup_deadline is None:
+                    raise ValidationError(
+                        f"request {req.id} is scheduled for pickup but has no "
+                        "stored pickup_deadline")
                 picked.add(req.id)
-                at = req.pickup_deadline
-                if at is None:
-                    at = pickup_deadline(req, now, constraints)
-                recs += pickup(req, at), dropoff(req)
+                recs += pickup(req, req.pickup_deadline), dropoff(req)
             elif req.id not in picked:
                 recs.append(dropoff(req, now if req.pickup_time is None else req.pickup_time))
         fleet[veh.id] = (index(veh.position), tuple(recs), schedule_distance(veh, net))
@@ -354,11 +355,13 @@ def _idle_pair(vehicle: Vehicle, a: Request, b: Request, stops: StopTable) -> Tr
     """``best_route(vehicle, [a, b], stops)`` for an idle vehicle and two
     new riders with ``a.id < b.id``, in closed form.
 
-    ``best_route`` tries the stop records in the order (D_a, P_a, D_b, P_b),
-    so it meets the six stop orders in the order they are written out
-    below.  Each order's times and length use its float operations in its
-    order, and only a strictly shorter order replaces the best, so the
-    result equals the search's.
+    ``half(p, q)`` evaluates the three stop orders that pick up p's rider
+    first: p's rider alone and then q's, and both aboard with p's or with
+    q's rider dropped first.  Each order's times and length use
+    ``best_route``'s float operations in its order.  The search tries the
+    stop records in the order (D_a, P_a, D_b, P_b), so it meets the six
+    orders as ``candidates`` lists them, and only a strictly shorter order
+    replaces the best; so the result equals the search's.
     """
     if vehicle.capacity < 1:
         return None
@@ -367,80 +370,60 @@ def _idle_pair(vehicle: Vehicle, a: Request, b: Request, stops: StopTable) -> Tr
     flat = net.flat_distances()
     n, speed, now = len(net.nodes), net.speed, stops.now
     position, _, baseline = stops.fleet[vehicle.id]
-    (pa, da), (pb, db) = stops.riders[a.id], stops.riders[b.id]
-    # record fields 3, 4 and 5: node index, limit and release time
-    oa, xa, ob, xb = pa[3], da[3], pb[3], db[3]
-    best, found = _INF, None  # found: (stop records, drop at a, drop at b)
+    row = position * n
 
-    l0 = flat[position * n + oa]
-    t0 = max(now + l0 / speed, pa[5])
-    if t0 <= pa[4]:
-        # P_a D_a P_b D_b
-        l1 = flat[oa * n + xa]
+    def half(p: tuple, q: tuple) -> tuple:
+        # (length, stop records, drop of p, drop of q) of each feasible order,
+        # else None
+        (pp, dp), (pq, dq) = p, q
+        # record fields 3, 4 and 5: node index, limit and release time
+        op, xp, oq, xq = pp[3], dp[3], pq[3], dq[3]
+        l0 = flat[row + op]
+        t0 = max(now + l0 / speed, pp[5])
+        if t0 > pp[4]:
+            return None, None, None
+        # P_p D_p P_q D_q
+        l1 = flat[op * n + xp]
         t1 = t0 + l1 / speed
-        l2 = flat[xa * n + ob]
-        t2 = max(t1 + l2 / speed, pb[5])
-        l3 = flat[ob * n + xb]
+        l2 = flat[xp * n + oq]
+        t2 = max(t1 + l2 / speed, pq[5])
+        l3 = flat[oq * n + xq]
         t3 = t2 + l3 / speed
-        total = l0 + l1 + l2 + l3
-        if t1 - t0 <= da[4] and t2 <= pb[4] and t3 - t2 <= db[4] and total < best:
-            best, found = total, ((pa, da, pb, db), t1, t3)
-        l1 = flat[oa * n + ob]
-        t1 = max(t0 + l1 / speed, pb[5])
-        if both and t1 <= pb[4]:
-            # P_a P_b D_a D_b
-            l2 = flat[ob * n + xa]
-            t2 = t1 + l2 / speed
-            l3 = flat[xa * n + xb]
-            t3 = t2 + l3 / speed
-            total = l0 + l1 + l2 + l3
-            if t2 - t0 <= da[4] and t3 - t1 <= db[4] and total < best:
-                best, found = total, ((pa, pb, da, db), t2, t3)
-            # P_a P_b D_b D_a
-            l2 = flat[ob * n + xb]
-            t2 = t1 + l2 / speed
-            l3 = flat[xb * n + xa]
-            t3 = t2 + l3 / speed
-            total = l0 + l1 + l2 + l3
-            if t2 - t1 <= db[4] and t3 - t0 <= da[4] and total < best:
-                best, found = total, ((pa, pb, db, da), t3, t2)
-
-    l0 = flat[position * n + ob]
-    t0 = max(now + l0 / speed, pb[5])
-    if t0 <= pb[4]:
-        l1 = flat[ob * n + oa]
-        t1 = max(t0 + l1 / speed, pa[5])
-        if both and t1 <= pa[4]:
-            # P_b P_a D_a D_b
-            l2 = flat[oa * n + xa]
-            t2 = t1 + l2 / speed
-            l3 = flat[xa * n + xb]
-            t3 = t2 + l3 / speed
-            total = l0 + l1 + l2 + l3
-            if t2 - t1 <= da[4] and t3 - t0 <= db[4] and total < best:
-                best, found = total, ((pb, pa, da, db), t2, t3)
-            # P_b P_a D_b D_a
-            l2 = flat[oa * n + xb]
-            t2 = t1 + l2 / speed
-            l3 = flat[xb * n + xa]
-            t3 = t2 + l3 / speed
-            total = l0 + l1 + l2 + l3
-            if t2 - t0 <= db[4] and t3 - t1 <= da[4] and total < best:
-                best, found = total, ((pb, pa, db, da), t3, t2)
-        # P_b D_b P_a D_a
-        l1 = flat[ob * n + xb]
-        t1 = t0 + l1 / speed
-        l2 = flat[xb * n + oa]
-        t2 = max(t1 + l2 / speed, pa[5])
-        l3 = flat[oa * n + xa]
+        alone = ((l0 + l1 + l2 + l3, (pp, dp, pq, dq), t1, t3)
+                 if t1 - t0 <= dp[4] and t2 <= pq[4] and t3 - t2 <= dq[4] else None)
+        l1 = flat[op * n + oq]
+        t1 = max(t0 + l1 / speed, pq[5])
+        if not both or t1 > pq[4]:
+            return alone, None, None
+        # P_p P_q D_p D_q
+        l2 = flat[oq * n + xp]
+        t2 = t1 + l2 / speed
+        l3 = flat[xp * n + xq]
         t3 = t2 + l3 / speed
-        total = l0 + l1 + l2 + l3
-        if t1 - t0 <= db[4] and t2 <= pa[4] and t3 - t2 <= da[4] and total < best:
-            best, found = total, ((pb, db, pa, da), t3, t1)
+        p_out = ((l0 + l1 + l2 + l3, (pp, pq, dp, dq), t2, t3)
+                 if t2 - t0 <= dp[4] and t3 - t1 <= dq[4] else None)
+        # P_p P_q D_q D_p
+        l2 = flat[oq * n + xq]
+        t2 = t1 + l2 / speed
+        l3 = flat[xq * n + xp]
+        t3 = t2 + l3 / speed
+        q_out = ((l0 + l1 + l2 + l3, (pp, pq, dq, dp), t3, t2)
+                 if t2 - t1 <= dq[4] and t3 - t0 <= dp[4] else None)
+        return alone, p_out, q_out
 
+    # x_out_y: x's rider picked up first and y's dropped first
+    a_alone, a_out_a, a_out_b = half(stops.riders[a.id], stops.riders[b.id])
+    b_alone, b_out_b, b_out_a = half(stops.riders[b.id], stops.riders[a.id])
+    candidates = (a_alone, a_out_a, a_out_b, b_out_a, b_out_b, b_alone)
+    best, found = _INF, None
+    for cand in candidates:
+        if cand is not None and cand[0] < best:
+            best, found = cand[0], cand
     if found is None:
         return None
-    order, drop_a, drop_b = found
+    _, order, drop_p, drop_q = found
+    # the route starts with the pickup of p's rider
+    drop_a, drop_b = (drop_p, drop_q) if order[0][0] == a.id else (drop_q, drop_p)
     return Trip(
         requests=(a.id, b.id),
         vehicle=vehicle.id,
@@ -477,59 +460,58 @@ def pair_shareable(
 
 def build_rv_graph(stops: StopTable) -> dict[tuple[str, str], Trip]:
     """The one-request trip of each feasible (request id, vehicle id) pair
-    of the build ``stops`` holds, keyed in sorted order."""
+    of the build ``stops`` holds, keyed in sorted order.
+
+    Each pair's earliest pickup is computed once: ``max(now + leg / speed,
+    release)`` on the shortest path from the vehicle, as no stop order
+    beats it.  A pair whose earliest pickup misses the pickup's ``late``
+    (record field 6) has no feasible route.  An idle vehicle's pair is
+    then computed in closed form, a busy vehicle's goes through the
+    committed-stop bound below and then ``best_route``.
+    """
     reqs, vehs, net, now = stops.requests, stops.vehicles, stops.net, stops.now
     rv: dict[tuple[str, str], Trip] = {}
-    # Earliest pickup of each (vehicle, request) pair: straight from the
-    # vehicle's position, as no stop order can beat the shortest path.  A
-    # pair that misses the pickup's ``late`` (record field 6) even so has
-    # no feasible route.
     speed = net.speed
-    reach = now + net.distance_block(
-        [v.position for v in vehs], [r.origin for r in reqs]
-    ) / speed
-    can_reach = (reach <= np.array([stops.riders[r.id][0][6] for r in reqs])).tolist()
     flat = net.flat_distances()
     n_nodes = len(net.nodes)
     fleet = [stops.fleet[v.id] for v in vehs]
-    base = [position * n_nodes for position, _, _ in fleet]
+    rows = [position * n_nodes for position, _, _ in fleet]
     # None for an idle vehicle, else its committed stops with an absolute
     # deadline, an onboard rider's dropoff or an assigned rider's pickup:
     # node index, start of its row in ``flat``, distance to it from the
     # vehicle, and ``late``.
-    bounds = [[(s, s * n_nodes, flat[base[k] + s], due)
+    bounds = [[(s, s * n_nodes, flat[row_v + s], due)
                for _, _, _, s, _, _, due in committed if due is not None]
               if committed else None
-              for k, (_, committed, _) in enumerate(fleet)]
+              for row_v, (_, committed, _) in zip(rows, fleet)]
     # Both lists are sorted by id, so the keys arrive in sorted order.
-    for j, req in enumerate(reqs):
+    for req in reqs:
         rid = req.id
         (_, _, _, o, limit, rt, late), (_, _, _, d, ride_limit, _, _) = stops.riders[rid]
         row_o = o * n_nodes
         leg2 = flat[row_o + d]
         route = (Stop(req.origin, rid, PICKUP), Stop(req.destination, rid, DROPOFF))
-        for k, veh in enumerate(vehs):
-            if not can_reach[k][j]:
+        for veh, row_v, bound in zip(vehs, rows, bounds):
+            leg1 = flat[row_v + o]
+            at_o = max(now + leg1 / speed, rt)  # the earliest pickup
+            if at_o > late:
                 continue
-            if bounds[k] is None:
+            if bound is None:
                 # An idle vehicle has one stop order, pickup then dropoff:
                 # best_route's arithmetic for it, in the same order.
                 if veh.capacity < 1:
                     continue
-                leg1 = flat[base[k] + o]
-                arrive = max(now + leg1 / speed, rt)
                 total = leg1 + leg2  # best_route's 0.0 + leg1 is leg1
-                drop = arrive + leg2 / speed
-                if total < _INF and arrive <= limit and drop - arrive <= ride_limit:
+                drop = at_o + leg2 / speed
+                if total < _INF and at_o <= limit and drop - at_o <= ride_limit:
                     rv[(rid, veh.id)] = Trip(
                         (rid,), veh.id, route, total,
                         drop - (req.request_time + req.direct_duration), 1)
                 continue
             # The pickup comes before or after each committed stop s.  Skip
             # the pair when, for some s, both orders miss a deadline even on
-            # shortest paths (REACH_SLACK covers the rounding, as above).
-            at_o = max(now + flat[base[k] + o] / speed, rt)
-            for s, row_s, to_s, due in bounds[k]:
+            # shortest paths (REACH_SLACK in ``late`` covers the rounding).
+            for s, row_s, to_s, due in bound:
                 if (at_o + flat[row_o + s] / speed > due
                         and max(now + (to_s + flat[row_s + o]) / speed, rt) > late):
                     break

@@ -310,7 +310,7 @@ def test_criterion_05_core_allocations():
             if out is None:
                 continue
             returned += 1
-            all_in_core = all_in_core and in_core(game, out[0], tol=1e-6)
+            all_in_core = all_in_core and in_core(game, out[0])
 
     majority = CoalitionGame(players=("x", "y", "z"), values={
         frozenset({"x"}): 0.001, frozenset({"y"}): 0.001, frozenset({"z"}): 0.001,

@@ -1,5 +1,6 @@
 """Shareability graphs: route search oracle, trip closure, structure filters."""
 import itertools
+import math
 from collections import Counter
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from ridemarket import rtv
 from ridemarket.errors import ValidationError
 from ridemarket.model import DROPOFF, PICKUP, Request, Stop, Trip, Vehicle, fill_direct
-from ridemarket.network import make_grid
+from ridemarket.network import RoadNetwork, make_grid
 from ridemarket.rtv import (
     EPS,
     MAX_ROUTE_STOPS,
@@ -242,16 +243,35 @@ def test_best_route_times_are_consistent():
         assert drop - pick <= cons.detour_factor * r.direct_duration + EPS
 
 
+def _one_way_net(rng):
+    """A small directed network with non-integer edge lengths: the one-way
+    cycle 1 -> ... -> k-1 -> 1 fed by 0 -> 1, plus random one-way edges,
+    none into node 0.  Every node reaches another, no other node reaches
+    node 0, and leg sums round."""
+    k = int(rng.integers(3, 7))
+    ring = [(i, i + 1) for i in range(k - 1)] + [(k - 1, 1)]
+    extra = [(u, v) for u in range(k) for v in range(1, k)
+             if u != v and (u, v) not in ring and rng.random() < 0.25]
+    return RoadNetwork(nodes=[str(i) for i in range(k)],
+                       edges=[(str(u), str(v), float(rng.uniform(50.0, 300.0)))
+                              for u, v in ring + extra],
+                       speed=9.0)
+
+
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_idle_pair_closed_form_equals_the_search(data):
     # An idle vehicle's two-request trip in closed form is best_route's.
-    # Small grids of equal edges tie many stop orders; shared nodes give
-    # zero legs; releases after now make the vehicle wait; short wait
-    # bounds and a detour factor of 1 bind.
+    # Small grids of equal edges tie many stop orders; one-way networks
+    # give unreachable legs and inexact sums; shared nodes give zero legs;
+    # releases after now make the vehicle wait; short wait bounds and a
+    # detour factor of 1 bind.
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    net = make_grid(int(rng.integers(2, 5)), int(rng.integers(2, 5)),
-                    edge_len=float(rng.choice([180.0, 250.0])), speed=9.0)
+    if data.draw(st.booleans()):
+        net = make_grid(int(rng.integers(2, 5)), int(rng.integers(2, 5)),
+                        edge_len=float(rng.choice([180.0, 250.0])), speed=9.0)
+    else:
+        net = _one_way_net(rng)
     nodes = sorted(net.node_set())
     shared = list(rng.choice(nodes, size=2, replace=False))
     cons = Constraints(detour_factor=float(rng.choice([1.0, 1.25, 2.0])),
@@ -265,7 +285,7 @@ def test_idle_pair_closed_form_equals_the_search(data):
 
     def rider(rid):
         o, d = node(), node()
-        while d == o:
+        while d == o or net.distance_or_inf(o, d) == float("inf"):
             d = nodes[int(rng.integers(0, len(nodes)))]
         return Request(id=rid, origin=o, destination=d, platform="A",
                        request_time=float(rng.integers(0, 2 * now)))
@@ -428,6 +448,55 @@ def test_reach_bounds_keep_routes_within_eps_of_a_deadline():
         assert (("r0", "r1"), vid) in graph.tv_edges
 
 
+def test_reach_slack_keeps_pickups_behind_a_committed_stop():
+    # The vehicle's shortest path to both pickups runs through its committed
+    # stop c, and the reach bounds' shortest-path times round one ulp above
+    # the search's per-leg sums: (100 + 0.1/3) + 0.3/3 < 100 + 0.4/3, and
+    # the gap survives 0.4/3 more.  Each pickup's deadline plus EPS lies on
+    # the search's arrival, so only REACH_SLACK keeps a's single (the reach
+    # skip of build_rv_graph) and the pair (enumerate_trips' pair reach test).
+    speed, now = 3.0, 100.0
+    net = RoadNetwork(nodes=["x", "c", "s", "o", "d"],
+                      edges=[("x", "c", 0.1), ("c", "s", 0.3), ("s", "o", 0.4),
+                             ("o", "d", 0.6)],
+                      speed=speed)
+    at_s = (now + 0.1 / speed) + 0.3 / speed
+    at_o = at_s + 0.4 / speed
+    assert at_s < now + net.distance("x", "s") / speed
+    assert at_o < (now + net.distance("x", "s") / speed) + net.distance("s", "o") / speed
+
+    def due_on(arrival):
+        # a release, and with max_wait_s = 0 a deadline, whose limit is arrival
+        deadline = arrival - EPS
+        while deadline + EPS > arrival:
+            deadline = math.nextafter(deadline, -math.inf)
+        while deadline + EPS < arrival:
+            deadline = math.nextafter(deadline, math.inf)
+        assert deadline + EPS == arrival
+        return deadline
+
+    onboard, a, r = fill_direct(net, [
+        Request(id="b", origin="x", destination="c", request_time=0.0,
+                platform="A", pickup_time=now),
+        Request(id="a", origin="s", destination="d", request_time=due_on(at_s),
+                platform="A"),
+        Request(id="r", origin="o", destination="d", request_time=due_on(at_o),
+                platform="A"),
+    ])
+    veh = Vehicle(id="v", platform="A", position="x",
+                  schedule=[Stop("c", "b", DROPOFF)])
+    cons = Constraints(max_wait_s=0.0)
+    stops = stop_table([a, r], [veh], {"b": onboard}, net, cons, now)
+    graph = build_rtv_graph([a, r], [veh], net, now, cons, registry={"b": onboard})
+    by_id = {"a": a, "r": r}
+    assert graph.tv_edges == {
+        (key, "v"): best_route(veh, [by_id[rid] for rid in key], stops)
+        for key in (("a",), ("a", "r"), ("r",))}
+    pair = graph.tv_edges[(("a", "r"), "v")]
+    assert [(s.request, s.kind) for s in pair.route] == [
+        ("b", DROPOFF), ("a", PICKUP), ("r", PICKUP), ("a", DROPOFF), ("r", DROPOFF)]
+
+
 def test_stop_records_come_from_the_schedule():
     # a is assigned (its pickup is scheduled), b is onboard (only its dropoff)
     net = _REACH_NET
@@ -464,6 +533,18 @@ def test_stop_records_come_from_the_schedule():
     found = best_route(veh, [], table)
     assert [(s.request, s.kind) for s in found.route] == [
         ("b", DROPOFF), ("a", PICKUP), ("a", DROPOFF)]
+
+
+def test_scheduled_pickup_needs_a_stored_deadline():
+    # A committed pickup keeps the deadline it was given at commit; one
+    # taken from the build's ``now`` would move later with every build.
+    net = _REACH_NET
+    a = fill_direct(net, [Request(id="a", origin="1", destination="14",
+                                  request_time=250.0, platform="A")])[0]
+    veh = Vehicle(id="v0", platform="A", position="5",
+                  schedule=[Stop("1", "a", PICKUP), Stop("14", "a", DROPOFF)])
+    with pytest.raises(ValidationError, match="request a .*pickup_deadline"):
+        stop_table([], [veh], {"a": a}, net, Constraints(), 300.0)
 
 
 def test_rv_graph_requires_direct_values():

@@ -230,7 +230,10 @@ class PlatformMetrics:
 
 @dataclass
 class EpisodeMetrics:
-    """Episode outcome; money in fixed point, distances in miles."""
+    """Episode outcome; money in fixed point, distances in miles.  The seven
+    totals, ``pct_unsatisfied`` to ``broker_balance``, are derived from the
+    counts, ledgers and logs; a record whose information payments do not net
+    to the auctions' raises ValidationError, so every record conserves money."""
 
     scenario: str
     structure: str
@@ -240,19 +243,34 @@ class EpisodeMetrics:
     served: int
     expired: int
     total_vmt_miles: float
-    pct_unsatisfied: float
+    pct_unsatisfied: float = field(init=False)
     avg_wait_s: float
-    total_trips: int
-    n_trades: int
-    total_fares: int
-    total_driver_pay: int
-    total_profit: int
-    broker_balance: int
+    total_trips: int = field(init=False)
+    n_trades: int = field(init=False)
+    total_fares: int = field(init=False)
+    total_driver_pay: int = field(init=False)
+    total_profit: int = field(init=False)
+    broker_balance: int = field(init=False)
     per_platform: dict[str, PlatformMetrics]
     trade_log: list[TradeRecord] = field(default_factory=list)
     auction_log: list[AuctionAward] = field(default_factory=list)
     allocations: dict | None = None
     coalition_values: dict[str, int] | None = None
+
+    def __post_init__(self) -> None:
+        ledgers = self.per_platform.values()
+        n = self.n_requests
+        self.pct_unsatisfied = 100.0 * self.expired / n if n else 0.0
+        self.total_trips = sum(l.trips for l in ledgers)
+        self.n_trades = len(self.trade_log)
+        self.total_fares = sum(l.revenue for l in ledgers)
+        self.total_driver_pay = sum(l.driver_cost for l in ledgers)
+        self.total_profit = sum(l.profit for l in ledgers)
+        self.broker_balance = sum(a.payment for a in self.auction_log)
+        net_info = sum(l.info_paid - l.info_received for l in ledgers)
+        if net_info != self.broker_balance:
+            raise ValidationError(f"info_paid minus info_received is {to_dollars(net_info)}, "
+                                  f"but the auctions paid {to_dollars(self.broker_balance)}")
 
 
 @dataclass
@@ -278,9 +296,7 @@ class _Simulation:
         self.fleets = {pid: [v for v in self.vehicles if v.platform == pid]
                        for pid in self.pids}
         self.ledgers = {pid: PlatformMetrics() for pid in self.pids}
-        self.used_vehicles: dict[str, set[str]] = {pid: set() for pid in self.pids}
         self.runs = {v.id: _Run() for v in self.vehicles}  # each one's current run
-        self.broker_balance = 0
         self.trade_log: list[TradeRecord] = []
         self.auction_log: list[AuctionAward] = []
         self.auction_rng = substream(scenario.seed, "auction_order")
@@ -366,7 +382,6 @@ class _Simulation:
             )
             for award in awards:
                 self.ledgers[award.platform].info_paid += award.payment
-                self.broker_balance += award.payment
                 awarded.add(award.request)
             self.auction_log.extend(awards)
             graph = graph.restrict([r.id for r in waiting if r.id in awarded],
@@ -416,7 +431,6 @@ class _Simulation:
         ledger = self.ledgers[vehicle.platform]
         ledger.driver_cost += cost
         ledger.trips += 1
-        self.used_vehicles[vehicle.platform].add(vehicle.id)
         shared = len(run.riders) >= 2
         for rid in sorted(run.riders):
             req = self.registry[rid]
@@ -478,29 +492,21 @@ class _Simulation:
         return self._metrics()
 
     def _metrics(self) -> EpisodeMetrics:
-        for pid in self.pids:
-            self.ledgers[pid].vehicles_used = len(self.used_vehicles[pid])
+        for pid, fleet in self.fleets.items():
+            self.ledgers[pid].vehicles_used = sum(1 for v in fleet if v.odometer > 0)
         served = [r for r in self.requests if r.state == SERVED]
         expired = sum(1 for r in self.requests if r.state == EXPIRED)
         waits = [r.pickup_time - r.request_time for r in served]
-        n = len(self.requests)
         return EpisodeMetrics(
             scenario=self.sc.name,
             structure=self.kind,
             objective=self.sc.objective,
             seed=self.sc.seed,
-            n_requests=n,
+            n_requests=len(self.requests),
             served=len(served),
             expired=expired,
             total_vmt_miles=miles(sum(v.odometer for v in self.vehicles)),
-            pct_unsatisfied=100.0 * expired / n if n else 0.0,
             avg_wait_s=sum(waits) / len(waits) if waits else 0.0,
-            total_trips=sum(l.trips for l in self.ledgers.values()),
-            n_trades=len(self.trade_log),
-            total_fares=sum(l.revenue for l in self.ledgers.values()),
-            total_driver_pay=sum(l.driver_cost for l in self.ledgers.values()),
-            total_profit=sum(l.profit for l in self.ledgers.values()),
-            broker_balance=self.broker_balance,
             per_platform=dict(self.ledgers),
             trade_log=list(self.trade_log),
             auction_log=list(self.auction_log),

@@ -12,6 +12,7 @@ trades and its auction awards.  Each of these records is described once,
 by a table of its fields in column order (``_EPISODE_FIELDS`` and the
 like), which the JSON writer, the JSON reader, the summary CSV and the
 trade log all read.  Money is fixed point in memory and dollars on disk.
+A derived field (an episode total, a platform's profit) is checked on read.
 """
 from __future__ import annotations
 
@@ -310,10 +311,8 @@ _EPISODE_FIELDS = (
 _PLATFORM_FIELDS = (
     ("revenue", _MONEY), ("driver_cost", _MONEY), ("info_paid", _MONEY),
     ("info_received", _MONEY), ("trips", int), ("vehicles_used", int),
-    ("contributed_fares", _MONEY),
+    ("contributed_fares", _MONEY), ("profit", _MONEY),
 )
-# a platform's profit is derived: written, never read back
-_PROFIT = (("profit", _MONEY),)
 _TRADE_FIELDS = (
     ("epoch", int), ("request", str), ("seller", str), ("buyer", str),
     ("info_price", _MONEY),
@@ -339,12 +338,21 @@ def _read(obj: Mapping, key: str, where: str, kind):
 
 def _load(cls, obj: Mapping, table, where: str, **rest):
     """A record whose table fields are read from ``obj``, plus ``rest``; a
-    record that fails its own checks is reported under ``where``."""
+    record that fails its own checks is reported under ``where``.  A table
+    field that is not an ``init`` field is derived and must read back as
+    the record computes it."""
+    given = {f.name for f in fields(cls) if f.init}
     values = {name: _read(obj, name, where, kind) for name, kind in table}
     try:
-        return cls(**values, **rest)
+        record = cls(**{k: v for k, v in values.items() if k in given}, **rest)
     except ValidationError as exc:
         raise ValidationError(f"{where}: {exc}") from exc
+    for name, kind in table:
+        if name not in given and values[name] != getattr(record, name):
+            derived = _dump(record, [(name, kind)])[name]
+            raise ValidationError(f"{where}.{name}: expected {derived}, the value "
+                                  f"the record's other fields give, got {obj[name]}")
+    return record
 
 
 def _csv_row(record, table) -> list[str]:
@@ -367,7 +375,7 @@ def metrics_to_dict(m: EpisodeMetrics) -> dict:
     return {
         **_dump(m, _EPISODE_FIELDS),
         "platforms": {
-            pid: _dump(p, _PLATFORM_FIELDS + _PROFIT)
+            pid: _dump(p, _PLATFORM_FIELDS)
             for pid, p in sorted(m.per_platform.items())
         },
         "trades": [_dump(t, _TRADE_FIELDS) for t in m.trade_log],
@@ -400,7 +408,8 @@ def metrics_from_dict(doc: Mapping) -> EpisodeMetrics:
     """Inverse of metrics_to_dict, restoring fixed-point money.
 
     Every field is read through ``_field``, so a malformed document fails
-    with a ValidationError that names its key.
+    with a ValidationError that names its key, as does a derived field
+    that contradicts the record's other fields.
     """
     if not isinstance(doc, Mapping):
         raise ValidationError("results: expected an object")
@@ -465,7 +474,7 @@ def _results_csv(many: list[EpisodeMetrics]) -> str:
         row = _csv_row(m, _EPISODE_FIELDS)
         for pid in pids:
             p = m.per_platform.get(pid)
-            row += _csv_row(p, _PROFIT) if p else [""]
+            row += _csv_row(p, _PLATFORM_FIELDS[-1:]) if p else [""]  # profit
         rows.append(row)
     return _csv_text(rows)
 

@@ -287,15 +287,19 @@ def run_single_item_auction(bids: list[Bid], gamma: float) -> AuctionOutcome | N
 
     The highest bid wins, ties going to the lowest platform id; the winner
     pays gamma times the second-highest bid.  Returns None (no sale) when
-    every bid is zero.
+    every bid is zero.  Each platform bids at most once.
     """
     if not 0.0 <= gamma <= 1.0:
         raise ValidationError(f"gamma must lie in [0, 1], got {gamma}")
     if not bids:
         return None
+    bidders = set()
     for b in bids:
         if b.amount < 0:
             raise ValidationError(f"negative bid from {b.platform}")
+        if b.platform in bidders:
+            raise ValidationError(f"{b.platform} bids twice")
+        bidders.add(b.platform)
     if all(b.amount == 0 for b in bids):
         return None
     top = max(b.amount for b in bids)

@@ -189,8 +189,9 @@ def stop_table(
     """The snapshot of one build: its requests and vehicles sorted by id,
     and every stop record that ``best_route`` and the reach bounds read.
 
-    Raises ValidationError for a request without direct-trip values and
-    for a scheduled pickup whose request has no stored ``pickup_deadline``.
+    Raises ValidationError for a request without direct-trip values, for
+    a scheduled pickup whose request has no stored ``pickup_deadline`` and
+    for an onboard rider without a ``pickup_time``.
 
     A record is ``(request, kind, node, node index, limit, aux, late)``.  A
     pickup must arrive by ``limit``, its deadline plus EPS, and not before
@@ -202,7 +203,7 @@ def stop_table(
     from one pass over its schedule: a pickup stop gives its rider's pickup,
     at the stored ``pickup_deadline``, and dropoff records; a dropoff stop
     whose rider has no pickup in the schedule is an onboard rider's, whose
-    ride started at its ``pickup_time``, else at ``now``.  ``registry`` must
+    ride started at its ``pickup_time``.  ``registry`` must
     cover the scheduled riders, and ``requests`` take precedence over it.
     """
     chi = constraints.detour_factor
@@ -243,7 +244,10 @@ def stop_table(
                 picked.add(req.id)
                 recs += pickup(req, req.pickup_deadline), dropoff(req)
             elif req.id not in picked:
-                recs.append(dropoff(req, now if req.pickup_time is None else req.pickup_time))
+                if req.pickup_time is None:
+                    raise ValidationError(
+                        f"request {req.id} is onboard but has no pickup_time")
+                recs.append(dropoff(req, req.pickup_time))
         fleet[veh.id] = (index(veh.position), tuple(recs), schedule_distance(veh, net))
     return StopTable(net, now, constraints, requests, vehicles, riders, fleet)
 

@@ -25,7 +25,7 @@ from ridemarket.io import (
     write_trade_log,
 )
 from ridemarket.mechanisms import AuctionAward, CoalitionGame, TradeRecord
-from ridemarket.model import PricingScheme, Request
+from ridemarket.model import PricingScheme, Request, dollars, to_dollars
 from ridemarket.network import make_grid
 from ridemarket.rtv import Constraints, MarketStructure
 
@@ -251,10 +251,12 @@ def test_results_dict_round_trip():
     (AuctionAward, rio._AWARD_FIELDS),
 ])
 def test_every_results_field_is_in_its_table(cls, table):
-    # a field added to a record and left out of its table fails here
+    # a field added to a record and left out of its table fails here, and
+    # so does a derived property (a platform's profit), which follows them
     nested = {"per_platform", "trade_log", "auction_log", "allocations", "coalition_values"}
+    derived = [name for name, value in vars(cls).items() if isinstance(value, property)]
     assert [name for name, _ in table] == \
-        [f.name for f in fields(cls) if f.name not in nested]
+        [f.name for f in fields(cls) if f.name not in nested] + derived
 
 
 _ids = st.text(st.characters(codec="utf-8"), max_size=6)
@@ -276,18 +278,18 @@ def _episodes(draw):
     awards = draw(st.lists(st.builds(
         AuctionAward, epoch=_counts, request=_ids, platform=_ids, payment=_money),
         min_size=1, max_size=3))
+    # the platforms' information payments net to what the broker received
+    platforms[pids[0]].info_paid += sum(a.payment for a in awards) - sum(
+        p.info_paid - p.info_received for p in platforms.values())
     values = draw(st.none() | st.dictionaries(_ids, _money, max_size=3))
     allocations = draw(st.none() | st.dictionaries(
         _ids, st.dictionaries(_ids, _finite, max_size=3), max_size=2))
     return EpisodeMetrics(
         scenario=draw(_ids), structure=draw(_ids), objective=draw(_ids),
         seed=draw(_counts), n_requests=draw(_counts), served=draw(_counts),
-        expired=draw(_counts), total_vmt_miles=draw(_finite),
-        pct_unsatisfied=draw(_finite), avg_wait_s=draw(_finite),
-        total_trips=draw(_counts), n_trades=draw(_counts), total_fares=draw(_money),
-        total_driver_pay=draw(_money), total_profit=draw(_money),
-        broker_balance=draw(_money), per_platform=platforms, trade_log=trades,
-        auction_log=awards, allocations=allocations, coalition_values=values,
+        expired=draw(_counts), total_vmt_miles=draw(_finite), avg_wait_s=draw(_finite),
+        per_platform=platforms, trade_log=trades, auction_log=awards,
+        allocations=allocations, coalition_values=values,
     )
 
 
@@ -295,6 +297,80 @@ def _episodes(draw):
 @given(_episodes())
 def test_results_records_round_trip_through_json(m):
     assert metrics_from_dict(json.loads(json.dumps(metrics_to_dict(m)))) == m
+
+
+_DERIVED = ["pct_unsatisfied", "total_trips", "n_trades", "total_fares",
+            "total_driver_pay", "total_profit", "broker_balance", "platforms.A.profit"]
+
+
+@pytest.mark.parametrize("key", _DERIVED)
+def test_results_that_contradict_themselves_are_validation_errors(key):
+    doc = metrics_to_dict(_tiny_metrics())
+    *parents, name = key.split(".")
+    record = doc
+    for parent in parents:
+        record = record[parent]
+    record[name] += 100  # a percent, a count or a dollar amount off
+    with pytest.raises(ValidationError, match=f"^results\\.{re.escape(key)}: expected "):
+        metrics_from_dict(doc)
+
+
+def test_results_whose_information_payments_do_not_net_out_are_rejected():
+    # A's ledger agrees with its own profit, but no auction received the
+    # dollar it paid
+    doc = metrics_to_dict(_tiny_metrics())
+    doc["platforms"]["A"]["info_paid"] += 1.0
+    doc["platforms"]["A"]["profit"] -= 1.0
+    message = "results: info_paid minus info_received is 1.0, but the auctions paid 0.0"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        metrics_from_dict(doc)
+
+
+# money fields of a results document: a top-level key, or a key of the first
+# platform, auction or trade.  The derived ones are computed from the inputs.
+_MONEY_INPUTS = [("platforms", key) for key in (
+    "revenue", "driver_cost", "info_paid", "info_received")] + [
+    ("auctions", "payment"), ("trades", "info_price")]
+_MONEY_DERIVED = [(key,) for key in (
+    "total_fares", "total_driver_pay", "total_profit", "broker_balance")] + [
+    ("platforms", "profit")]
+
+
+def _set_money(doc, path, amount):
+    *parents, name = path
+    record = doc
+    for key in parents:
+        record = record[key]
+        record = record[min(record)] if isinstance(record, dict) else record[0]
+    record[name] = to_dollars(amount)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_episodes(),
+       st.lists(st.tuples(st.sampled_from(_MONEY_INPUTS), _money), max_size=3),
+       st.lists(st.tuples(st.sampled_from(_MONEY_DERIVED), _money), max_size=1))
+def test_every_accepted_results_record_conserves_money(m, edits, overwrites):
+    # edited ledgers and logs, with every derived field written as they give
+    # it, then perhaps one derived field overwritten
+    doc = json.loads(json.dumps(metrics_to_dict(m)))
+    for path, amount in edits:
+        _set_money(doc, path, amount)
+    ledgers = doc["platforms"].values()
+    for p in ledgers:
+        p["profit"] = to_dollars(dollars(p["revenue"]) - dollars(p["driver_cost"])
+                                 - dollars(p["info_paid"]) + dollars(p["info_received"]))
+    for total, key in (("total_fares", "revenue"), ("total_driver_pay", "driver_cost"),
+                       ("total_profit", "profit")):
+        doc[total] = to_dollars(sum(dollars(p[key]) for p in ledgers))
+    doc["broker_balance"] = to_dollars(sum(dollars(a["payment"]) for a in doc["auctions"]))
+    for path, amount in overwrites:
+        _set_money(doc, path, amount)
+    try:
+        back = metrics_from_dict(doc)
+    except ValidationError:
+        return
+    assert back.total_fares - back.total_driver_pay == back.total_profit + back.broker_balance
+    assert sum(p.profit for p in back.per_platform.values()) == back.total_profit
 
 
 @pytest.mark.parametrize(("doc", "message"), [

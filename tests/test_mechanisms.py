@@ -586,6 +586,9 @@ def test_marketplace_awards_to_highest_value_platform():
      "gamma must lie in [0, 1], got nan"),
     (lambda ctx: run_single_item_auction([Bid("0", 5), Bid("1", -1)], 0.1),
      "negative bid from 1"),
+    # a second bid from A would drop out of the second price with A's first
+    (lambda ctx: run_single_item_auction([Bid("A", 10), Bid("A", 9), Bid("B", 1)], 1.0),
+     "A bids twice"),
     (lambda ctx: TradeRecord(epoch=0, request="r0", seller="A", buyer="B", info_price=-1),
      "information price must be non-negative"),
     (lambda ctx: Request(id="r9", origin="3", destination="3", request_time=0.0,
@@ -603,7 +606,7 @@ def test_marketplace_awards_to_highest_value_platform():
     (lambda ctx: rider_fare(PricingScheme(), False, -1.0, 60.0),
      "distance and duration must be non-negative"),
 ], ids=["auction-gamma", "central-gamma", "bilateral-gamma", "negative-bid",
-        "negative-info-price", "origin-is-destination", "negative-pricing-field",
+        "duplicate-bidder", "negative-info-price", "origin-is-destination", "negative-pricing-field",
         "fractional-pricing-field", "nan-pricing-field", "boolean-pricing-field",
         "negative-fare-distance"])
 def test_bad_inputs_raise_validation_error(call, message):

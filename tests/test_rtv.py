@@ -547,6 +547,18 @@ def test_scheduled_pickup_needs_a_stored_deadline():
         stop_table([], [veh], {"a": a}, net, Constraints(), 300.0)
 
 
+def test_onboard_rider_needs_a_pickup_time():
+    # An onboard rider's detour bound runs from its pickup; one taken from
+    # the build's ``now`` would move later with every build.
+    net = _REACH_NET
+    b = fill_direct(net, [Request(id="b", origin="4", destination="2",
+                                  request_time=100.0, platform="A")])[0]
+    veh = Vehicle(id="v0", platform="A", position="5", schedule=[Stop("2", "b", DROPOFF)])
+    for now in (100.0, 400.0):
+        with pytest.raises(ValidationError, match="^request b is onboard but has no pickup_time$"):
+            stop_table([], [veh], {"b": b}, net, Constraints(), now)
+
+
 def test_rv_graph_requires_direct_values():
     net = make_grid(3, 3, edge_len=200.0, speed=10.0)
     bad = Request(id="r0", origin="0", destination="8", request_time=0.0, platform="A")
